@@ -154,19 +154,19 @@ def _cmd_pattern(args, config: Config, out, err) -> int:
 def _scan_records(target: str, out_err: list[str]):
     records = []
     for path in _iter_java_files(target):
-        src = _read_source(path)
         try:
-            methods = extraction.extract_methods(src)
-            partial = False
-        except extraction.PartialParseError as perr:
-            methods = perr.methods
-            partial = True
+            src = _read_source(path)
+        except CliError as read_err:
+            out_err.append(str(read_err))
+            continue
+        methods, perr = extraction.recover_methods(src)
+        if perr is not None:
             out_err.append(str(perr))
         has_junit = extraction.has_junit_import(src)
         record = {
             "path": path,
             "is_test_file": has_junit and any(extraction.is_test_method(m) for m in methods),
-            "partial": partial,
+            "partial": perr is not None,
             "methods": [
                 {
                     "name": m.name,

@@ -1,9 +1,10 @@
 """Tolerant extraction of test methods from Java-style source text.
 
-A lexical scanner tokenizes the source (comments dropped, string literals
-kept as single tokens), then a signature heuristic finds method
-declarations and captures their brace-balanced bodies. No compiler
-front-end is involved, so non-compiling snapshots still scan.
+One regex pass tokenizes the source (comments dropped, string literals
+kept as single tokens) and one stack pass pairs its parentheses and
+braces; then a signature heuristic finds method declarations and captures
+their brace-balanced bodies. No compiler front-end is involved, so
+non-compiling snapshots still scan, in time linear in the token count.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ class TokenKind(Enum):
     NUMBER = "number"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: TokenKind
     text: str
@@ -31,9 +32,6 @@ class Token:
 @dataclass(frozen=True)
 class TokenStream:
     tokens: tuple[Token, ...]
-
-    def texts(self) -> list[str]:
-        return [t.text for t in self.tokens]
 
 
 @dataclass(frozen=True)
@@ -59,8 +57,21 @@ class PartialParseError(Exception):
         self.methods = methods
 
 
-_WORD_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
-_NUMBER_RE = re.compile(r"\d[\w.]*")
+# Whitespace and comments, then one token whose group number indexes
+# _GROUP_KINDS. Unterminated comments and literals run to the end of the text.
+# The empty last alternative takes trailing whitespace, so no match fails.
+_TOKEN_RE = re.compile(
+    r"""
+    (?: \s+ | //[^\n]* | /\*(?:.*?\*/|.*) )*
+    (?: ( "[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z) | '[^'\\]*(?:\\.[^'\\]*)*(?:'|\\?\Z) )
+      | ( [A-Za-z_$][A-Za-z0-9_$]* )
+      | ( \d[\w.]* )
+      | ( \S )
+      | \Z
+    )""",
+    re.DOTALL | re.VERBOSE,
+)
+_GROUP_KINDS = (None, TokenKind.STRING, TokenKind.WORD, TokenKind.NUMBER, TokenKind.PUNCTUATION)
 
 _MODIFIERS = frozenset({
     "public", "private", "protected", "static", "final", "abstract",
@@ -73,109 +84,109 @@ _NOT_METHOD_NAMES = frozenset({
     "new", "super", "this", "assert", "throw", "synchronized",
 })
 
-_TYPE_END_PUNCT = frozenset({">", "]"})
+# words that cannot be a return type right before a method name; after
+# `record` the name and parameters are a record header
+_NOT_RETURN_TYPES = _MODIFIERS | _NOT_METHOD_NAMES | {"record"}
+
+_OPENER_OF = {")": "(", "}": "{"}
+_TYPE_OPENER_OF = {">": "<", "]": "["}
+# punctuation that can appear in a type (`@` starts a type annotation); any
+# other punctuation, a literal or a number ends a type back-scan
+_TYPE_PUNCT = frozenset({".", ",", "?", "&", "<", ">", "[", "]", "@"})
 
 
 def tokenize(text: str) -> TokenStream:
     """Lex Java-ish source. Comments are skipped; literals are single tokens."""
-    tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "/" and i + 1 < n:
-            nxt = text[i + 1]
-            if nxt == "/":
-                end = text.find("\n", i)
-                i = n if end == -1 else end + 1
-                continue
-            if nxt == "*":
-                end = text.find("*/", i + 2)
-                i = n if end == -1 else end + 2
-                continue
-        if ch in "\"'":
-            j = i + 1
-            while j < n:
-                if text[j] == "\\":
-                    j += 2
-                    continue
-                if text[j] == ch:
-                    j += 1
-                    break
-                j += 1
-            else:
-                j = n
-            tokens.append(Token(TokenKind.STRING, text[i:j], i, j))
-            i = j
-            continue
-        m = _WORD_RE.match(text, i)
-        if m:
-            tokens.append(Token(TokenKind.WORD, m.group(), i, m.end()))
-            i = m.end()
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            tokens.append(Token(TokenKind.NUMBER, m.group(), i, m.end()))
-            i = m.end()
-            continue
-        tokens.append(Token(TokenKind.PUNCTUATION, ch, i, i + 1))
-        i += 1
-    return TokenStream(tuple(tokens))
+    return TokenStream(tuple([
+        Token(_GROUP_KINDS[g], m[g], m.start(g), m.end())
+        for m in _TOKEN_RE.finditer(text)
+        if (g := m.lastindex)
+    ]))
 
 
-def _match_balanced(tokens: tuple[Token, ...], start: int, open_text: str, close_text: str) -> int | None:
-    """Index of the token closing the bracket opened at ``start``, or None."""
-    depth = 0
-    for i in range(start, len(tokens)):
-        text = tokens[i].text
-        if tokens[i].kind is TokenKind.PUNCTUATION:
-            if text == open_text:
-                depth += 1
-            elif text == close_text:
-                depth -= 1
-                if depth == 0:
-                    return i
+def _pair_brackets(tokens: tuple[Token, ...]) -> list[int | None]:
+    """Index of the partner of every matched '(' ')' '{' '}', else None.
+
+    One stack per bracket kind, so a ')' never closes a '{': each pair is
+    the one a depth count over that kind alone finds.
+    """
+    partner: list[int | None] = [None] * len(tokens)
+    stacks: dict[str, list[int]] = {"(": [], "{": []}
+    for i, tok in enumerate(tokens):
+        text = tok.text
+        if text in stacks:
+            stacks[text].append(i)
+        elif text in _OPENER_OF:
+            stack = stacks[_OPENER_OF[text]]
+            if stack:
+                j = stack.pop()
+                partner[i], partner[j] = j, i
+    return partner
+
+
+def _annotation_at(tokens: tuple[Token, ...], partner: list[int | None], close: int) -> int | None:
+    """Index of the '@' of the annotation whose argument list ends at ``close``."""
+    open_idx = partner[close]
+    if (
+        open_idx is not None
+        and open_idx >= 2
+        and tokens[open_idx - 1].kind is TokenKind.WORD
+        and tokens[open_idx - 2].text == "@"
+    ):
+        return open_idx - 2
     return None
 
 
-def _match_balanced_back(tokens: tuple[Token, ...], end: int, open_text: str, close_text: str) -> int | None:
+def _type_open(tokens: tuple[Token, ...], partner: list[int | None], i: int) -> int | None:
+    """Index of the '<' or '[' matching the '>' or ']' at ``i``, or None.
+
+    The scan stops with None at the first token that cannot appear in a
+    type, so a '>' of a lambda arrow or a comparison costs a few steps.
+    """
+    close = tokens[i].text
+    opener = _TYPE_OPENER_OF[close]
     depth = 0
-    for i in range(end, -1, -1):
-        text = tokens[i].text
-        if tokens[i].kind is TokenKind.PUNCTUATION:
-            if text == close_text:
+    while i >= 0:
+        tok = tokens[i]
+        text = tok.text
+        if tok.kind is TokenKind.PUNCTUATION:
+            if text == close:
                 depth += 1
-            elif text == open_text:
+            elif text == opener:
                 depth -= 1
                 if depth == 0:
                     return i
+            elif text == ")" and (at := _annotation_at(tokens, partner, i)) is not None:
+                i = at
+            elif text not in _TYPE_PUNCT:
+                return None
+        elif tok.kind is not TokenKind.WORD:
+            return None
+        i -= 1
     return None
 
 
-def _scan_return_type_back(tokens: tuple[Token, ...], i: int) -> int | None:
+def _scan_return_type_back(tokens: tuple[Token, ...], partner: list[int | None], i: int) -> int | None:
     """Index of the first token of the return type ending at ``i``, or None."""
     if i < 0:
         return None
     tok = tokens[i]
-    if tok.kind is TokenKind.PUNCTUATION and tok.text in _TYPE_END_PUNCT:
-        opener = "<" if tok.text == ">" else "["
-        start = _match_balanced_back(tokens, i, opener, tok.text)
+    if tok.kind is TokenKind.PUNCTUATION and tok.text in _TYPE_OPENER_OF:
+        start = _type_open(tokens, partner, i)
         if start is None or start == 0:
             return None
         base = tokens[start - 1]
         if base.kind is TokenKind.WORD and base.text not in _NOT_METHOD_NAMES:
             return start - 1
         return None
-    if tok.kind is TokenKind.WORD and tok.text not in _MODIFIERS and tok.text not in _NOT_METHOD_NAMES:
+    if tok.kind is TokenKind.WORD and tok.text not in _NOT_RETURN_TYPES:
         return i
     return None
 
 
-def _collect_annotations(tokens: tuple[Token, ...], before: int, text: str) -> tuple[str, ...]:
-    """Annotation texts immediately preceding token index ``before``."""
+def _collect_annotations(tokens: tuple[Token, ...], partner: list[int | None], before: int, text: str) -> tuple[str, ...]:
+    """Annotation texts preceding token index ``before``, across modifiers
+    and a type-parameter list (`@Test public <T> void`)."""
     annotations: list[str] = []
     i = before
     while i >= 0:
@@ -193,17 +204,18 @@ def _collect_annotations(tokens: tuple[Token, ...], before: int, text: str) -> t
             i -= 2
             continue
         if tok.kind is TokenKind.PUNCTUATION and tok.text == ")":
-            open_idx = _match_balanced_back(tokens, i, "(", ")")
-            if (
-                open_idx is not None
-                and open_idx >= 2
-                and tokens[open_idx - 1].kind is TokenKind.WORD
-                and tokens[open_idx - 2].text == "@"
-            ):
-                annotations.append(text[tokens[open_idx - 2].start : tok.end])
-                i = open_idx - 3
-                continue
-            break
+            at = _annotation_at(tokens, partner, i)
+            if at is None:
+                break
+            annotations.append(text[tokens[at].start : tok.end])
+            i = at - 1
+            continue
+        if tok.kind is TokenKind.PUNCTUATION and tok.text == ">":
+            start = _type_open(tokens, partner, i)
+            if start is None:
+                break
+            i = start - 1
+            continue
         if tok.kind is TokenKind.WORD and i >= 1 and tokens[i - 1].text == "@":
             annotations.append(text[tokens[i - 1].start : tok.end])
             i -= 2
@@ -213,20 +225,14 @@ def _collect_annotations(tokens: tuple[Token, ...], before: int, text: str) -> t
     return tuple(annotations)
 
 
-def _throws_clause_ok(tokens: tuple[Token, ...], start: int, brace: int) -> bool:
-    """Tokens between ')' and '{' must be an optional throws clause."""
-    span = tokens[start:brace]
-    if not span:
-        return True
-    if span[0].kind is not TokenKind.WORD or span[0].text != "throws":
-        return False
-    for tok in span[1:]:
-        if tok.kind is TokenKind.WORD:
-            continue
-        if tok.kind is TokenKind.PUNCTUATION and tok.text in {",", "."}:
-            continue
-        return False
-    return True
+def _body_open(tokens: tuple[Token, ...], i: int) -> int | None:
+    """Index of the '{' at ``i`` or after a throws clause starting at ``i``."""
+    n = len(tokens)
+    if i < n and tokens[i].kind is TokenKind.WORD and tokens[i].text == "throws":
+        i += 1
+        while i < n and (tokens[i].kind is TokenKind.WORD or tokens[i].text in (",", ".")):
+            i += 1
+    return i if i < n and tokens[i].text == "{" else None
 
 
 def extract_methods(src: SourceFile) -> list[TestMethod]:
@@ -235,52 +241,48 @@ def extract_methods(src: SourceFile) -> list[TestMethod]:
     Methods inside nested or anonymous classes are extracted too and
     attributed to the file. Raises PartialParseError when a method body
     never closes before end of input; the exception lists every method
-    recovered before the failure.
+    recovered before the failure. Runs in time linear in the token count.
     """
-    stream = tokenize(src.text)
-    tokens = stream.tokens
+    tokens = tokenize(src.text).tokens
+    partner = _pair_brackets(tokens)
     methods: list[TestMethod] = []
-    for i, tok in enumerate(tokens):
+    for i, tok in enumerate(tokens[:-1]):
         if tok.kind is not TokenKind.WORD or tok.text in _NOT_METHOD_NAMES:
             continue
-        if i + 1 >= len(tokens) or tokens[i + 1].text != "(":
+        if tokens[i + 1].text != "(" or (close := partner[i + 1]) is None:
             continue
-        close = _match_balanced(tokens, i + 1, "(", ")")
-        if close is None:
-            continue
-        type_start = _scan_return_type_back(tokens, i - 1)
+        type_start = _scan_return_type_back(tokens, partner, i - 1)
         if type_start is None:
             continue
-        # find the opening brace after the parameter list / throws clause
-        brace = close + 1
-        while brace < len(tokens) and tokens[brace].text != "{":
-            if tokens[brace].text == ";":
-                brace = -1
-                break
-            brace += 1
-        if brace == -1 or brace >= len(tokens):
+        brace = _body_open(tokens, close + 1)
+        if brace is None:
             continue
-        if not _throws_clause_ok(tokens, close + 1, brace):
-            continue
-        body_close = _match_balanced(tokens, brace, "{", "}")
+        body_close = partner[brace]
         if body_close is None:
             raise PartialParseError(
                 f"{src.path}: unbalanced braces after method {tok.text!r}; "
                 f"recovered {len(methods)} method(s)",
                 methods,
             )
-        annotations = _collect_annotations(tokens, type_start - 1, src.text)
-        body = tokens[brace + 1 : body_close]
         methods.append(
             TestMethod(
                 name=tok.text,
-                annotations=annotations,
-                body_tokens=TokenStream(tuple(body)),
+                annotations=_collect_annotations(tokens, partner, type_start - 1, src.text),
+                body_tokens=TokenStream(tokens[brace + 1 : body_close]),
                 name_span=(tok.start, tok.end),
                 body_span=(tokens[brace].start, tokens[body_close].end),
             )
         )
     return methods
+
+
+def recover_methods(src: SourceFile) -> tuple[list[TestMethod], PartialParseError | None]:
+    """The methods of ``src`` and the partial-parse error, or None; after
+    an error the methods are the ones recovered before it."""
+    try:
+        return extract_methods(src), None
+    except PartialParseError as err:
+        return err.methods, err
 
 
 _IMPORT_RE = re.compile(r"^\s*import\s+(?:static\s+)?([\w.]+(?:\.\*)?)\s*;", re.MULTILINE)
@@ -309,8 +311,5 @@ def is_test_file(src: SourceFile) -> bool:
     """A JUnit import plus at least one test method."""
     if not has_junit_import(src):
         return False
-    try:
-        methods = extract_methods(src)
-    except PartialParseError as err:
-        methods = err.methods
+    methods, _ = recover_methods(src)
     return any(is_test_method(m) for m in methods)

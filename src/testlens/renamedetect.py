@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .extraction import PartialParseError, SourceFile, TokenStream, extract_methods, is_test_method
+from .extraction import SourceFile, TokenStream, is_test_method, recover_methods
 from .rename import RenameEvent
 
 DEFAULT_THRESHOLD = 0.6
@@ -49,10 +49,7 @@ def body_similarity(a: TokenStream, b: TokenStream) -> SimilarityScore:
 
 
 def _test_methods(src: SourceFile):
-    try:
-        methods = extract_methods(src)
-    except PartialParseError as err:
-        methods = err.methods
+    methods, _ = recover_methods(src)
     return [m for m in methods if is_test_method(m)]
 
 

@@ -123,6 +123,18 @@ class TestScanCommand:
         assert code == EXIT_ERROR
         assert "unbalanced" in err
 
+    def test_unreadable_file_reported_and_skipped(self, tmp_path):
+        (tmp_path / "Bad.java").write_bytes(b"class X { \xff\xfe }")
+        (tmp_path / "FailTest.java").write_text(R1_VIOLATION)
+        code, out, err = invoke(["scan", str(tmp_path)])
+        assert code == EXIT_ERROR
+        assert [f["path"] for f in json.loads(out)["files"]] == [str(tmp_path / "FailTest.java")]
+        assert err.startswith(f"cannot read {tmp_path / 'Bad.java'}: ")
+        code, out, err = invoke(["lint", str(tmp_path), "--format", "json"])
+        assert code == EXIT_ERROR
+        assert [d["rule"] for d in json.loads(out)] == ["R1"]
+        assert err.startswith(f"cannot read {tmp_path / 'Bad.java'}: ")
+
 
 class TestLintCommand:
     def test_clean_exit_zero(self, tmp_path):

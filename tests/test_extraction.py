@@ -8,6 +8,7 @@ from testlens.extraction import (
     has_junit_import,
     is_test_file,
     is_test_method,
+    recover_methods,
     tokenize,
 )
 
@@ -78,7 +79,7 @@ class Broken {
 class TestTokenize:
     def test_comments_excluded(self):
         stream = tokenize("a // line\n/* block */ b")
-        assert stream.texts() == ["a", "b"]
+        assert [t.text for t in stream.tokens] == ["a", "b"]
 
     def test_string_literal_single_token(self):
         stream = tokenize('call("a b { }");')
@@ -163,14 +164,33 @@ class TestExtractMethods:
         assert [m.name for m in methods] == ["a"]
 
     def test_generic_return_type(self):
-        text = "class T { List<String> names() { return x; } }"
+        for return_type in ("List<String>", "Map<String, List<? extends Number>>", "int[]",
+                            "List<@NonNull String>", "List<@Size(max = 3) String>"):
+            text = f"class T {{ @Test {return_type} names() {{ return x; }} }}"
+            methods = extract_methods(SourceFile("T.java", text))
+            assert [(m.name, m.annotations) for m in methods] == [("names", ("@Test",))], return_type
+
+    def test_generic_test_method_keeps_annotations(self):
+        for header in ("public <T> void", "public static <T extends Comparable<T>> java.util.List<T>"):
+            text = f"class T {{ @Test {header} sorted() {{ go(); }} }}"
+            m = extract_methods(SourceFile("T.java", text))[0]
+            assert m.annotations == ("@Test",), header
+            assert is_test_method(m)
+
+    def test_record_header_is_not_a_method(self):
+        text = "class T { record P(int x, int y) { int sum() { return x + y; } } void record() { } }"
         methods = extract_methods(SourceFile("T.java", text))
-        assert [m.name for m in methods] == ["names"]
+        assert [m.name for m in methods] == ["sum", "record"]
 
     def test_unbalanced_braces_raise_with_recovered(self):
+        src = SourceFile("Broken.java", UNBALANCED)
         with pytest.raises(PartialParseError) as err:
-            extract_methods(SourceFile("Broken.java", UNBALANCED))
+            extract_methods(src)
         assert [m.name for m in err.value.methods] == ["testOk"]
+        methods, perr = recover_methods(src)
+        assert [m.name for m in methods] == ["testOk"]
+        assert "unbalanced" in str(perr)
+        assert recover_methods(SourceFile("Ok.java", SIMPLE))[1] is None
 
     def test_concatenation_equals_per_fixture_extraction(self):
         a = SourceFile("A.java", SIMPLE)
