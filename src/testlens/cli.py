@@ -162,20 +162,20 @@ def _scan_records(target: str, out_err: list[str]):
         methods, perr = extraction.recover_methods(src)
         if perr is not None:
             out_err.append(str(perr))
-        has_junit = extraction.has_junit_import(src)
+        flags = [extraction.is_test_method(m) for m in methods]
         record = {
             "path": path,
-            "is_test_file": has_junit and any(extraction.is_test_method(m) for m in methods),
+            "is_test_file": extraction.has_junit_import(src) and any(flags),
             "partial": perr is not None,
             "methods": [
                 {
                     "name": m.name,
                     "annotations": list(m.annotations),
-                    "is_test_method": extraction.is_test_method(m),
+                    "is_test_method": flag,
                     "name_span": list(m.name_span),
                     "body_span": list(m.body_span),
                 }
-                for m in methods
+                for m, flag in zip(methods, flags)
             ],
         }
         records.append((src, methods, record))
@@ -214,8 +214,8 @@ def _cmd_lint(args, config: Config, out, err) -> int:
     for src, methods, record in _scan_records(args.target, parse_errors):
         if not record["is_test_file"]:
             continue
-        for method in methods:
-            if not extraction.is_test_method(method):
+        for method, entry in zip(methods, record["methods"]):
+            if not entry["is_test_method"]:
                 continue
             seq = split(method.name)
             if not seq.terms:

@@ -254,7 +254,7 @@ class TestCriterion6RenameDetection:
         after = self.java({"testNew": "a(); b(); c(); d();"})
         b = extract_methods(before)[0]
         a = extract_methods(after)[0]
-        assert body_similarity(b.body_tokens, a.body_tokens).value == 1.0
+        assert body_similarity(b.body_tokens, a.body_tokens) == 1.0
         events = detect_renames(FileVersionPair(before, after), 1.0)
         assert [(e.old_name, e.new_name) for e in events] == [("testOld", "testNew")]
 
@@ -283,7 +283,7 @@ class TestCriterion6RenameDetection:
             pairs = list(zip(removed, perm))
             scores = [
                 body_similarity(before_methods[r].body_tokens,
-                                after_methods[a].body_tokens).value
+                                after_methods[a].body_tokens)
                 for r, a in pairs
             ]
             if any(s < 0.5 for s in scores):

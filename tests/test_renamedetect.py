@@ -1,12 +1,20 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from testlens.extraction import SourceFile, extract_methods, tokenize
+from testlens.extraction import (
+    SourceFile,
+    extract_methods,
+    is_test_method,
+    recover_methods,
+    tokenize,
+)
 from testlens.renamedetect import (
     DEFAULT_THRESHOLD,
     FileVersionPair,
-    SimilarityScore,
+    _bigrams,
+    _similar_pairs,
     body_similarity,
     detect_renames,
 )
@@ -36,19 +44,19 @@ def brute_force_dice(a: str, b: str) -> float:
 class TestBodySimilarity:
     def test_identical(self):
         s = stream("a(); b(); c();")
-        assert body_similarity(s, s).value == 1.0
+        assert body_similarity(s, s) == 1.0
 
     def test_disjoint(self):
-        assert body_similarity(stream("a b c"), stream("x y z")).value == 0.0
+        assert body_similarity(stream("a b c"), stream("x y z")) == 0.0
 
     def test_empty_vs_empty(self):
-        assert body_similarity(stream(""), stream("")).value == 1.0
+        assert body_similarity(stream(""), stream("")) == 1.0
 
     def test_half_overlap_fixture(self):
         # bigram multisets sized 4 and 4 sharing 2
         a = stream("p q r s t")
         b = stream("p q r x y")
-        got = body_similarity(a, b).value
+        got = body_similarity(a, b)
         assert got == 0.5
         assert got == brute_force_dice("p q r s t", "p q r x y")
 
@@ -59,12 +67,8 @@ class TestBodySimilarity:
         ("", "x y"),
     ])
     def test_matches_brute_force(self, a, b):
-        assert body_similarity(stream(a), stream(b)).value == pytest.approx(
+        assert body_similarity(stream(a), stream(b)) == pytest.approx(
             brute_force_dice(a, b))
-
-    def test_score_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            SimilarityScore(1.5)
 
 
 def java_file(path: str, methods: dict[str, str]) -> SourceFile:
@@ -155,7 +159,7 @@ class TestGreedyVersusExhaustive:
         scores = {
             (r, a): body_similarity(
                 before_methods[r].body_tokens, after_methods[a].body_tokens
-            ).value
+            )
             for r in ("testAlpha", "testBeta")
             for a in ("testGamma", "testDelta")
         }
@@ -185,6 +189,108 @@ class TestGreedyVersusExhaustive:
             score = body_similarity(
                 before_methods[e.old_name].body_tokens,
                 after_methods[e.new_name].body_tokens,
-            ).value
+            )
             assert score >= 0.9
         assert [(e.old_name, e.new_name) for e in events] == [("testAlpha", "testGamma")]
+
+
+def reference_detect(pair: FileVersionPair, threshold: float):
+    """All-pairs greedy matcher: every removed x added pair scored with
+    body_similarity, sorted stably, used sets keyed by method index."""
+    def test_methods(src):
+        return [m for m in recover_methods(src)[0] if is_test_method(m)]
+
+    before, after = test_methods(pair.before), test_methods(pair.after)
+    before_names = {m.name for m in before}
+    after_names = {m.name for m in after}
+    removed = [m for m in before if m.name not in after_names]
+    added = [m for m in after if m.name not in before_names]
+    candidates = [
+        (body_similarity(r.body_tokens, a.body_tokens), i, j)
+        for i, r in enumerate(removed)
+        for j, a in enumerate(added)
+    ]
+    candidates.sort(key=lambda c: (-c[0], removed[c[1]].name, added[c[2]].name))
+    events, used_removed, used_added = [], set(), set()
+    for score, i, j in candidates:
+        if score < threshold:
+            break
+        if i in used_removed or j in used_added:
+            continue
+        used_removed.add(i)
+        used_added.add(j)
+        events.append((removed[i].name, added[j].name, pair.after.path))
+    return events
+
+
+def listed_file(path: str, methods: list[tuple[str, str]]) -> SourceFile:
+    """A test class whose methods may share names (overloads)."""
+    body = "\n".join(
+        f"    @Test public void {name}({', '.join(f'int p{k}' for k in range(n))}) {{ {code} }}"
+        for n, (name, code) in enumerate(methods)
+    )
+    return SourceFile(path, f"import org.junit.Test;\nclass T {{\n{body}\n}}\n")
+
+
+def events_of(pair: FileVersionPair, threshold: float):
+    return [(e.old_name, e.new_name, e.file) for e in detect_renames(pair, threshold)]
+
+
+class TestOverloadsAndExactness:
+    def test_overloaded_renames_both_detected(self):
+        before = listed_file("T.java", [("testA", "a(); b(); c();"), ("testA", "p(); q(); r();")])
+        after = listed_file("T.java", [("testB", "a(); b(); c();"), ("testC", "p(); q(); r();")])
+        events = detect_renames(FileVersionPair(before, after), DEFAULT_THRESHOLD)
+        assert [(e.old_name, e.new_name) for e in events] == [("testA", "testB"), ("testA", "testC")]
+
+    def test_score_exactly_at_threshold_is_kept(self):
+        # 5 + 5 bigrams sharing 3: Dice is exactly 0.6
+        before = listed_file("T.java", [("testOld", "a b c d e f")])
+        after = listed_file("T.java", [("testNew", "a b c d x y")])
+        pair = FileVersionPair(before, after)
+        assert body_similarity(extract_methods(before)[0].body_tokens,
+                               extract_methods(after)[0].body_tokens) == 0.6
+        assert events_of(pair, 0.6) == reference_detect(pair, 0.6) == [("testOld", "testNew", "T.java")]
+        assert events_of(pair, 0.61) == []
+
+    def test_bodies_without_bigrams_pair_only_with_each_other(self):
+        # "" and "x" have no bigram, so both score 1.0 against "y"
+        before = listed_file("T.java", [("testOld", ""), ("testGone", "x"), ("testKept", "a b c")])
+        after = listed_file("T.java", [("testNew", "y"), ("testOther", "a b c")])
+        pair = FileVersionPair(before, after)
+        assert events_of(pair, 1.0) == reference_detect(pair, 1.0) == [
+            ("testGone", "testNew", "T.java"),
+            ("testKept", "testOther", "T.java"),
+        ]
+
+
+_BODY_TOKENS = ["a", "b", "c", "d", "x", "(", ")", ";", "1", "=", "."]
+_bodies = st.lists(st.sampled_from(_BODY_TOKENS), max_size=14).map(" ".join)
+_methods = st.lists(st.tuples(st.sampled_from(["testA", "testB", "testC", "testD", "testE"]), _bodies),
+                    max_size=7)
+_thresholds = st.one_of(
+    st.sampled_from([0.1, 0.25, 0.5, 0.6, 0.7, 0.75, 0.8, 0.9, 1.0]),
+    st.floats(min_value=0.01, max_value=1.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_methods, _methods, _thresholds)
+def test_detect_matches_all_pairs_reference(before, after, threshold):
+    pair = FileVersionPair(listed_file("Old.java", before), listed_file("New.java", after))
+    assert events_of(pair, threshold) == reference_detect(pair, threshold)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_bodies, max_size=8), st.lists(_bodies, max_size=8), _thresholds)
+def test_similar_pairs_are_exactly_the_pairs_at_or_above_threshold(left, right, threshold):
+    def bags(bodies):
+        return [_bigrams(tokenize(body)) for body in bodies]
+
+    expected = sorted(
+        (score, i, j)
+        for i, a in enumerate(left)
+        for j, b in enumerate(right)
+        if (score := body_similarity(tokenize(a), tokenize(b))) >= threshold
+    )
+    assert sorted(_similar_pairs(bags(left), bags(right), threshold)) == expected
