@@ -151,8 +151,8 @@ def _cmd_pattern(args, config: Config, out, err) -> int:
     return EXIT_OK
 
 
-def _scan_records(target: str, out_err: list[str]):
-    records = []
+def _scan_files(target: str, out_err: list[str]):
+    """Yield ``(src, methods, test flags, is_test_file, partial)`` per readable file."""
     for path in _iter_java_files(target):
         try:
             src = _read_source(path)
@@ -163,10 +163,17 @@ def _scan_records(target: str, out_err: list[str]):
         if perr is not None:
             out_err.append(str(perr))
         flags = [extraction.is_test_method(m) for m in methods]
-        record = {
-            "path": path,
-            "is_test_file": extraction.has_junit_import(src) and any(flags),
-            "partial": perr is not None,
+        is_test_file = extraction.has_junit_import(src) and any(flags)
+        yield src, methods, flags, is_test_file, perr is not None
+
+
+def _cmd_scan(args, config: Config, out, err) -> int:
+    parse_errors: list[str] = []
+    records = [
+        {
+            "path": src.path,
+            "is_test_file": is_test_file,
+            "partial": partial,
             "methods": [
                 {
                     "name": m.name,
@@ -178,13 +185,8 @@ def _scan_records(target: str, out_err: list[str]):
                 for m, flag in zip(methods, flags)
             ],
         }
-        records.append((src, methods, record))
-    return records
-
-
-def _cmd_scan(args, config: Config, out, err) -> int:
-    parse_errors: list[str] = []
-    records = [rec for _, _, rec in _scan_records(args.target, parse_errors)]
+        for src, methods, flags, is_test_file, partial in _scan_files(args.target, parse_errors)
+    ]
     out.write(json.dumps({"files": records}, indent=2, sort_keys=True) + "\n")
     if parse_errors:
         for message in parse_errors:
@@ -211,11 +213,11 @@ def _cmd_lint(args, config: Config, out, err) -> int:
 
     parse_errors: list[str] = []
     diagnostics: list[lint_mod.Diagnostic] = []
-    for src, methods, record in _scan_records(args.target, parse_errors):
-        if not record["is_test_file"]:
+    for src, methods, flags, is_test_file, _ in _scan_files(args.target, parse_errors):
+        if not is_test_file:
             continue
-        for method, entry in zip(methods, record["methods"]):
-            if not entry["is_test_method"]:
+        for method, flag in zip(methods, flags):
+            if not flag:
                 continue
             seq = split(method.name)
             if not seq.terms:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from . import _data
 from .tagger import PosTag, TaggedName, parse_tag
@@ -105,16 +106,6 @@ def catalog_match(p: GrammarPattern, catalog: list[CatalogEntry]) -> list[Catalo
     return hits
 
 
-def pattern_preserved(old: GrammarPattern, new: GrammarPattern) -> bool:
-    return old.tags == new.tags
-
-
-def prefix_pair(
-    old: GrammarPattern, new: GrammarPattern, k: int
-) -> tuple[GrammarPattern, GrammarPattern]:
-    return prefix(old, k), prefix(new, k)
-
-
 def _entry_from_dict(data: dict) -> CatalogEntry:
     template = PatternTemplate(
         tags=tuple(parse_tag(t) for t in data["tags"]),
@@ -143,11 +134,11 @@ def _catalog_from_list(raw: list) -> list[CatalogEntry]:
     return entries
 
 
-_DEFAULT: list[CatalogEntry] | None = None
+@lru_cache(maxsize=None)
+def _default_entries() -> tuple[CatalogEntry, ...]:
+    return tuple(_catalog_from_list(_data.catalog_list()))
 
 
 def default_catalog() -> list[CatalogEntry]:
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = _catalog_from_list(_data.catalog_list())
-    return list(_DEFAULT)
+    """The bundled catalog, as a fresh list the caller may change."""
+    return list(_default_entries())

@@ -13,11 +13,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol
+from functools import lru_cache
+from typing import NamedTuple, Protocol
 
 from . import _data
 from .splitter import TermSequence, split, validate_identifier
-from .tagger import Lexicon, PosTag, tag
+from .tagger import Lexicon, PosTag, inflected_match, tag
 
 
 class FormCategory(Enum):
@@ -189,33 +190,23 @@ _STEP4 = {
 }
 
 
-def _apply_rules(w: str, table: dict, min_measure: int) -> str:
+def _apply_rules(w: str, table: dict, key: int) -> str:
+    """Apply the first rule of ``table`` (keyed by ``w[key]``) whose suffix ``w`` has."""
     if len(w) < 2:
         return w
-    rules = table.get(w[-2], ())
-    for suffix, repl in rules:
+    for suffix, repl in table.get(w[key], ()):
         if w.endswith(suffix):
             stem = w[: -len(suffix)]
-            if _measure(stem) > min_measure:
-                return stem + repl
-            return w
+            return stem + repl if _measure(stem) > 0 else w
     return w
 
 
 def _step2(w: str) -> str:
-    return _apply_rules(w, _STEP2, 0)
+    return _apply_rules(w, _STEP2, -2)
 
 
 def _step3(w: str) -> str:
-    # step 3 dispatches on the final character
-    rules = _STEP3.get(w[-1], ()) if w else ()
-    for suffix, repl in rules:
-        if w.endswith(suffix):
-            stem = w[: -len(suffix)]
-            if _measure(stem) > 0:
-                return stem + repl
-            return w
-    return w
+    return _apply_rules(w, _STEP3, -1)
 
 
 def _step4(w: str) -> str:
@@ -252,12 +243,14 @@ def _porter_once(w: str) -> str:
     return w
 
 
+@lru_cache(maxsize=4096)
 def stem(term: str) -> str:
     """Suffix-stripping stem of a digit-free term, lowercased.
 
     The rule table is applied repeatedly until it stops changing the word,
     which makes stemming idempotent (a single pass is not: it maps
-    "cause" to "caus" and "caus" to "cau").
+    "cause" to "caus" and "caus" to "cau"). Results are kept in a bounded
+    cache.
     """
     if not term:
         raise ValueError("cannot stem an empty term")
@@ -326,44 +319,35 @@ class CuratedRelationProvider:
         return self._hyper.get(word, frozenset())
 
     def in_dictionary(self, word: str) -> bool:
-        if word in self._words:
-            return True
-        for suffix in self._INFLECTIONS:
-            if word.endswith(suffix) and len(word) > len(suffix):
-                base = word[: -len(suffix)]
-                if len(base) >= 3 and base in self._words:
-                    return True
-                if len(base) >= 4 and base[-1] == base[-2] and base[:-1] in self._words:
-                    return True
-        return False
+        return inflected_match(word, self._words, self._INFLECTIONS)
 
 
-_PROVIDER: CuratedRelationProvider | None = None
-
-
+@lru_cache(maxsize=None)
 def _default_provider() -> CuratedRelationProvider:
-    global _PROVIDER
-    if _PROVIDER is None:
-        data = _data.relations_dict()
-        vocab = set(_data.common_words())
-        for pair_list in (data["synonyms"], data["antonyms"]):
-            for a, b in pair_list:
-                vocab.update(w for w in (a, b) if " " not in w)
-        for word, hypers in data["hypernyms"].items():
-            vocab.add(word)
-            vocab.update(hypers)
-        _PROVIDER = CuratedRelationProvider(
-            synonyms=[tuple(p) for p in data["synonyms"]],
-            antonyms=[tuple(p) for p in data["antonyms"]],
-            hypernyms=data["hypernyms"],
-            words=frozenset(vocab),
-        )
-    return _PROVIDER
+    data = _data.relations_dict()
+    vocab = set(_data.common_words())
+    for pair_list in (data["synonyms"], data["antonyms"]):
+        for a, b in pair_list:
+            vocab.update(w for w in (a, b) if " " not in w)
+    for word, hypers in data["hypernyms"].items():
+        vocab.add(word)
+        vocab.update(hypers)
+    return CuratedRelationProvider(
+        synonyms=[tuple(p) for p in data["synonyms"]],
+        antonyms=[tuple(p) for p in data["antonyms"]],
+        hypernyms=data["hypernyms"],
+        words=frozenset(vocab),
+    )
 
 
 def default_phrases() -> list[tuple[str, ...]]:
     """Known multi-term phrases, as normalized term tuples."""
     return [tuple(p.split()) for p in _data.relations_dict()["phrases"]]
+
+
+@lru_cache(maxsize=None)
+def _default_phrases_longest_first() -> tuple[tuple[str, ...], ...]:
+    return tuple(sorted(default_phrases(), key=len, reverse=True))
 
 
 def edit_distance(a: str, b: str) -> int:
@@ -377,6 +361,11 @@ def edit_distance(a: str, b: str) -> int:
             cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
         prev = cur
     return prev[-1]
+
+
+def _within_two_edits(a: str, b: str) -> bool:
+    """``edit_distance(a, b) <= 2``; lengths further apart skip the table."""
+    return abs(len(a) - len(b)) <= 2 and edit_distance(a, b) <= 2
 
 
 def _transitive_hypernyms(word: str, provider: WordRelationProvider) -> set[str]:
@@ -407,7 +396,7 @@ def relate(removed: str, added: str, provider: WordRelationProvider | None = Non
 
     single_words = " " not in removed and " " not in added
     if single_words:
-        if edit_distance(removed, added) <= 2:
+        if _within_two_edits(removed, added):
             if provider.in_dictionary(removed) != provider.in_dictionary(added):
                 return TermRelation.SPELLING_FIX
         if stem(removed) == stem(added):
@@ -436,8 +425,9 @@ def relate(removed: str, added: str, provider: WordRelationProvider | None = Non
 def collapse_phrases(terms: list[str], phrases: list[tuple[str, ...]] | None = None) -> list[str]:
     """Rewrite known multi-term phrases into single space-joined tokens."""
     if phrases is None:
-        phrases = default_phrases()
-    ordered = sorted(phrases, key=len, reverse=True)
+        ordered = _default_phrases_longest_first()
+    else:
+        ordered = sorted(phrases, key=len, reverse=True)
     out: list[str] = []
     i = 0
     while i < len(terms):
@@ -452,50 +442,53 @@ def collapse_phrases(terms: list[str], phrases: list[tuple[str, ...]] | None = N
     return out
 
 
-def _normalized_terms(seq: TermSequence) -> list[str]:
-    return collapse_phrases(seq.normalized())
-
-
 def diff_terms(old: TermSequence, new: TermSequence) -> tuple[Counter, Counter, Counter]:
     """Multiset difference over normalized terms: (added, removed, preserved)."""
-    old_counts = Counter(_normalized_terms(old))
-    new_counts = Counter(_normalized_terms(new))
-    added = new_counts - old_counts
-    removed = old_counts - new_counts
-    preserved = old_counts & new_counts
-    return added, removed, preserved
+    old_counts = Counter(collapse_phrases(old.normalized()))
+    new_counts = Counter(collapse_phrases(new.normalized()))
+    return new_counts - old_counts, old_counts - new_counts, old_counts & new_counts
 
 
-def classify_form(event: RenameEvent) -> FormCategory:
-    """Structural class of a rename: formatting, reordering, simple, complex."""
-    old_seq = split(event.old_name)
-    new_seq = split(event.new_name)
-    old_alpha = [t for t in old_seq.normalized() if not t.isdigit()]
-    new_alpha = [t for t in new_seq.normalized() if not t.isdigit()]
-    if old_alpha == new_alpha:
+class _RenameDiff(NamedTuple):
+    """Both names of one rename event, split and diffed once; never mutated."""
+
+    old: TermSequence
+    new: TermSequence
+    old_terms: list[str]  # normalized, one per split term
+    new_terms: list[str]
+    old_collapsed: list[str]  # normalized, phrases collapsed
+    new_collapsed: list[str]
+    added: Counter  # new_collapsed - old_collapsed
+    removed: Counter  # old_collapsed - new_collapsed
+
+
+def _diff(event: RenameEvent) -> _RenameDiff:
+    old = split(event.old_name)
+    new = split(event.new_name)
+    old_terms = old.normalized()
+    new_terms = new.normalized()
+    old_collapsed = collapse_phrases(old_terms)
+    new_collapsed = collapse_phrases(new_terms)
+    old_counts = Counter(old_collapsed)
+    new_counts = Counter(new_collapsed)
+    return _RenameDiff(old, new, old_terms, new_terms, old_collapsed, new_collapsed,
+                       new_counts - old_counts, old_counts - new_counts)
+
+
+def _form(d: _RenameDiff) -> FormCategory:
+    if [t for t in d.old_terms if not t.isdigit()] == [t for t in d.new_terms if not t.isdigit()]:
         return FormCategory.FORMATTING
-    old_all = _normalized_terms(old_seq)
-    new_all = _normalized_terms(new_seq)
-    if Counter(old_all) == Counter(new_all):
+    if not d.added and not d.removed:
         return FormCategory.REORDERING
-    added, removed, _ = diff_terms(old_seq, new_seq)
-    if sum(added.values()) <= 1 and sum(removed.values()) <= 1:
+    if sum(d.added.values()) <= 1 and sum(d.removed.values()) <= 1:
         return FormCategory.SIMPLE
     return FormCategory.COMPLEX
 
 
-def term_pairs(event: RenameEvent) -> list[tuple[str, str]]:
-    """Cross product of added x removed normalized terms.
-
-    Pairs are ordered by the added term's position in the new name, then
-    the removed term's position in the old name.
-    """
-    old_seq = split(event.old_name)
-    new_seq = split(event.new_name)
-    added, removed, _ = diff_terms(old_seq, new_seq)
-    added_ordered = _in_name_order(_normalized_terms(new_seq), added)
-    removed_ordered = _in_name_order(_normalized_terms(old_seq), removed)
-    return [(a, r) for a in added_ordered for r in removed_ordered]
+def _pairs(d: _RenameDiff) -> list[tuple[str, str]]:
+    added = _in_name_order(d.new_collapsed, d.added)
+    removed = _in_name_order(d.old_collapsed, d.removed)
+    return [(a, r) for a in added for r in removed]
 
 
 def _in_name_order(name_terms: list[str], counts: Counter) -> list[str]:
@@ -523,12 +516,15 @@ def _pair_relation(added: str, removed: str, provider: WordRelationProvider) -> 
     return relate(removed, added, provider)
 
 
-def _preserving_swap(added: list[str], removed: list[str], provider) -> bool:
+def _relations(d: _RenameDiff, provider: WordRelationProvider) -> dict:
+    """``(added, removed) -> TermRelation`` for every distinct term pair of the event."""
+    return {(a, r): _pair_relation(a, r, provider) for a in d.added for r in d.removed}
+
+
+def _preserving_swap(added: list[str], removed: list[str], relations: dict) -> bool:
     """True when removed and added terms match one-to-one via meaning-keeping relations."""
     if len(added) != len(removed) or len(removed) > 8:
         return False
-    if not removed:
-        return True
 
     def backtrack(i: int, used: set[int]) -> bool:
         if i == len(removed):
@@ -536,7 +532,7 @@ def _preserving_swap(added: list[str], removed: list[str], provider) -> bool:
         for j, a in enumerate(added):
             if j in used:
                 continue
-            if _pair_relation(a, removed[i], provider) in _PRESERVING_RELATIONS:
+            if relations[a, removed[i]] in _PRESERVING_RELATIONS:
                 if backtrack(i + 1, used | {j}):
                     return True
         return False
@@ -544,32 +540,62 @@ def _preserving_swap(added: list[str], removed: list[str], provider) -> bool:
     return backtrack(0, set())
 
 
-def _head_noun_index(tags: tuple[PosTag, ...]) -> int | None:
-    for i in range(len(tags) - 1, -1, -1):
-        if tags[i] in (PosTag.NOUN, PosTag.NOUN_PLURAL):
-            return i
-    return None
-
-
 def _changed_before_head(
-    seq: TermSequence, tags: tuple[PosTag, ...], other: TermSequence
+    name_terms: list[str], tags: tuple[PosTag, ...], other_terms: list[str]
 ) -> bool:
-    """All changed-term occurrences in ``seq`` sit before a preserved head noun.
+    """All changed-term occurrences in ``name_terms`` sit before a preserved head noun.
 
-    The diff against ``other`` is recomputed without phrase collapsing so
+    The diff against ``other_terms`` is taken without phrase collapsing so
     positions stay aligned with the tag sequence.
     """
-    name_terms = seq.normalized()
+    nouns = [i for i, t in enumerate(tags) if t in (PosTag.NOUN, PosTag.NOUN_PLURAL)]
+    if not nouns or name_terms[nouns[-1]] not in other_terms:
+        return False
+    head = nouns[-1]
     counts = Counter(name_terms)
-    other_counts = Counter(other.normalized())
-    changed = counts - other_counts
-    preserved = counts & other_counts
-    head = _head_noun_index(tags)
-    if head is None:
-        return False
-    if preserved[name_terms[head]] == 0:
-        return False
-    return all(i < head for i, term in enumerate(name_terms) if changed[term] > 0)
+    other_counts = Counter(other_terms)
+    return all(i < head for i, term in enumerate(name_terms) if counts[term] > other_counts[term])
+
+
+def _semantics(
+    d: _RenameDiff, form: FormCategory, relations: dict, lexicon: Lexicon | None
+) -> SemanticCategory:
+    if form in (FormCategory.FORMATTING, FormCategory.REORDERING):
+        return SemanticCategory.PRESERVE
+    # any other form has added or removed terms
+    if not d.removed:
+        if _changed_before_head(d.new_terms, tag(d.new, lexicon).tags, d.old_terms):
+            return SemanticCategory.NARROW
+        return SemanticCategory.ADD
+    if not d.added:
+        if _changed_before_head(d.old_terms, tag(d.old, lexicon).tags, d.new_terms):
+            return SemanticCategory.BROADEN
+        return SemanticCategory.REMOVE
+    if _preserving_swap(list(d.added.elements()), list(d.removed.elements()), relations):
+        return SemanticCategory.PRESERVE
+
+    found = set(relations.values())
+    has_spec = TermRelation.SPECIALIZATION in found
+    has_gen = TermRelation.GENERALIZATION in found
+    if has_spec and not has_gen:
+        return SemanticCategory.NARROW
+    if has_gen and not has_spec:
+        return SemanticCategory.BROADEN
+    return SemanticCategory.CHANGE
+
+
+def classify_form(event: RenameEvent) -> FormCategory:
+    """Structural class of a rename: formatting, reordering, simple, complex."""
+    return _form(_diff(event))
+
+
+def term_pairs(event: RenameEvent) -> list[tuple[str, str]]:
+    """Cross product of added x removed normalized terms.
+
+    Pairs are ordered by the added term's position in the new name, then
+    the removed term's position in the old name.
+    """
+    return _pairs(_diff(event))
 
 
 def classify_semantics(
@@ -580,43 +606,8 @@ def classify_semantics(
     """Meaning-level class of a rename."""
     if provider is None:
         provider = CuratedRelationProvider.default()
-    form = classify_form(event)
-    if form in (FormCategory.FORMATTING, FormCategory.REORDERING):
-        return SemanticCategory.PRESERVE
-
-    old_seq = split(event.old_name)
-    new_seq = split(event.new_name)
-    added, removed, _ = diff_terms(old_seq, new_seq)
-    added_list = list(added.elements())
-    removed_list = list(removed.elements())
-    if not added_list and not removed_list:
-        return SemanticCategory.PRESERVE
-    if added_list and removed_list and _preserving_swap(added_list, removed_list, provider):
-        return SemanticCategory.PRESERVE
-
-    n_added = len(added_list)
-    n_removed = len(removed_list)
-    if n_added > 0 and n_removed == 0:
-        new_tagged = tag(new_seq, lexicon)
-        if _changed_before_head(new_seq, new_tagged.tags, old_seq):
-            return SemanticCategory.NARROW
-        return SemanticCategory.ADD
-    if n_removed > 0 and n_added == 0:
-        old_tagged = tag(old_seq, lexicon)
-        if _changed_before_head(old_seq, old_tagged.tags, new_seq):
-            return SemanticCategory.BROADEN
-        return SemanticCategory.REMOVE
-
-    relations = {
-        _pair_relation(a, r, provider) for a in set(added_list) for r in set(removed_list)
-    }
-    has_spec = TermRelation.SPECIALIZATION in relations
-    has_gen = TermRelation.GENERALIZATION in relations
-    if has_spec and not has_gen:
-        return SemanticCategory.NARROW
-    if has_gen and not has_spec:
-        return SemanticCategory.BROADEN
-    return SemanticCategory.CHANGE
+    d = _diff(event)
+    return _semantics(d, _form(d), _relations(d, provider), lexicon)
 
 
 def classify(
@@ -624,12 +615,15 @@ def classify(
     provider: WordRelationProvider | None = None,
     lexicon: Lexicon | None = None,
 ) -> RenameClassification:
-    """Full classification record for a rename event."""
+    """Full classification record for a rename event.
+
+    Both names are split once and every distinct (added, removed) term
+    relation is computed once; form, semantics and pairs share them.
+    """
     if provider is None:
         provider = CuratedRelationProvider.default()
-    form = classify_form(event)
-    semantics = classify_semantics(event, provider, lexicon)
-    pairs = tuple(
-        (a, r, _pair_relation(a, r, provider)) for a, r in term_pairs(event)
-    )
-    return RenameClassification(event, form, semantics, pairs)
+    d = _diff(event)
+    form = _form(d)
+    relations = _relations(d, provider)
+    pairs = tuple((a, r, relations[a, r]) for a, r in _pairs(d))
+    return RenameClassification(event, form, _semantics(d, form, relations, lexicon), pairs)

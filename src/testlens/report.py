@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from io import StringIO
 
-from .patterns import CatalogEntry, GrammarPattern, default_catalog, matches, prefix
+from .patterns import CatalogEntry, GrammarPattern, default_catalog, matches
 from .rename import RenameClassification
 
 PREFIX_LENGTHS = (2, 3, 4, 5)
@@ -55,15 +55,16 @@ def accumulate(
     if catalog is None:
         catalog = default_catalog()
     old_pattern, new_pattern = patterns
-    old_str = str(old_pattern)
-    new_str = str(new_pattern)
+    old_tags = [t.value for t in old_pattern.tags]
+    new_tags = [t.value for t in new_pattern.tags]
+    old_str = " ".join(old_tags)
+    new_str = " ".join(new_tags)
 
     stats.full_pattern_counts_old[old_str] += 1
     stats.full_pattern_counts_new[new_str] += 1
     stats.pattern_pair_counts[(old_str, new_str)] += 1
     for k in PREFIX_LENGTHS:
-        pair = (str(prefix(old_pattern, k)), str(prefix(new_pattern, k)))
-        stats.prefix_pair_counts[(k,) + pair] += 1
+        stats.prefix_pair_counts[(k, " ".join(old_tags[:k]), " ".join(new_tags[:k]))] += 1
     stats.form_counts[classification.form.value] += 1
     stats.semantic_counts[classification.semantics.value] += 1
     stats.semantic_by_pattern_pair[(old_str, new_str, classification.semantics.value)] += 1

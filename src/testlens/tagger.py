@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from . import _data
 from .splitter import TermSequence, normalize
@@ -95,14 +96,9 @@ class Lexicon:
         return _default_lexicon()
 
 
-_DEFAULT: Lexicon | None = None
-
-
+@lru_cache(maxsize=None)
 def _default_lexicon() -> Lexicon:
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = Lexicon.from_dict(_data.lexicon_dict())
-    return _DEFAULT
+    return Lexicon.from_dict(_data.lexicon_dict())
 
 
 @dataclass(frozen=True)
@@ -126,7 +122,12 @@ class TaggedName:
         return [(t.surface, tag) for t, tag in zip(self.terms.terms, self.tags)]
 
 
-def _inflected_match(word: str, words: frozenset[str], suffixes: tuple[str, ...]) -> bool:
+def inflected_match(word: str, words: frozenset[str], suffixes: tuple[str, ...]) -> bool:
+    """``word`` is in ``words``, or is one with one of ``suffixes`` added.
+
+    A base must keep at least 3 letters; a doubled final consonant may be
+    dropped from it (stopped -> stop).
+    """
     if word in words:
         return True
     for suffix in suffixes:
@@ -134,7 +135,6 @@ def _inflected_match(word: str, words: frozenset[str], suffixes: tuple[str, ...]
             base = word[: -len(suffix)]
             if len(base) >= 3 and base in words:
                 return True
-            # doubled final consonant: stopped -> stop
             if len(base) >= 4 and base[-1] == base[-2] and base[:-1] in words:
                 return True
     return False
@@ -145,11 +145,11 @@ _NOUN_SUFFIXES = ("s", "es")
 
 
 def _is_verb_form(word: str, lexicon: Lexicon) -> bool:
-    return _inflected_match(word, lexicon.verbs, _VERB_SUFFIXES)
+    return inflected_match(word, lexicon.verbs, _VERB_SUFFIXES)
 
 
 def _is_known_noun(word: str, lexicon: Lexicon) -> bool:
-    return _inflected_match(word, lexicon.known_nouns, _NOUN_SUFFIXES)
+    return inflected_match(word, lexicon.known_nouns, _NOUN_SUFFIXES)
 
 
 def _looks_plural(word: str) -> bool:

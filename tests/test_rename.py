@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from testlens import _data, rename
 from testlens.rename import (
     CuratedRelationProvider,
     FormCategory,
@@ -8,6 +9,7 @@ from testlens.rename import (
     SemanticCategory,
     TermRelation,
     _porter_once,
+    _within_two_edits,
     classify,
     classify_form,
     classify_semantics,
@@ -143,6 +145,11 @@ class TestEditDistance:
     @given(st.text(max_size=8), st.text(max_size=8))
     def test_symmetric(self, a, b):
         assert edit_distance(a, b) == edit_distance(b, a)
+
+    @given(st.text(alphabet="abcde", max_size=9), st.text(alphabet="abcde", max_size=9))
+    @settings(max_examples=500)
+    def test_bounded_check_equals_distance_at_most_two(self, a, b):
+        assert _within_two_edits(a, b) == (edit_distance(a, b) <= 2)
 
 
 class TestRelate:
@@ -397,3 +404,74 @@ class TestProvider:
         )
         assert relate("animal", "beagle", provider) is TermRelation.SPECIALIZATION
         assert relate("beagle", "animal", provider) is TermRelation.GENERALIZATION
+
+
+class TestEachNameAnalyzedOnce:
+    EVENTS = [
+        ("testGetValue", "test_get_value"),                  # formatting
+        ("testValueGet", "testGetValue"),                    # reordering
+        ("testValue", "testDefaultValue"),                   # narrow
+        ("testDefaultValue", "testValue"),                   # broaden
+        ("testFoo", "testFooMonday"),                        # add
+        ("testFooMonday", "testFoo"),                        # remove
+        ("listContains", "collectionContains"),              # generalization
+        ("shouldAcceptRaxProtocols", "shouldRejectRaxProtocols"),  # change
+        ("testJob", "testJobs"),                             # preserving swap
+        ("testAllOfItems", "testAtLeastItems"),              # phrase pair
+        ("test15_6_5", "test16_9_5"),                        # digit pairs
+    ]
+
+    def test_classify_splits_each_name_once(self, monkeypatch):
+        calls = []
+
+        def counting_split(name):
+            calls.append(name)
+            return split(name)
+
+        monkeypatch.setattr(rename, "split", counting_split)
+        for old, new in self.EVENTS:
+            calls.clear()
+            classify(RenameEvent(old, new))
+            assert sorted(calls) == sorted([old, new])
+
+
+def _lexicon_words() -> list[str]:
+    lexicon = _data.lexicon_dict()
+    relations = _data.relations_dict()
+    pool = {w for entries in lexicon.values() for w in entries}
+    pool.update(w for phrase in relations["phrases"] for w in phrase.split())
+    pool.update(relations["hypernyms"])
+    return sorted(w for w in pool if w.isalpha() and w.isascii())
+
+
+name_terms = st.lists(
+    st.sampled_from(_lexicon_words()) | digit_runs, min_size=1, max_size=5
+)
+
+
+def _styled(terms: list[str], style: str) -> str:
+    if style == "snake":
+        return "_".join(terms)
+    if style == "upper":
+        return "_".join(t.upper() for t in terms)
+    return terms[0] + "".join(t.capitalize() for t in terms[1:])
+
+
+class TestClassifyAgreesWithParts:
+    @given(name_terms, name_terms, st.sampled_from(["camel", "snake", "upper"]),
+           st.sampled_from(["camel", "snake", "upper"]))
+    @settings(max_examples=300, deadline=None)
+    def test_classify_matches_public_parts(self, old_terms, new_terms, old_style, new_style):
+        old, new = _styled(old_terms, old_style), _styled(new_terms, new_style)
+        if old == new:
+            return
+        event = RenameEvent(old, new)
+        c = classify(event)
+        assert c.form is classify_form(event)
+        assert c.semantics is classify_semantics(event)
+        assert [(a, r) for a, r, _ in c.pairs] == term_pairs(event)
+        for a, r, relation in c.pairs:
+            if any(ch.isdigit() for ch in a + r):
+                assert relation is TermRelation.UNRELATED
+            else:
+                assert relation is relate(r, a)

@@ -166,7 +166,7 @@ class TestGreedyVersusExhaustive:
         # the fixture really is crossed: each removed method overlaps both added
         assert scores[("testAlpha", "testGamma")] > scores[("testAlpha", "testDelta")]
         assert scores[("testBeta", "testDelta")] > scores[("testBeta", "testGamma")]
-        assert all(0.0 < s or True for s in scores.values())
+        assert all(0.0 < s for s in scores.values())
 
         threshold = 0.5
         events = detect_renames(pair, threshold)
