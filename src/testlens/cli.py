@@ -296,20 +296,37 @@ def _read_events(path: str) -> list[rename_mod.RenameEvent]:
         if not reader.fieldnames or not required <= set(reader.fieldnames):
             raise CliError(f"{path}: CSV header must include old_name,new_name")
         rows = list(reader)
-    events = []
+    return list(_parsed_rows(path, rows, _event_of))
+
+
+def _parsed_rows(path: str, rows: list, parse):
+    """Yield ``parse(row)`` per row; a malformed row is an error naming its index."""
     for i, row in enumerate(rows):
         try:
-            events.append(
-                rename_mod.RenameEvent(
-                    old_name=row["old_name"],
-                    new_name=row["new_name"],
-                    file=row.get("file") or None,
-                    commit=row.get("commit") or None,
-                )
-            )
+            yield parse(row)
         except (KeyError, ValueError, TypeError) as verr:
             raise CliError(f"{path}: record {i}: {verr}") from verr
-    return events
+
+
+def _event_of(row: dict) -> rename_mod.RenameEvent:
+    return rename_mod.RenameEvent(
+        old_name=row["old_name"],
+        new_name=row["new_name"],
+        file=row.get("file") or None,
+        commit=row.get("commit") or None,
+    )
+
+
+def _classification_of(row: dict) -> rename_mod.RenameClassification:
+    return rename_mod.RenameClassification(
+        event=_event_of(row),
+        form=rename_mod.FormCategory(row["form"]),
+        semantics=rename_mod.SemanticCategory(row["semantics"]),
+        pairs=tuple(
+            (p["added"], p["removed"], rename_mod.TermRelation(p["relation"]))
+            for p in row.get("pairs", ())
+        ),
+    )
 
 
 def _classification_doc(c: rename_mod.RenameClassification) -> dict:
@@ -390,31 +407,14 @@ def _cmd_report(args, config: Config, out, err) -> int:
     if args.k < 1:
         raise CliError("--k must be >= 1")
     stats = report.CorpusStats()
-    for i, row in enumerate(rows):
-        try:
-            event = rename_mod.RenameEvent(
-                old_name=row["old_name"],
-                new_name=row["new_name"],
-                file=row.get("file") or None,
-                commit=row.get("commit") or None,
-            )
-            classification = rename_mod.RenameClassification(
-                event=event,
-                form=rename_mod.FormCategory(row["form"]),
-                semantics=rename_mod.SemanticCategory(row["semantics"]),
-                pairs=tuple(
-                    (p["added"], p["removed"], rename_mod.TermRelation(p["relation"]))
-                    for p in row.get("pairs", ())
-                ),
-            )
-        except (KeyError, ValueError, TypeError) as verr:
-            raise CliError(f"{args.input}: record {i}: {verr}") from verr
+    for classification in _parsed_rows(args.input, rows, _classification_of):
+        event = classification.event
         old_pattern = patterns.pattern_of(tag(split(event.old_name), lexicon))
         new_pattern = patterns.pattern_of(tag(split(event.new_name), lexicon))
-        report.accumulate(stats, classification, (old_pattern, new_pattern), catalog)
+        report.accumulate(stats, classification, (old_pattern, new_pattern))
     fmt = args.format or config.format or "md"
     try:
-        out.write(report.render_table(stats, args.table, fmt, args.k, prefix_lens))
+        out.write(report.render_table(stats, args.table, fmt, args.k, prefix_lens, catalog))
     except ValueError as verr:
         raise CliError(str(verr)) from verr
     return EXIT_OK

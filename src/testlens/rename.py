@@ -340,14 +340,11 @@ def _default_provider() -> CuratedRelationProvider:
     )
 
 
-def default_phrases() -> list[tuple[str, ...]]:
-    """Known multi-term phrases, as normalized term tuples."""
-    return [tuple(p.split()) for p in _data.relations_dict()["phrases"]]
-
-
 @lru_cache(maxsize=None)
-def _default_phrases_longest_first() -> tuple[tuple[str, ...], ...]:
-    return tuple(sorted(default_phrases(), key=len, reverse=True))
+def _phrases_longest_first() -> tuple[tuple[str, ...], ...]:
+    """Known multi-term phrases as normalized term tuples, longest first."""
+    phrases = (tuple(p.split()) for p in _data.relations_dict()["phrases"])
+    return tuple(sorted(phrases, key=len, reverse=True))
 
 
 def edit_distance(a: str, b: str) -> int:
@@ -422,12 +419,9 @@ def relate(removed: str, added: str, provider: WordRelationProvider | None = Non
 # Term diffing and classification
 
 
-def collapse_phrases(terms: list[str], phrases: list[tuple[str, ...]] | None = None) -> list[str]:
+def collapse_phrases(terms: list[str]) -> list[str]:
     """Rewrite known multi-term phrases into single space-joined tokens."""
-    if phrases is None:
-        ordered = _default_phrases_longest_first()
-    else:
-        ordered = sorted(phrases, key=len, reverse=True)
+    ordered = _phrases_longest_first()
     out: list[str] = []
     i = 0
     while i < len(terms):

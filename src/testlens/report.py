@@ -1,18 +1,20 @@
 """Corpus statistics over classified renames, with mergeable counters.
 
-Stats accumulate per event and merge pointwise, so shards built in any
-order or grouping produce identical totals. Rendering emits pattern /
-count / percentage tables in markdown, CSV, or JSON.
+Stats are two counters that accumulate per event and merge pointwise, so
+shards built in any order or grouping produce identical totals. Every
+table is a marginal of them, derived at render time and emitted as
+pattern / count / percentage rows in markdown, CSV, or JSON.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 from collections import Counter
 from dataclasses import dataclass, field
 from io import StringIO
 
-from .patterns import CatalogEntry, GrammarPattern, default_catalog, matches
+from .patterns import CatalogEntry, GrammarPattern, default_catalog, matches, prefix
 from .rename import RenameClassification
 
 PREFIX_LENGTHS = (2, 3, 4, 5)
@@ -24,83 +26,42 @@ FORMATS = ("md", "csv", "json")
 
 @dataclass
 class CorpusStats:
-    """Counters shaped like the rename-analysis summary tables.
+    """The two counters every rename-analysis summary table is derived from.
 
-    catalog_tally maps entry name to [instances, preserved]: instances
-    counts old and new names matching the entry's template (an event can
-    contribute twice), preserved counts events where both sides match.
+    ``events`` is keyed by ``(old pattern, new pattern, form value,
+    semantics value)``; ``term_pairs`` by ``(added, removed)``.
     """
 
-    full_pattern_counts_old: Counter = field(default_factory=Counter)
-    full_pattern_counts_new: Counter = field(default_factory=Counter)
-    pattern_pair_counts: Counter = field(default_factory=Counter)
-    prefix_pair_counts: Counter = field(default_factory=Counter)
-    form_counts: Counter = field(default_factory=Counter)
-    semantic_counts: Counter = field(default_factory=Counter)
-    semantic_by_pattern_pair: Counter = field(default_factory=Counter)
-    term_pair_counts: Counter = field(default_factory=Counter)
-    catalog_tally: dict = field(default_factory=dict)
+    events: Counter = field(default_factory=Counter)
+    term_pairs: Counter = field(default_factory=Counter)
 
     def event_count(self) -> int:
-        return sum(self.semantic_counts.values())
+        return sum(self.events.values())
 
 
 def accumulate(
     stats: CorpusStats,
     classification: RenameClassification,
     patterns: tuple[GrammarPattern, GrammarPattern],
-    catalog: list[CatalogEntry] | None = None,
 ) -> CorpusStats:
     """Fold one classified event into ``stats`` (mutated and returned)."""
-    if catalog is None:
-        catalog = default_catalog()
     old_pattern, new_pattern = patterns
-    old_tags = [t.value for t in old_pattern.tags]
-    new_tags = [t.value for t in new_pattern.tags]
-    old_str = " ".join(old_tags)
-    new_str = " ".join(new_tags)
-
-    stats.full_pattern_counts_old[old_str] += 1
-    stats.full_pattern_counts_new[new_str] += 1
-    stats.pattern_pair_counts[(old_str, new_str)] += 1
-    for k in PREFIX_LENGTHS:
-        stats.prefix_pair_counts[(k, " ".join(old_tags[:k]), " ".join(new_tags[:k]))] += 1
-    stats.form_counts[classification.form.value] += 1
-    stats.semantic_counts[classification.semantics.value] += 1
-    stats.semantic_by_pattern_pair[(old_str, new_str, classification.semantics.value)] += 1
-    for added, removed, _relation in classification.pairs:
-        stats.term_pair_counts[(added, removed)] += 1
-    for entry in catalog:
-        old_hit = matches(entry.template, old_pattern)
-        new_hit = matches(entry.template, new_pattern)
-        if old_hit or new_hit:
-            tally = stats.catalog_tally.setdefault(entry.name, [0, 0])
-            tally[0] += int(old_hit) + int(new_hit)
-            tally[1] += int(old_hit and new_hit)
+    stats.events[(old_pattern, new_pattern, classification.form.value,
+                  classification.semantics.value)] += 1
+    stats.term_pairs.update((added, removed) for added, removed, _ in classification.pairs)
     return stats
 
 
 def merge(a: CorpusStats, b: CorpusStats) -> CorpusStats:
     """Pointwise sum of two stats values; inputs are left untouched."""
-    out = CorpusStats()
-    for name in (
-        "full_pattern_counts_old",
-        "full_pattern_counts_new",
-        "pattern_pair_counts",
-        "prefix_pair_counts",
-        "form_counts",
-        "semantic_counts",
-        "semantic_by_pattern_pair",
-        "term_pair_counts",
-    ):
-        merged = Counter(getattr(a, name))
-        merged.update(getattr(b, name))
-        setattr(out, name, merged)
-    for source in (a.catalog_tally, b.catalog_tally):
-        for key, (instances, preserved) in source.items():
-            tally = out.catalog_tally.setdefault(key, [0, 0])
-            tally[0] += instances
-            tally[1] += preserved
+    return CorpusStats(a.events + b.events, a.term_pairs + b.term_pairs)
+
+
+def _marginal(counts: Counter, key) -> Counter:
+    """``counts`` summed over the entries that share ``key(entry)``."""
+    out: Counter = Counter()
+    for entry, count in counts.items():
+        out[key(entry)] += count
     return out
 
 
@@ -146,82 +107,81 @@ def _counter_section(title: str, key_columns: tuple[str, ...], counts: Counter,
     return _Section(title, key_columns + ("Count", "Percentage"), rows)
 
 
-def _sections(stats: CorpusStats, table: str, k: int,
-              prefix_lens: tuple[int, ...]) -> list[_Section]:
+def _share_section(title: str, column: str, counts: Counter, total: int) -> _Section:
+    """Every entry, largest first, with no top-k cut and no Others row."""
+    ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    rows = [(name, str(count), _pct(count, total)) for name, count in ordered]
+    return _Section(title, (column, "Count", "Percentage"), rows)
+
+
+def _catalog_section(pattern_pairs: Counter, catalog: list[CatalogEntry]) -> _Section:
+    """Per entry: instances counts old and new names matching its template
+    (an event can contribute twice), preserved counts events where both
+    sides match. Each distinct pattern pair is matched once."""
+    tally: dict[str, list[int]] = {}
+    for (old_pattern, new_pattern), count in pattern_pairs.items():
+        for entry in catalog:
+            old_hit = matches(entry.template, old_pattern)
+            new_hit = matches(entry.template, new_pattern)
+            if old_hit or new_hit:
+                counts = tally.setdefault(entry.name, [0, 0])
+                counts[0] += count * (old_hit + new_hit)
+                counts[1] += count * (old_hit and new_hit)
+    rows = [
+        (name, str(instances), str(preserved), _pct(2 * preserved, instances))
+        for name, (instances, preserved) in sorted(tally.items())
+    ]
+    return _Section("Naming template tally",
+                    ("Template", "Instances", "Preserved Events", "Preserved"), rows)
+
+
+def _sections(stats: CorpusStats, table: str, k: int, prefix_lens: tuple[int, ...],
+              catalog: list[CatalogEntry] | None) -> list[_Section]:
+    """Derive one table kind's sections from the event counter."""
+    events = stats.events
     total = stats.event_count()
     if table == "full":
         return [
             _counter_section("Grammar patterns before rename", ("Pattern",),
-                             stats.full_pattern_counts_old, k, total),
+                             _marginal(events, lambda e: str(e[0])), k, total),
             _counter_section("Grammar patterns after rename", ("Pattern",),
-                             stats.full_pattern_counts_new, k, total),
+                             _marginal(events, lambda e: str(e[1])), k, total),
         ]
     if table == "pairs":
         return [
             _counter_section("Grammar pattern pairs", ("Old Pattern", "New Pattern"),
-                             stats.pattern_pair_counts, k, total),
+                             _marginal(events, lambda e: (str(e[0]), str(e[1]))), k, total),
         ]
     if table == "prefix":
-        sections = []
-        for n in prefix_lens:
-            selected = Counter({
-                key[1:]: count
-                for key, count in stats.prefix_pair_counts.items()
-                if key[0] == n
-            })
-            sections.append(
-                _counter_section(f"Prefix pattern pairs (length {n})",
-                                 ("Old Prefix", "New Prefix"), selected, k, total)
+        pattern_pairs = _marginal(events, lambda e: e[:2])
+        return [
+            _counter_section(
+                f"Prefix pattern pairs (length {n})", ("Old Prefix", "New Prefix"),
+                _marginal(pattern_pairs,
+                          lambda p: (str(prefix(p[0], n)), str(prefix(p[1], n)))),
+                k, total,
             )
-        return sections
+            for n in prefix_lens
+        ]
     if table == "semantic":
-        category = _Section(
-            "Semantic categories",
-            ("Category", "Count", "Percentage"),
-            [
-                (name, str(count), _pct(count, total))
-                for name, count in sorted(
-                    stats.semantic_counts.items(), key=lambda i: (-i[1], i[0])
-                )
-            ],
-        )
-        by_pair = _counter_section(
-            "Semantic categories by pattern pair",
-            ("Old Pattern", "New Pattern", "Category"),
-            stats.semantic_by_pattern_pair, k, total,
-        )
-        return [category, by_pair]
+        return [
+            _share_section("Semantic categories", "Category",
+                           _marginal(events, lambda e: e[3]), total),
+            _counter_section("Semantic categories by pattern pair",
+                             ("Old Pattern", "New Pattern", "Category"),
+                             _marginal(events, lambda e: (str(e[0]), str(e[1]), e[3])),
+                             k, total),
+        ]
     if table == "terms":
         return [
             _counter_section("Added/removed term pairs", ("Added", "Removed"),
-                             stats.term_pair_counts, k, total),
+                             stats.term_pairs, k, total),
         ]
     if table == "forms":
-        return [
-            _Section(
-                "Rename forms",
-                ("Form", "Count", "Percentage"),
-                [
-                    (name, str(count), _pct(count, total))
-                    for name, count in sorted(
-                        stats.form_counts.items(), key=lambda i: (-i[1], i[0])
-                    )
-                ],
-            )
-        ]
+        return [_share_section("Rename forms", "Form", _marginal(events, lambda e: e[2]), total)]
     if table == "catalog":
-        rows = []
-        for name in sorted(stats.catalog_tally):
-            instances, preserved = stats.catalog_tally[name]
-            pct = _pct(2 * preserved, instances)
-            rows.append((name, str(instances), str(preserved), pct))
-        return [
-            _Section(
-                "Naming template tally",
-                ("Template", "Instances", "Preserved Events", "Preserved"),
-                rows,
-            )
-        ]
+        return [_catalog_section(_marginal(events, lambda e: e[:2]),
+                                 default_catalog() if catalog is None else catalog)]
     raise ValueError(f"unknown table kind {table!r}")
 
 
@@ -238,8 +198,6 @@ def _render_md(sections: list[_Section]) -> str:
 
 
 def _render_csv(sections: list[_Section]) -> str:
-    import csv
-
     out = StringIO()
     writer = csv.writer(out, lineterminator="\n")
     for section in sections:
@@ -267,12 +225,15 @@ def render_table(
     fmt: str = "md",
     k: int = 5,
     prefix_lens: tuple[int, ...] = PREFIX_LENGTHS,
+    catalog: list[CatalogEntry] | None = None,
 ) -> str:
-    """Render one table kind in the requested format."""
+    """Render one table kind in the requested format.
+
+    The catalog table tallies ``catalog``, by default the bundled one.
+    """
     if table not in TABLE_KINDS:
         raise ValueError(f"unsupported table {table!r}; choose from {TABLE_KINDS}")
-    sections = _sections(stats, table, k, prefix_lens)
-    return _render(sections, fmt)
+    return _render(_sections(stats, table, k, prefix_lens, catalog), fmt)
 
 
 def _render(sections: list[_Section], fmt: str) -> str:
@@ -285,9 +246,10 @@ def _render(sections: list[_Section], fmt: str) -> str:
     raise ValueError(f"unsupported format {fmt!r}; choose from {FORMATS}")
 
 
-def render(stats: CorpusStats, fmt: str = "md", k: int = 5) -> str:
+def render(stats: CorpusStats, fmt: str = "md", k: int = 5,
+           catalog: list[CatalogEntry] | None = None) -> str:
     """Render every table as one document."""
     sections: list[_Section] = []
     for table in TABLE_KINDS:
-        sections.extend(_sections(stats, table, k, PREFIX_LENGTHS))
+        sections.extend(_sections(stats, table, k, PREFIX_LENGTHS, catalog))
     return _render(sections, fmt)

@@ -9,6 +9,7 @@ are retained so the original identifier can be reconstructed exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from . import _data
 
@@ -82,11 +83,10 @@ def _char_class(ch: str) -> str:
 
 def _class_runs(text: str, offset: int) -> list[tuple[str, int, int]]:
     runs: list[tuple[str, int, int]] = []
-    start = 0
-    for i in range(1, len(text) + 1):
-        if i == len(text) or _char_class(text[i]) != _char_class(text[start]):
-            runs.append((_char_class(text[start]), offset + start, offset + i))
-            start = i
+    for kind, chars in groupby(text, _char_class):
+        end = offset + len(list(chars))
+        runs.append((kind, offset, end))
+        offset = end
     return runs
 
 

@@ -312,18 +312,11 @@ class TestCriterion7ReportOracle:
         for c, p in corpus:
             accumulate(single, c, p)
 
-        from test_report import naive_recount
-        expected = naive_recount(corpus)
-        assert dict(single.full_pattern_counts_old) == expected["old"]
-        assert dict(single.full_pattern_counts_new) == expected["new"]
-        assert dict(single.pattern_pair_counts) == expected["pairs"]
-        assert dict(single.prefix_pair_counts) == expected["prefix"]
-        assert dict(single.form_counts) == expected["forms"]
-        assert dict(single.semantic_counts) == expected["semantics"]
-        assert dict(single.semantic_by_pattern_pair) == expected["sem_by_pair"]
-        assert dict(single.term_pair_counts) == expected["terms"]
-        assert {k: tuple(v) for k, v in single.catalog_tally.items()} == (
-            expected["catalog"])
+        from test_report import naive_recount, rendered_counts
+        assert rendered_counts(single) == naive_recount(corpus)
+        prefix_lens = tuple(range(1, 8))
+        assert (rendered_counts(single, prefix_lens)["prefix"]
+                == naive_recount(corpus, prefix_lens)["prefix"])
 
         rng = random.Random(7)
         for _ in range(100):

@@ -276,6 +276,38 @@ class TestReportCommand:
             "--prefix-len", "2..3",
         ])
         assert "length 2" in out and "length 3" in out and "length 4" not in out
+        for raw, lens in (("2..3", [2, 3]), ("1", [1]), ("6..7", [6, 7])):
+            code, out, _ = invoke([
+                "report", "--input", str(classified), "--table", "prefix",
+                "--prefix-len", raw, "--format", "json",
+            ])
+            assert code == EXIT_OK, raw
+            sections = json.loads(out)
+            assert [s["title"] for s in sections] == [
+                f"Prefix pattern pairs (length {n})" for n in lens]
+            for section in sections:
+                assert sum(int(row[-2]) for row in section["rows"]) == 2, raw
+
+    def test_catalog_from_config(self, tmp_path, monkeypatch):
+        classified = self.make_classified(tmp_path)
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(json.dumps([
+            {"name": "Verb Start", "tags": ["V"], "trailing_wildcard": True},
+            {"name": "Dual Verb", "tags": ["V", "V"], "trailing_wildcard": True},
+        ]))
+        config = tmp_path / "testlens.toml"
+        config.write_text(f'catalog = "{catalog}"\n')
+        monkeypatch.setenv("TESTLENS_CONFIG", str(config))
+        code, out, _ = invoke([
+            "report", "--input", str(classified), "--table", "catalog",
+            "--format", "json",
+        ])
+        assert code == EXIT_OK
+        [section] = json.loads(out)
+        assert section["rows"] == [
+            ["Dual Verb", "1", "0", "0.00%"],
+            ["Verb Start", "4", "2", "100.00%"],
+        ]
 
     def test_bad_prefix_len(self, tmp_path):
         classified = self.make_classified(tmp_path)

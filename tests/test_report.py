@@ -5,7 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from testlens.patterns import default_catalog, matches, pattern_of, prefix
+from testlens.patterns import (
+    CatalogEntry,
+    PatternTemplate,
+    default_catalog,
+    matches,
+    pattern_of,
+)
 from testlens.rename import RenameEvent, classify
 from testlens.report import (
     CorpusStats,
@@ -17,7 +23,7 @@ from testlens.report import (
     top_k,
 )
 from testlens.splitter import split
-from testlens.tagger import tag
+from testlens.tagger import PosTag, tag
 
 DATA = Path(__file__).parent / "data"
 
@@ -34,7 +40,7 @@ def load_corpus():
     return out
 
 
-def naive_recount(corpus):
+def naive_recount(corpus, prefix_lens=PREFIX_LENGTHS):
     """Independent recount: plain dictionary loops, no accumulate/merge."""
     catalog = default_catalog()
     counts = {
@@ -50,8 +56,8 @@ def naive_recount(corpus):
         bump("old", old_s)
         bump("new", new_s)
         bump("pairs", (old_s, new_s))
-        for k in (2, 3, 4, 5):
-            bump("prefix", (k, str(prefix(old_p, k)), str(prefix(new_p, k))))
+        for k in prefix_lens:
+            bump("prefix", (k, " ".join(old_s.split()[:k]), " ".join(new_s.split()[:k])))
         bump("forms", c.form.value)
         bump("semantics", c.semantics.value)
         bump("sem_by_pair", (old_s, new_s, c.semantics.value))
@@ -69,6 +75,45 @@ def naive_recount(corpus):
     return counts
 
 
+def rendered_counts(stats, prefix_lens=PREFIX_LENGTHS, catalog=None):
+    """Every table of ``render_table`` read back as plain counts, shaped
+    like ``naive_recount``. ``k`` exceeds every table, so each counted
+    section must end in an Others row of 0."""
+
+    def sections(table):
+        return json.loads(render_table(stats, table, "json", k=10**9,
+                                       prefix_lens=prefix_lens, catalog=catalog))
+
+    def counts(section):
+        rows = section["rows"]
+        if rows and section["columns"][0] not in ("Category", "Form"):
+            others = rows.pop()
+            assert others[0] == "Others" and others[-2] == "0", others
+        keys = [row[0] if len(row) == 3 else tuple(row[:-2]) for row in rows]
+        assert len(set(keys)) == len(keys)
+        return {key: int(row[-2]) for key, row in zip(keys, rows)}
+
+    full = sections("full")
+    semantic = sections("semantic")
+    return {
+        "old": counts(full[0]),
+        "new": counts(full[1]),
+        "pairs": counts(sections("pairs")[0]),
+        "prefix": {
+            (n,) + key: count
+            for n, section in zip(prefix_lens, sections("prefix"))
+            for key, count in counts(section).items()
+        },
+        "forms": counts(sections("forms")[0]),
+        "semantics": counts(semantic[0]),
+        "sem_by_pair": counts(semantic[1]),
+        "terms": counts(sections("terms")[0]),
+        "catalog": {
+            row[0]: (int(row[1]), int(row[2])) for row in sections("catalog")[0]["rows"]
+        },
+    }
+
+
 @pytest.fixture(scope="module")
 def corpus():
     return load_corpus()
@@ -83,36 +128,38 @@ def accumulated(corpus):
 
 
 class TestAccumulate:
-    def test_every_map_equals_naive_recount(self, corpus, accumulated):
-        expected = naive_recount(corpus)
-        assert dict(accumulated.full_pattern_counts_old) == expected["old"]
-        assert dict(accumulated.full_pattern_counts_new) == expected["new"]
-        assert dict(accumulated.pattern_pair_counts) == expected["pairs"]
-        assert dict(accumulated.prefix_pair_counts) == expected["prefix"]
-        assert dict(accumulated.form_counts) == expected["forms"]
-        assert dict(accumulated.semantic_counts) == expected["semantics"]
-        assert dict(accumulated.semantic_by_pattern_pair) == expected["sem_by_pair"]
-        assert dict(accumulated.term_pair_counts) == expected["terms"]
-        assert {k: tuple(v) for k, v in accumulated.catalog_tally.items()} == (
-            expected["catalog"])
+    def test_every_table_equals_naive_recount(self, corpus, accumulated):
+        assert rendered_counts(accumulated) == naive_recount(corpus)
+        lens = (1, 2, 6, 7, 20)
+        assert rendered_counts(accumulated, lens) == naive_recount(corpus, lens)
 
     def test_event_total(self, accumulated):
         assert accumulated.event_count() == 50
 
     def test_prefix_totals_equal_event_count(self, accumulated):
-        for k in PREFIX_LENGTHS:
-            total = sum(
-                count for key, count in accumulated.prefix_pair_counts.items()
-                if key[0] == k
-            )
-            assert total == 50
+        lens = tuple(range(1, 9))
+        prefix_counts = rendered_counts(accumulated, lens)["prefix"]
+        for n in lens:
+            assert sum(c for key, c in prefix_counts.items() if key[0] == n) == 50
 
     def test_semantic_counts_sum_to_events(self, accumulated):
-        assert sum(accumulated.semantic_counts.values()) == 50
+        assert sum(rendered_counts(accumulated)["semantics"].values()) == 50
 
     def test_catalog_preserved_bounded_by_instances(self, accumulated):
-        for instances, preserved in accumulated.catalog_tally.values():
+        for instances, preserved in rendered_counts(accumulated)["catalog"].values():
             assert 0 <= preserved <= instances
+
+    def test_catalog_argument_is_tallied(self, corpus, accumulated):
+        template = PatternTemplate((PosTag.VERB,), trailing_wildcard=True)
+        catalog = [CatalogEntry("Leading verb", template)]
+        expected = (
+            sum(matches(template, old_p) + matches(template, new_p) for _, (old_p, new_p) in corpus),
+            sum(matches(template, old_p) and matches(template, new_p)
+                for _, (old_p, new_p) in corpus),
+        )
+        tally = rendered_counts(accumulated, catalog=catalog)["catalog"]
+        assert tally == {"Leading verb": expected}
+        assert expected[0] > 0
 
     def test_pattern_pair_example(self):
         stats = CorpusStats()
@@ -122,8 +169,9 @@ class TestAccumulate:
         q = pattern_of(tag(split(event.new_name)))
         accumulate(stats, c, (p, q))
         accumulate(stats, c, (p, q))
-        assert stats.pattern_pair_counts[("V NM N", "V NM N")] == 2
-        assert stats.semantic_by_pattern_pair[("V NM N", "V NM N", "change")] == 2
+        counts = rendered_counts(stats)
+        assert counts["pairs"] == {("V NM N", "V NM N"): 2}
+        assert counts["sem_by_pair"] == {("V NM N", "V NM N", "change"): 2}
 
 
 class TestMerge:
@@ -172,8 +220,8 @@ class TestTopK:
         with pytest.raises(ValueError):
             top_k(Counter({"A": 1}), 0)
 
-    def test_matches_naive_sort(self, accumulated):
-        counts = accumulated.full_pattern_counts_old
+    def test_matches_naive_sort(self, corpus):
+        counts = Counter(str(old_p) for _, (old_p, _) in corpus)
         rows, others = top_k(counts, 5)
         ordered = sorted(counts.items(), key=lambda i: (-i[1], i[0]))
         assert rows == ordered[:5]
