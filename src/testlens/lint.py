@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .extraction import TestMethod, Token, TokenKind
+from .extraction import TestMethod, TokenKind
 from .rename import stem
 from .tagger import PosTag, TaggedName
 
@@ -52,25 +52,16 @@ def _tagged_terms(name: TaggedName) -> list[tuple[str, PosTag]]:
 
 
 def _stem_safe(term: str) -> str:
-    if any(ch.isdigit() for ch in term):
+    # split puts digits in runs of their own: a term is all digits or has none
+    if term.isdigit():
         return term
     return stem(term)
 
 
-def _has_call(method: TestMethod, callee: str) -> bool:
-    tokens = method.body_tokens.tokens
-    for i, tok in enumerate(tokens):
-        if tok.kind is TokenKind.WORD and tok.text == callee:
-            if i + 1 < len(tokens) and tokens[i + 1].text == "(":
-                return True
-    return False
-
-
+# Only a word token's text can equal an identifier (literals keep their quotes, numbers
+# start with a digit, punctuation is one non-word character), so texts alone decide.
 def _has_word(method: TestMethod, word: str) -> bool:
-    return any(
-        t.kind is TokenKind.WORD and t.text == word
-        for t in method.body_tokens.tokens
-    )
+    return word in method.body_tokens.texts
 
 
 # R1: a "fail" term promises an explicit fail(...) call
@@ -80,7 +71,8 @@ def _r1_trigger(name: TaggedName) -> bool:
 
 
 def _r1_expectation(method: TestMethod, name: TaggedName) -> bool:
-    return _has_call(method, "fail")
+    texts = method.body_tokens.texts
+    return ("fail", "(") in zip(texts, texts[1:])
 
 
 # R2: "true"/"false" terms promise the matching boolean assert
@@ -137,12 +129,10 @@ def _make_r4_expectation(vocabulary: tuple[str, ...]) -> Callable[[TestMethod, T
     vocab = frozenset(vocabulary)
 
     def expectation(method: TestMethod, name: TaggedName) -> bool:
-        for tok in method.body_tokens.tokens:
-            if tok.kind is TokenKind.WORD and tok.text in vocab:
-                return True
-            if tok.kind is TokenKind.PUNCTUATION and tok.text == "[":
-                return True
-        return False
+        body = method.body_tokens
+        return "[" in body.texts or any(
+            kind is TokenKind.WORD for kind, text in zip(body.kinds, body.texts) if text in vocab
+        )
 
     return expectation
 
@@ -153,35 +143,31 @@ def _r5_trigger(name: TaggedName) -> bool:
     return any(_stem_safe(t) == "except" for t in _terms(name))
 
 
-def _assertion_token(tokens: tuple[Token, ...], i: int) -> bool:
-    tok = tokens[i]
-    if tok.kind is not TokenKind.WORD:
-        return False
-    if tok.text.startswith(("assert", "Assert")):
+def _assertion_token(texts: tuple[str, ...], i: int) -> bool:
+    if texts[i].startswith(("assert", "Assert")):
         return True
-    return tok.text == "fail" and i + 1 < len(tokens) and tokens[i + 1].text == "("
+    return texts[i] == "fail" and i + 1 < len(texts) and texts[i + 1] == "("
 
 
 def _r5_expectation(method: TestMethod, name: TaggedName) -> bool:
     if any("expected" in annotation for annotation in method.annotations):
         return True
-    tokens = method.body_tokens.tokens
-    for i, tok in enumerate(tokens):
-        if tok.kind is not TokenKind.WORD or tok.text != "catch":
+    texts = method.body_tokens.texts
+    for i, text in enumerate(texts):
+        if text != "catch":
             continue
         j = i + 1
-        while j < len(tokens) and tokens[j].text != "{":
+        while j < len(texts) and texts[j] != "{":
             j += 1
         depth = 0
-        for k in range(j, len(tokens)):
-            if tokens[k].kind is TokenKind.PUNCTUATION:
-                if tokens[k].text == "{":
-                    depth += 1
-                elif tokens[k].text == "}":
-                    depth -= 1
-                    if depth == 0:
-                        break
-            elif depth > 0 and _assertion_token(tokens, k):
+        for k in range(j, len(texts)):
+            if texts[k] == "{":
+                depth += 1
+            elif texts[k] == "}":
+                depth -= 1
+                if depth == 0:
+                    break
+            elif depth > 0 and _assertion_token(texts, k):
                 return True
     return False
 

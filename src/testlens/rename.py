@@ -436,13 +436,6 @@ def collapse_phrases(terms: list[str]) -> list[str]:
     return out
 
 
-def diff_terms(old: TermSequence, new: TermSequence) -> tuple[Counter, Counter, Counter]:
-    """Multiset difference over normalized terms: (added, removed, preserved)."""
-    old_counts = Counter(collapse_phrases(old.normalized()))
-    new_counts = Counter(collapse_phrases(new.normalized()))
-    return new_counts - old_counts, old_counts - new_counts, old_counts & new_counts
-
-
 class _RenameDiff(NamedTuple):
     """Both names of one rename event, split and diffed once; never mutated."""
 

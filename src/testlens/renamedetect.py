@@ -33,7 +33,7 @@ class FileVersionPair:
 
 
 def _bigrams(stream: TokenStream) -> Counter:
-    texts = [t.text for t in stream.tokens]
+    texts = stream.texts
     return Counter(zip(texts, texts[1:]))
 
 

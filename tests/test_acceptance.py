@@ -8,6 +8,7 @@ import io
 import json
 import random
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from testlens.rename import (
     classify,
     classify_form,
     classify_semantics,
-    diff_terms,
+    collapse_phrases,
     relate,
     term_pairs,
 )
@@ -153,8 +154,9 @@ class TestCriterion4TermPairs:
             if old == new:
                 continue
             event = RenameEvent(old, new)
-            added, removed, _ = diff_terms(split(old), split(new))
-            expected = sum(added.values()) * sum(removed.values())
+            old_terms = Counter(collapse_phrases(split(old).normalized()))
+            new_terms = Counter(collapse_phrases(split(new).normalized()))
+            expected = sum((new_terms - old_terms).values()) * sum((old_terms - new_terms).values())
             assert len(term_pairs(event)) == expected, (old, new)
             checked += 1
         ok("4 term pairs")

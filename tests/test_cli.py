@@ -102,6 +102,29 @@ class TestScanCommand:
         assert doc["files"][0]["methods"][0]["name"] == "testParser"
         assert doc["files"][0]["methods"][0]["is_test_method"] is True
 
+    @staticmethod
+    def _is_test_file(tmp_path, text):
+        target = tmp_path / "T.java"
+        target.write_text(text)
+        code, out, _ = invoke(["scan", str(target)])
+        assert code == EXIT_OK
+        return json.loads(out)["files"][0]["is_test_file"]
+
+    def test_is_test_file_requires_both(self, tmp_path):
+        assert self._is_test_file(tmp_path, CLEAN_TEST) is True
+        no_methods = "import org.junit.Test;\nclass T { int x; }\n"
+        assert self._is_test_file(tmp_path, no_methods) is False
+        no_import = CLEAN_TEST.replace("import org.junit.Test;\n", "")
+        assert self._is_test_file(tmp_path, no_import) is False
+        assert self._is_test_file(tmp_path, "") is False
+
+    def test_jupiter_included_by_prefix_rule(self, tmp_path):
+        text = (
+            "import org.junit.jupiter.api.Test;\n"
+            "class T { @Test void whenReady() { ok(); } }\n"
+        )
+        assert self._is_test_file(tmp_path, text) is True
+
     def test_scan_directory_sorted(self, tmp_path):
         (tmp_path / "b").mkdir()
         (tmp_path / "a").mkdir()

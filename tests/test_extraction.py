@@ -6,7 +6,6 @@ from testlens.extraction import (
     TokenKind,
     extract_methods,
     has_junit_import,
-    is_test_file,
     is_test_method,
     recover_methods,
     tokenize,
@@ -79,28 +78,31 @@ class Broken {
 class TestTokenize:
     def test_comments_excluded(self):
         stream = tokenize("a // line\n/* block */ b")
-        assert [t.text for t in stream.tokens] == ["a", "b"]
+        assert stream.texts == ("a", "b")
+        assert (stream.starts, stream.ends) == ((0, 22), (1, 23))
 
     def test_string_literal_single_token(self):
         stream = tokenize('call("a b { }");')
-        kinds = [t.kind for t in stream.tokens]
-        assert TokenKind.STRING in kinds
-        literal = [t for t in stream.tokens if t.kind is TokenKind.STRING][0]
-        assert literal.text == '"a b { }"'
+        assert stream.kinds.count(TokenKind.STRING) == 1
+        literal = stream.kinds.index(TokenKind.STRING)
+        assert stream.texts[literal] == '"a b { }"'
 
     def test_escaped_quote(self):
         stream = tokenize(r'"a\"b" x')
-        assert stream.tokens[0].text == r'"a\"b"'
-        assert stream.tokens[1].text == "x"
+        assert stream.texts == (r'"a\"b"', "x")
+        assert stream.kinds == (TokenKind.STRING, TokenKind.WORD)
 
     def test_spans_strictly_increasing(self):
         stream = tokenize(SIMPLE)
-        for a, b in zip(stream.tokens, stream.tokens[1:]):
-            assert a.end <= b.start
+        assert len(stream) == len(stream.kinds) == len(stream.starts) == len(stream.ends)
+        for start, end in zip(stream.starts, stream.ends):
+            assert start < end
+        for end, next_start in zip(stream.ends, stream.starts[1:]):
+            assert end <= next_start
 
     def test_numbers(self):
         stream = tokenize("int x = 42;")
-        kinds = {t.text: t.kind for t in stream.tokens}
+        kinds = dict(zip(stream.texts, stream.kinds))
         assert kinds["42"] is TokenKind.NUMBER
 
 
@@ -206,8 +208,10 @@ class TestExtractMethods:
         methods = extract_methods(SourceFile("ParserTest.java", SIMPLE))
         m = methods[0]
         lo, hi = m.body_span
-        for tok in m.body_tokens.tokens:
-            assert lo <= tok.start and tok.end <= hi
+        body = m.body_tokens
+        assert body.texts[0] == "Parser" and body.texts[-1] == ";"
+        for start, end in zip(body.starts, body.ends):
+            assert lo < start and end < hi
 
 
 def _reference_body_span(text: str) -> tuple[int, int]:
@@ -251,19 +255,6 @@ class TestJUnitDetection:
     def test_static_import(self):
         text = "import static org.junit.Assert.assertEquals;\n"
         assert has_junit_import(SourceFile("a.java", text))
-
-    def test_is_test_file_requires_both(self):
-        assert is_test_file(SourceFile("a.java", SIMPLE))
-        no_methods = "import org.junit.Test;\nclass T { int x; }\n"
-        assert not is_test_file(SourceFile("a.java", no_methods))
-        assert not is_test_file(SourceFile("a.java", ""))
-
-    def test_jupiter_included_by_prefix_rule(self):
-        text = (
-            "import org.junit.jupiter.api.Test;\n"
-            "class T { @Test void whenReady() { ok(); } }\n"
-        )
-        assert is_test_file(SourceFile("a.java", text))
 
 
 class TestIsTestMethod:

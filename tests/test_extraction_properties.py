@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from testlens.extraction import (
     PartialParseError,
     SourceFile,
-    Token,
     TokenKind,
     extract_methods,
     tokenize,
@@ -20,9 +19,12 @@ _WORD_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 _NUMBER_RE = re.compile(r"\d[\w.]*")
 
 
-def reference_tokenize(text: str) -> tuple[Token, ...]:
+Row = tuple[TokenKind, str, int, int]  # kind, text, start, end
+
+
+def reference_tokenize(text: str) -> tuple[Row, ...]:
     """The character-at-a-time scanner the regex tokenizer replaced."""
-    tokens: list[Token] = []
+    tokens: list[Row] = []
     i = 0
     n = len(text)
     while i < n:
@@ -52,22 +54,27 @@ def reference_tokenize(text: str) -> tuple[Token, ...]:
                 j += 1
             else:
                 j = n
-            tokens.append(Token(TokenKind.STRING, text[i:j], i, j))
+            tokens.append((TokenKind.STRING, text[i:j], i, j))
             i = j
             continue
         m = _WORD_RE.match(text, i)
         if m:
-            tokens.append(Token(TokenKind.WORD, m.group(), i, m.end()))
+            tokens.append((TokenKind.WORD, m.group(), i, m.end()))
             i = m.end()
             continue
         m = _NUMBER_RE.match(text, i)
         if m:
-            tokens.append(Token(TokenKind.NUMBER, m.group(), i, m.end()))
+            tokens.append((TokenKind.NUMBER, m.group(), i, m.end()))
             i = m.end()
             continue
-        tokens.append(Token(TokenKind.PUNCTUATION, ch, i, i + 1))
+        tokens.append((TokenKind.PUNCTUATION, ch, i, i + 1))
         i += 1
     return tuple(tokens)
+
+
+def rows(text: str) -> tuple[Row, ...]:
+    stream = tokenize(text)
+    return tuple(zip(stream.kinds, stream.texts, stream.starts, stream.ends))
 
 
 # characters that open or close every lexical state, plus non-ASCII
@@ -79,19 +86,33 @@ _FRAGMENTS = [
 ]
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.one_of(
+_java_text = st.one_of(
     st.text(alphabet=_JAVA_CHARS, max_size=60),
     st.lists(st.sampled_from(_FRAGMENTS), max_size=30).map("".join),
-))
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_java_text)
 def test_tokenizer_matches_reference_scanner(text):
-    assert tokenize(text).tokens == reference_tokenize(text)
+    assert rows(text) == reference_tokenize(text)
 
 
 def test_tokenizer_edge_cases_match_reference_scanner():
     for text in ["", "   ", "/", "a/", "/* open", "// open", '"open', "'open",
                  '"ends in backslash\\', "x '\\", '"\\\n"', "/*/ x */ y", "1.2.3abc"]:
-        assert tokenize(text).tokens == reference_tokenize(text), text
+        assert rows(text) == reference_tokenize(text), text
+
+
+@settings(max_examples=200, deadline=None)
+@given(_java_text)
+def test_columns_are_parallel_and_slice_the_text(text):
+    stream = tokenize(text)
+    n = len(stream)
+    assert len(stream.kinds) == len(stream.texts) == len(stream.starts) == len(stream.ends) == n
+    assert stream.tokens == stream.texts
+    for i in range(n):
+        assert text[stream.starts[i]:stream.ends[i]] == stream.texts[i]
 
 
 _SOUP = [
@@ -110,11 +131,19 @@ def test_extractor_invariants_on_token_soup(words, sep):
         methods = extract_methods(SourceFile("Soup.java", text))
     except PartialParseError as err:
         methods = err.methods
+    stream = tokenize(text)
     for m in methods:
         assert text[m.name_span[0]:m.name_span[1]] == m.name
         start, end = m.body_span
         assert 0 <= start < end <= len(text)
         assert text[start] == "{" and text[end - 1] == "}"
+        # the body is the file's token columns strictly between its braces
+        lo, hi = stream.starts.index(start) + 1, stream.ends.index(end)
+        body = m.body_tokens
+        assert body.kinds == stream.kinds[lo:hi]
+        assert body.texts == stream.texts[lo:hi]
+        assert body.starts == stream.starts[lo:hi]
+        assert body.ends == stream.ends[lo:hi]
 
 
 _SHAPES = {
@@ -134,7 +163,7 @@ def _seconds_per_token(body: str) -> float:
         start = time.process_time()
         assert len(extract_methods(src)) == 1000
         best = min(best, time.process_time() - start)
-    return best / len(tokenize(src.text).tokens)
+    return best / len(tokenize(src.text))
 
 
 def test_extraction_time_is_linear_on_lambdas_and_comparisons():

@@ -243,6 +243,17 @@ class TestLintMechanics:
         assert len(run_lint(violating)) == 1
         assert run_lint(satisfied) == []
 
+    def test_literals_never_satisfy_word_expectations(self):
+        # a string literal keeps its quotes, so its text never equals a word
+        rules = default_rules(collection_vocabulary=("Bag", '"Bag"'))
+        diags = run_lint("""
+            public void testFailsReturnsFalseForAllItems() {
+                log("fail", "assertFalse", "Bag", '[');
+                fail2();
+            }
+        """, rules)
+        assert [d.rule_id for d in diags] == ["R1", "R2", "R4"]
+
     def test_default_vocabulary_contents(self):
         assert set(DEFAULT_COLLECTION_VOCABULARY) == {
             "List", "Map", "Set", "Collection", "Iterable",

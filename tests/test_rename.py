@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,6 @@ from testlens.rename import (
     classify_form,
     classify_semantics,
     collapse_phrases,
-    diff_terms,
     edit_distance,
     relate,
     stem,
@@ -209,29 +210,38 @@ class TestRelateProperties:
         )
 
 
+def _term_diff(old: str, new: str) -> tuple[Counter, Counter]:
+    """Reference multiset difference over normalized, phrase-collapsed
+    terms: (added, removed)."""
+    old_counts = Counter(collapse_phrases(split(old).normalized()))
+    new_counts = Counter(collapse_phrases(split(new).normalized()))
+    return new_counts - old_counts, old_counts - new_counts
+
+
 class TestDiffTerms:
+    """The term diff of a rename, as ``classify`` reports it."""
+
     def test_paper_example(self):
-        added, removed, preserved = diff_terms(
-            split("getEmployeeName"), split("testEmployeeLastName"))
-        assert added == {"test": 1, "last": 1}
-        assert removed == {"get": 1}
-        assert preserved == {"employee": 1, "name": 1}
+        c = classify(RenameEvent("getEmployeeName", "testEmployeeLastName"))
+        # preserved terms (employee, name) pair with nothing
+        assert [(a, r) for a, r, _ in c.pairs] == [("test", "get"), ("last", "get")]
+        assert c.form is FormCategory.COMPLEX
 
     def test_pure_removal(self):
-        added, removed, _ = diff_terms(
-            split("findAllWithGivenIds"), split("findAllWithIds"))
-        assert added == {}
-        assert removed == {"given": 1}
+        c = classify(RenameEvent("findAllWithGivenIds", "findAllWithIds"))
+        # one term removed, none added: no pairs; "given" sat before the kept head noun
+        assert c.pairs == ()
+        assert (c.form, c.semantics) == (FormCategory.SIMPLE, SemanticCategory.BROADEN)
 
     def test_no_op(self):
-        added, removed, _ = diff_terms(split("abc"), split("ABC"))
-        assert added == {} and removed == {}
+        c = classify(RenameEvent("abc", "ABC"))
+        assert c.pairs == ()
+        assert (c.form, c.semantics) == (FormCategory.FORMATTING, SemanticCategory.PRESERVE)
 
     def test_phrases_collapse_before_diffing(self):
-        added, removed, _ = diff_terms(
-            split("checkAllOfItems"), split("checkAtLeastItems"))
-        assert added == {"at least": 1}
-        assert removed == {"all of": 1}
+        event = RenameEvent("checkAllOfItems", "checkAtLeastItems")
+        assert term_pairs(event) == [("at least", "all of")]
+        assert classify(event).form is FormCategory.SIMPLE
 
 
 class TestCollapsePhrases:
@@ -343,9 +353,10 @@ class TestClassificationProperties:
         old, new = _camel(old_parts), _camel(new_parts)
         if old == new:
             return
-        event = RenameEvent(old, new)
-        added, removed, _ = diff_terms(split(old), split(new))
-        assert len(term_pairs(event)) == sum(added.values()) * sum(removed.values())
+        added, removed = _term_diff(old, new)
+        pairs = term_pairs(RenameEvent(old, new))
+        assert len(pairs) == sum(added.values()) * sum(removed.values())
+        assert set(pairs) == {(a, r) for a in added for r in removed}
 
     @given(name_parts, name_parts)
     @settings(max_examples=200)
@@ -475,3 +486,34 @@ class TestClassifyAgreesWithParts:
                 assert relation is TermRelation.UNRELATED
             else:
                 assert relation is relate(r, a)
+
+
+_MIRRORED_SEMANTICS = {
+    SemanticCategory.NARROW: SemanticCategory.BROADEN,
+    SemanticCategory.BROADEN: SemanticCategory.NARROW,
+    SemanticCategory.ADD: SemanticCategory.REMOVE,
+    SemanticCategory.REMOVE: SemanticCategory.ADD,
+    SemanticCategory.PRESERVE: SemanticCategory.PRESERVE,
+    SemanticCategory.CHANGE: SemanticCategory.CHANGE,
+}
+_MIRRORED_RELATION = {
+    TermRelation.SPECIALIZATION: TermRelation.GENERALIZATION,
+    TermRelation.GENERALIZATION: TermRelation.SPECIALIZATION,
+}
+
+
+class TestRenameMirror:
+    @given(name_terms, name_terms, st.sampled_from(["camel", "snake", "upper"]),
+           st.sampled_from(["camel", "snake", "upper"]))
+    @settings(max_examples=300, deadline=None)
+    def test_reversed_event_mirrors_classification(self, old_terms, new_terms, old_style, new_style):
+        old, new = _styled(old_terms, old_style), _styled(new_terms, new_style)
+        if old == new:
+            return
+        forward = classify(RenameEvent(old, new))
+        backward = classify(RenameEvent(new, old))
+        assert backward.form is forward.form
+        assert backward.semantics is _MIRRORED_SEMANTICS[forward.semantics]
+        assert Counter(backward.pairs) == Counter(
+            (r, a, _MIRRORED_RELATION.get(relation, relation)) for a, r, relation in forward.pairs
+        )

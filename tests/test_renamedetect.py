@@ -26,8 +26,8 @@ def stream(text: str):
 
 def brute_force_dice(a: str, b: str) -> float:
     """Independent oracle: enumerate bigrams pairwise, count greedy matches."""
-    ta = [t.text for t in tokenize(a).tokens]
-    tb = [t.text for t in tokenize(b).tokens]
+    ta = tokenize(a).texts
+    tb = tokenize(b).texts
     ga = list(zip(ta, ta[1:]))
     gb = list(zip(tb, tb[1:]))
     if not ga and not gb:
