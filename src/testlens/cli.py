@@ -317,16 +317,50 @@ def _event_of(row: dict) -> rename_mod.RenameEvent:
     )
 
 
-def _classification_of(row: dict) -> rename_mod.RenameClassification:
+_PATTERN_KEYS = ("old_pattern", "new_pattern")
+
+
+def _classification_of(row: dict, lexicon: Lexicon,
+                       parsed: dict[str, patterns.GrammarPattern]
+                       ) -> rename_mod.RenameClassification:
+    """One classified record; ``parsed`` caches pattern strings for the run."""
+    event = _event_of(row)
+    old_pattern, new_pattern = _record_patterns(row, event, lexicon, parsed)
     return rename_mod.RenameClassification(
-        event=_event_of(row),
+        event=event,
         form=rename_mod.FormCategory(row["form"]),
         semantics=rename_mod.SemanticCategory(row["semantics"]),
         pairs=tuple(
             (p["added"], p["removed"], rename_mod.TermRelation(p["relation"]))
             for p in row.get("pairs", ())
         ),
+        old_pattern=old_pattern,
+        new_pattern=new_pattern,
     )
+
+
+def _record_patterns(row: dict, event: rename_mod.RenameEvent, lexicon: Lexicon,
+                     parsed: dict[str, patterns.GrammarPattern]) -> list[patterns.GrammarPattern]:
+    """The record's two grammar patterns as written; a record classified
+    before they were written has both names tagged with ``lexicon``."""
+    present = [key in row for key in _PATTERN_KEYS]
+    if not any(present):
+        return [patterns.pattern_of(tag(split(name), lexicon))
+                for name in (event.old_name, event.new_name)]
+    if not all(present):
+        raise ValueError("old_pattern and new_pattern must be given together")
+    found = []
+    for key in _PATTERN_KEYS:
+        text = row[key]
+        if not isinstance(text, str):
+            raise TypeError(f"{key} must be a string of POS tags, not {json.dumps(text)}")
+        if text not in parsed:
+            try:
+                parsed[text] = patterns.GrammarPattern.parse(text)
+            except ValueError as verr:
+                raise ValueError(f"{key}: {verr}") from verr
+        found.append(parsed[text])
+    return found
 
 
 def _classification_doc(c: rename_mod.RenameClassification) -> dict:
@@ -341,6 +375,8 @@ def _classification_doc(c: rename_mod.RenameClassification) -> dict:
             {"added": a, "removed": r, "relation": rel.value}
             for a, r, rel in c.pairs
         ],
+        "old_pattern": None if c.old_pattern is None else str(c.old_pattern),
+        "new_pattern": None if c.new_pattern is None else str(c.new_pattern),
     }
 
 
@@ -348,7 +384,8 @@ def _cmd_rename_classify(args, config: Config, out, err) -> int:
     events = _read_events(args.input)
     provider = rename_mod.CuratedRelationProvider.default()
     lexicon = _load_lexicon(config)
-    results = [rename_mod.classify(e, provider, lexicon) for e in events]
+    # one pass, so no classification outlives its output row
+    results = (rename_mod.classify(e, provider, lexicon) for e in events)
     fmt = args.format or config.format or "json"
     if fmt == "json":
         out.write(json.dumps([_classification_doc(c) for c in results],
@@ -407,11 +444,10 @@ def _cmd_report(args, config: Config, out, err) -> int:
     if args.k < 1:
         raise CliError("--k must be >= 1")
     stats = report.CorpusStats()
-    for classification in _parsed_rows(args.input, rows, _classification_of):
-        event = classification.event
-        old_pattern = patterns.pattern_of(tag(split(event.old_name), lexicon))
-        new_pattern = patterns.pattern_of(tag(split(event.new_name), lexicon))
-        report.accumulate(stats, classification, (old_pattern, new_pattern))
+    parsed: dict[str, patterns.GrammarPattern] = {}
+    for classification in _parsed_rows(
+            args.input, rows, lambda row: _classification_of(row, lexicon, parsed)):
+        report.accumulate(stats, classification)
     fmt = args.format or config.format or "md"
     try:
         out.write(report.render_table(stats, args.table, fmt, args.k, prefix_lens, catalog))

@@ -17,7 +17,8 @@ from functools import lru_cache
 from typing import NamedTuple, Protocol
 
 from . import _data
-from .splitter import TermSequence, split, validate_identifier
+from .patterns import GrammarPattern
+from .splitter import TermSequence, _split_valid, validate_identifier
 from .tagger import Lexicon, PosTag, inflected_match, tag
 
 
@@ -65,10 +66,16 @@ class RenameEvent:
 
 @dataclass(frozen=True)
 class RenameClassification:
+    """One classified rename. ``old_pattern`` and ``new_pattern`` are the
+    grammar patterns of the two names, ``None`` for a name made only of
+    separators, which has no terms to tag."""
+
     event: RenameEvent
     form: FormCategory
     semantics: SemanticCategory
     pairs: tuple[tuple[str, str, TermRelation], ...]
+    old_pattern: GrammarPattern | None
+    new_pattern: GrammarPattern | None
 
 
 # ---------------------------------------------------------------------------
@@ -341,28 +348,38 @@ def _default_provider() -> CuratedRelationProvider:
 
 
 @lru_cache(maxsize=None)
-def _phrases_longest_first() -> tuple[tuple[str, ...], ...]:
-    """Known multi-term phrases as normalized term tuples, longest first."""
+def _phrases_by_first_term() -> dict[str, tuple[tuple[str, ...], ...]]:
+    """Known multi-term phrases as normalized term tuples, grouped by their
+    first term, longest first within each group."""
     phrases = (tuple(p.split()) for p in _data.relations_dict()["phrases"])
-    return tuple(sorted(phrases, key=len, reverse=True))
+    groups: dict[str, list[tuple[str, ...]]] = {}
+    for phrase in sorted(phrases, key=len, reverse=True):
+        groups.setdefault(phrase[0], []).append(phrase)
+    return {first: tuple(group) for first, group in groups.items()}
 
 
-def edit_distance(a: str, b: str) -> int:
-    """Levenshtein distance (unit costs)."""
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+def _within_edits(a: str, b: str, k: int) -> bool:
+    """Levenshtein distance (unit costs) of ``a`` and ``b`` is at most ``k``.
 
-
-def _within_two_edits(a: str, b: str) -> bool:
-    """``edit_distance(a, b) <= 2``; lengths further apart skip the table."""
-    return abs(len(a) - len(b)) <= 2 and edit_distance(a, b) <= 2
+    Each edit changes the length by at most one. After the common prefix
+    the first characters differ, so one edit (substitution, deletion or
+    insertion) is spent on them; the budget bounds the recursion to
+    1 + 3 + ... + 3**k calls.
+    """
+    if abs(len(a) - len(b)) > k:
+        return False
+    n = 0
+    shorter = min(len(a), len(b))
+    while n < shorter and a[n] == b[n]:
+        n += 1
+    a, b = a[n:], b[n:]
+    if not a or not b:
+        return len(a) + len(b) <= k
+    if k == 0:
+        return False
+    return (_within_edits(a[1:], b[1:], k - 1)
+            or _within_edits(a[1:], b, k - 1)
+            or _within_edits(a, b[1:], k - 1))
 
 
 def _transitive_hypernyms(word: str, provider: WordRelationProvider) -> set[str]:
@@ -393,7 +410,7 @@ def relate(removed: str, added: str, provider: WordRelationProvider | None = Non
 
     single_words = " " not in removed and " " not in added
     if single_words:
-        if _within_two_edits(removed, added):
+        if _within_edits(removed, added, 2):
             if provider.in_dictionary(removed) != provider.in_dictionary(added):
                 return TermRelation.SPELLING_FIX
         if stem(removed) == stem(added):
@@ -420,12 +437,15 @@ def relate(removed: str, added: str, provider: WordRelationProvider | None = Non
 
 
 def collapse_phrases(terms: list[str]) -> list[str]:
-    """Rewrite known multi-term phrases into single space-joined tokens."""
-    ordered = _phrases_longest_first()
+    """Rewrite known multi-term phrases into single space-joined tokens.
+
+    At each position the longest known phrase starting there wins.
+    """
+    by_first = _phrases_by_first_term()
     out: list[str] = []
     i = 0
     while i < len(terms):
-        for phrase in ordered:
+        for phrase in by_first.get(terms[i], ()):
             if tuple(terms[i : i + len(phrase)]) == phrase:
                 out.append(" ".join(phrase))
                 i += len(phrase)
@@ -450,8 +470,9 @@ class _RenameDiff(NamedTuple):
 
 
 def _diff(event: RenameEvent) -> _RenameDiff:
-    old = split(event.old_name)
-    new = split(event.new_name)
+    # RenameEvent validated both names on construction
+    old = _split_valid(event.old_name)
+    new = _split_valid(event.new_name)
     old_terms = old.normalized()
     new_terms = new.normalized()
     old_collapsed = collapse_phrases(old_terms)
@@ -479,10 +500,10 @@ def _pairs(d: _RenameDiff) -> list[tuple[str, str]]:
 
 
 def _in_name_order(name_terms: list[str], counts: Counter) -> list[str]:
-    remaining = Counter(counts)
+    remaining = dict(counts)
     ordered: list[str] = []
     for term in name_terms:
-        if remaining[term] > 0:
+        if remaining.get(term, 0) > 0:
             ordered.append(term)
             remaining[term] -= 1
     return ordered
@@ -545,17 +566,21 @@ def _changed_before_head(
 
 
 def _semantics(
-    d: _RenameDiff, form: FormCategory, relations: dict, lexicon: Lexicon | None
+    d: _RenameDiff,
+    form: FormCategory,
+    relations: dict,
+    old_tags: tuple[PosTag, ...],
+    new_tags: tuple[PosTag, ...],
 ) -> SemanticCategory:
     if form in (FormCategory.FORMATTING, FormCategory.REORDERING):
         return SemanticCategory.PRESERVE
     # any other form has added or removed terms
     if not d.removed:
-        if _changed_before_head(d.new_terms, tag(d.new, lexicon).tags, d.old_terms):
+        if _changed_before_head(d.new_terms, new_tags, d.old_terms):
             return SemanticCategory.NARROW
         return SemanticCategory.ADD
     if not d.added:
-        if _changed_before_head(d.old_terms, tag(d.old, lexicon).tags, d.new_terms):
+        if _changed_before_head(d.old_terms, old_tags, d.new_terms):
             return SemanticCategory.BROADEN
         return SemanticCategory.REMOVE
     if _preserving_swap(list(d.added.elements()), list(d.removed.elements()), relations):
@@ -569,6 +594,11 @@ def _semantics(
     if has_gen and not has_spec:
         return SemanticCategory.BROADEN
     return SemanticCategory.CHANGE
+
+
+def _tags(terms: TermSequence, lexicon: Lexicon | None) -> tuple[PosTag, ...]:
+    """POS tags of a split name; a name without terms has none."""
+    return tag(terms, lexicon).tags if terms.terms else ()
 
 
 def classify_form(event: RenameEvent) -> FormCategory:
@@ -594,7 +624,8 @@ def classify_semantics(
     if provider is None:
         provider = CuratedRelationProvider.default()
     d = _diff(event)
-    return _semantics(d, _form(d), _relations(d, provider), lexicon)
+    return _semantics(d, _form(d), _relations(d, provider),
+                      _tags(d.old, lexicon), _tags(d.new, lexicon))
 
 
 def classify(
@@ -604,8 +635,9 @@ def classify(
 ) -> RenameClassification:
     """Full classification record for a rename event.
 
-    Both names are split once and every distinct (added, removed) term
-    relation is computed once; form, semantics and pairs share them.
+    Both names are split and tagged once and every distinct (added,
+    removed) term relation is computed once; form, semantics, pairs and
+    the two grammar patterns share them.
     """
     if provider is None:
         provider = CuratedRelationProvider.default()
@@ -613,4 +645,11 @@ def classify(
     form = _form(d)
     relations = _relations(d, provider)
     pairs = tuple((a, r, relations[a, r]) for a, r in _pairs(d))
-    return RenameClassification(event, form, _semantics(d, form, relations, lexicon), pairs)
+    old_tags = _tags(d.old, lexicon)
+    # tags depend only on the normalized terms, so a reformatted name shares them
+    new_tags = old_tags if d.new_terms == d.old_terms else _tags(d.new, lexicon)
+    return RenameClassification(
+        event, form, _semantics(d, form, relations, old_tags, new_tags), pairs,
+        GrammarPattern(old_tags) if old_tags else None,
+        GrammarPattern(new_tags) if new_tags else None,
+    )

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from io import StringIO
 
-from .patterns import CatalogEntry, GrammarPattern, default_catalog, matches, prefix
+from .patterns import CatalogEntry, default_catalog, matches, prefix
 from .rename import RenameClassification
 
 PREFIX_LENGTHS = (2, 3, 4, 5)
@@ -39,13 +39,15 @@ class CorpusStats:
         return sum(self.events.values())
 
 
-def accumulate(
-    stats: CorpusStats,
-    classification: RenameClassification,
-    patterns: tuple[GrammarPattern, GrammarPattern],
-) -> CorpusStats:
-    """Fold one classified event into ``stats`` (mutated and returned)."""
-    old_pattern, new_pattern = patterns
+def accumulate(stats: CorpusStats, classification: RenameClassification) -> CorpusStats:
+    """Fold one classified event into ``stats`` (mutated and returned).
+
+    Raises ValueError when a name has no grammar pattern (it is made only
+    of separators).
+    """
+    old_pattern, new_pattern = classification.old_pattern, classification.new_pattern
+    if old_pattern is None or new_pattern is None:
+        raise ValueError("a name without terms has no grammar pattern to count")
     stats.events[(old_pattern, new_pattern, classification.form.value,
                   classification.semantics.value)] += 1
     stats.term_pairs.update((added, removed) for added, removed, _ in classification.pairs)

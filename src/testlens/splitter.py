@@ -8,12 +8,16 @@ are retained so the original identifier can be reconstructed exactly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from itertools import groupby
 
 from . import _data
 
 _SEPARATORS = frozenset("_$")
+
+# Pieces of one character class: an ASCII run matches whole, any other
+# character alone (its class comes from ``_char_class``).
+_PIECE = re.compile(r"[0-9]+|[A-Z]+|[a-z]+|[_$]+|.", re.DOTALL)
 
 
 class InvalidIdentifierError(ValueError):
@@ -81,15 +85,6 @@ def _char_class(ch: str) -> str:
     return "lower"
 
 
-def _class_runs(text: str, offset: int) -> list[tuple[str, int, int]]:
-    runs: list[tuple[str, int, int]] = []
-    for kind, chars in groupby(text, _char_class):
-        end = offset + len(list(chars))
-        runs.append((kind, offset, end))
-        offset = end
-    return runs
-
-
 def _split_segment(raw: str, runs: list[tuple[str, int, int]], words: frozenset[str]) -> list[Term]:
     terms: list[Term] = []
 
@@ -130,14 +125,27 @@ def split(name: str) -> TermSequence:
     Raises InvalidIdentifierError for empty or malformed input. An
     identifier made only of separators yields an empty term sequence.
     """
-    validate_identifier(name)
+    return _split_valid(validate_identifier(name))
+
+
+def _split_valid(name: str) -> TermSequence:
+    """``split`` of a name the caller has already validated."""
     words = _data.common_words()
     terms: list[Term] = []
-    seg_start = 0
-    for i in range(len(name) + 1):
-        if i == len(name) or name[i] in _SEPARATORS:
-            if i > seg_start:
-                runs = _class_runs(name[seg_start:i], seg_start)
+    runs: list[tuple[str, int, int]] = []  # maximal (class, start, end) runs of a segment
+    for piece in _PIECE.finditer(name):
+        start, end = piece.span()
+        first = name[start]
+        if first in _SEPARATORS:
+            if runs:
                 terms.extend(_split_segment(name, runs, words))
-            seg_start = i + 1
+                runs = []
+            continue
+        kind = _char_class(first)
+        if runs and runs[-1][0] == kind:
+            runs[-1] = (kind, runs[-1][1], end)
+        else:
+            runs.append((kind, start, end))
+    if runs:
+        terms.extend(_split_segment(name, runs, words))
     return TermSequence(name, tuple(terms))

@@ -311,8 +311,8 @@ class TestCriterion7ReportOracle:
             ))
 
         single = CorpusStats()
-        for c, p in corpus:
-            accumulate(single, c, p)
+        for c, _ in corpus:
+            accumulate(single, c)
 
         from test_report import naive_recount, rendered_counts
         assert rendered_counts(single) == naive_recount(corpus)
@@ -323,8 +323,8 @@ class TestCriterion7ReportOracle:
         rng = random.Random(7)
         for _ in range(100):
             shard_a, shard_b = CorpusStats(), CorpusStats()
-            for c, p in corpus:
-                accumulate(shard_a if rng.random() < 0.5 else shard_b, c, p)
+            for c, _ in corpus:
+                accumulate(shard_a if rng.random() < 0.5 else shard_b, c)
             assert merge(shard_a, shard_b) == single
         ok("7 report oracle equivalence")
 

@@ -1,8 +1,10 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
+from testlens import _data
 from testlens.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, run
 from testlens.config import Config, ConfigError, parse_config_text
 
@@ -25,6 +27,9 @@ public class FailTest {
     }
 }
 """
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def invoke(argv):
@@ -230,6 +235,7 @@ class T {
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc[0]["form"] == "simple"
+        assert (doc[0]["old_pattern"], doc[0]["new_pattern"]) == ("V NM N", "V NM N")
         assert doc[0]["pairs"] == [{"added": "new", "removed": "old",
                                     "relation": "unrelated"}]
 
@@ -347,6 +353,101 @@ class TestReportCommand:
             "--format", "csv",
         ])
         assert out.splitlines()[0] == "section,Added,Removed,Count,Percentage"
+
+    def classify_corpus(self):
+        code, out, _ = invoke(["rename", "classify", "--input",
+                               str(DATA / "corpus_events.json")])
+        assert code == EXIT_OK
+        return json.loads(out)
+
+    def test_classified_patterns_are_pattern_command_output(self):
+        for record in self.classify_corpus():
+            for name_key, pattern_key in (("old_name", "old_pattern"),
+                                          ("new_name", "new_pattern")):
+                code, out, _ = invoke(["pattern", record[name_key]])
+                assert code == EXIT_OK
+                assert record[pattern_key] == out.rstrip("\n")
+
+    def test_records_without_patterns_report_the_same(self, tmp_path):
+        records = self.classify_corpus()
+        with_keys = tmp_path / "with.json"
+        with_keys.write_text(json.dumps(records))
+        without_keys = tmp_path / "without.json"
+        without_keys.write_text(json.dumps([
+            {k: v for k, v in r.items() if k not in ("old_pattern", "new_pattern")}
+            for r in records
+        ]))
+        for table in ("full", "pairs", "prefix", "semantic", "terms", "forms", "catalog"):
+            for fmt in ("md", "csv", "json"):
+                argv = ["--table", table, "--format", fmt]
+                got = invoke(["report", "--input", str(with_keys)] + argv)
+                want = invoke(["report", "--input", str(without_keys)] + argv)
+                assert got[0] == EXIT_OK, (table, fmt)
+                assert got == want, (table, fmt)
+
+    def test_record_patterns_win_over_report_lexicon(self, tmp_path, monkeypatch):
+        events = tmp_path / "events.csv"
+        events.write_text("old_name,new_name,file,commit\nverifyValue,value,,\n")
+        code, out, _ = invoke(["rename", "classify", "--input", str(events)])
+        assert code == EXIT_OK
+        [record] = json.loads(out)
+        assert (record["old_pattern"], record["new_pattern"]) == ("V N", "N")
+        with_keys = tmp_path / "with.json"
+        with_keys.write_text(json.dumps([record]))
+        without_keys = tmp_path / "without.json"
+        without_keys.write_text(json.dumps([
+            {k: v for k, v in record.items() if k not in ("old_pattern", "new_pattern")}]))
+
+        lexicon = {key: [w for w in words if w != "verify"]
+                   for key, words in _data.lexicon_dict().items()}
+        (tmp_path / "lex.json").write_text(json.dumps(lexicon))
+        (tmp_path / "testlens.toml").write_text(f'lexicon = "{tmp_path / "lex.json"}"\n')
+        monkeypatch.setenv("TESTLENS_CONFIG", str(tmp_path / "testlens.toml"))
+
+        def pairs(path):
+            code, out, _ = invoke(["report", "--input", str(path), "--table", "pairs",
+                                   "--format", "json"])
+            assert code == EXIT_OK
+            return [row[:2] for row in json.loads(out)[0]["rows"][:-1]]
+
+        assert pairs(with_keys) == [["V N", "N"]]
+        assert pairs(without_keys) == [["NM N", "N"]]
+
+    @pytest.mark.parametrize("patterns", [
+        {"old_pattern": 7, "new_pattern": "V N"},
+        {"old_pattern": "V N", "new_pattern": ["V", "N"]},
+        {"old_pattern": None, "new_pattern": "V N"},
+        {"old_pattern": "V N", "new_pattern": ""},
+        {"old_pattern": "V XX", "new_pattern": "V N"},
+        {"old_pattern": "V N"},
+    ], ids=["number", "list", "null", "empty", "unknown-tag", "one-key"])
+    def test_malformed_pattern_is_record_error(self, tmp_path, patterns):
+        good = {"old_name": "testFoo", "new_name": "testBar", "form": "simple",
+                "semantics": "change", "pairs": [], "old_pattern": "V N",
+                "new_pattern": "V N"}
+        bad = {k: v for k, v in good.items() if k not in ("old_pattern", "new_pattern")}
+        path = tmp_path / "classified.json"
+        path.write_text(json.dumps([good, dict(bad, **patterns)]))
+        code, out, err = invoke(["report", "--input", str(path)])
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith(f"error: {path}: record 1: ")
+        assert "Traceback" not in err
+
+    def test_name_without_terms_is_record_error(self, tmp_path):
+        events = tmp_path / "events.csv"
+        events.write_text("old_name,new_name,file,commit\n_,testFoo,,\n")
+        code, out, _ = invoke(["rename", "classify", "--input", str(events)])
+        assert code == EXIT_OK
+        [record] = json.loads(out)
+        assert (record["old_pattern"], record["new_pattern"]) == (None, "V N")
+        for doc in (record, {k: v for k, v in record.items()
+                             if k not in ("old_pattern", "new_pattern")}):
+            classified = tmp_path / "classified.json"
+            classified.write_text(json.dumps([doc]))
+            code, _, err = invoke(["report", "--input", str(classified)])
+            assert code == EXIT_ERROR
+            assert "record 0: " in err
 
 
 class TestConfig:

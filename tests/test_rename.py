@@ -11,17 +11,17 @@ from testlens.rename import (
     SemanticCategory,
     TermRelation,
     _porter_once,
-    _within_two_edits,
+    _within_edits,
     classify,
     classify_form,
     classify_semantics,
     collapse_phrases,
-    edit_distance,
     relate,
     stem,
     term_pairs,
 )
 from testlens.splitter import split
+from testlens.tagger import tag
 
 # Single-pass outputs of the classic suffix-stripping algorithm, frozen from
 # the published vocabulary/output samples and cross-checked against an
@@ -133,6 +133,19 @@ class TestStem:
         assert stem(stem(word)) == stem(word)
 
 
+def edit_distance(a: str, b: str) -> int:
+    """Reference Levenshtein distance (unit costs), full table."""
+    if len(a) < len(b):
+        a, b = b, a
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
 class TestEditDistance:
     def test_identity(self):
         assert edit_distance("abc", "abc") == 0
@@ -147,10 +160,12 @@ class TestEditDistance:
     def test_symmetric(self, a, b):
         assert edit_distance(a, b) == edit_distance(b, a)
 
-    @given(st.text(alphabet="abcde", max_size=9), st.text(alphabet="abcde", max_size=9))
+    @given(st.text(alphabet="abcde", max_size=9), st.text(alphabet="abcde", max_size=9),
+           st.integers(min_value=0, max_value=3))
     @settings(max_examples=500)
-    def test_bounded_check_equals_distance_at_most_two(self, a, b):
-        assert _within_two_edits(a, b) == (edit_distance(a, b) <= 2)
+    def test_bounded_check_equals_distance_at_most_two(self, a, b, k):
+        assert _within_edits(a, b, 2) == (edit_distance(a, b) <= 2)
+        assert _within_edits(a, b, k) == (edit_distance(a, b) <= k)
 
 
 class TestRelate:
@@ -244,12 +259,39 @@ class TestDiffTerms:
         assert classify(event).form is FormCategory.SIMPLE
 
 
+def _collapse_by_scan(terms: list[str]) -> list[str]:
+    """Reference: at each position try every known phrase, longest first."""
+    phrases = sorted((tuple(p.split()) for p in _data.relations_dict()["phrases"]),
+                     key=len, reverse=True)
+    out: list[str] = []
+    i = 0
+    while i < len(terms):
+        for phrase in phrases:
+            if tuple(terms[i : i + len(phrase)]) == phrase:
+                out.append(" ".join(phrase))
+                i += len(phrase)
+                break
+        else:
+            out.append(terms[i])
+            i += 1
+    return out
+
+
+_PHRASE_WORDS = sorted({w for p in _data.relations_dict()["phrases"] for w in p.split()})
+
+
 class TestCollapsePhrases:
     def test_collapses(self):
         assert collapse_phrases(["all", "of", "items"]) == ["all of", "items"]
 
     def test_leaves_plain_terms(self):
         assert collapse_phrases(["all", "items"]) == ["all", "items"]
+
+    @given(st.lists(st.sampled_from(_PHRASE_WORDS)
+                    | st.deferred(lambda: st.sampled_from(_lexicon_words())), max_size=10))
+    @settings(max_examples=500)
+    def test_agrees_with_longest_first_scan(self, terms):
+        assert collapse_phrases(terms) == _collapse_by_scan(terms)
 
 
 class TestClassifyForm:
@@ -439,11 +481,32 @@ class TestEachNameAnalyzedOnce:
             calls.append(name)
             return split(name)
 
-        monkeypatch.setattr(rename, "split", counting_split)
+        monkeypatch.setattr(rename, "_split_valid", counting_split)
         for old, new in self.EVENTS:
             calls.clear()
             classify(RenameEvent(old, new))
             assert sorted(calls) == sorted([old, new])
+
+    def test_classify_tags_each_name_once(self, monkeypatch):
+        calls = []
+
+        def counting_tag(terms, lexicon=None):
+            calls.append(terms.raw)
+            return tag(terms, lexicon)
+
+        monkeypatch.setattr(rename, "tag", counting_tag)
+        for old, new in self.EVENTS:
+            calls.clear()
+            classify(RenameEvent(old, new))
+            # a name with the other's normalized terms shares its tags
+            same_terms = split(old).normalized() == split(new).normalized()
+            assert sorted(calls) == ([old] if same_terms else sorted([old, new]))
+
+    def test_name_without_terms_has_no_pattern(self):
+        c = classify(RenameEvent("_", "testFoo"))
+        assert c.old_pattern is None
+        assert str(c.new_pattern) == "V N"
+        assert c.semantics is SemanticCategory.ADD
 
 
 def _lexicon_words() -> list[str]:
@@ -481,6 +544,8 @@ class TestClassifyAgreesWithParts:
         assert c.form is classify_form(event)
         assert c.semantics is classify_semantics(event)
         assert [(a, r) for a, r, _ in c.pairs] == term_pairs(event)
+        assert str(c.old_pattern) == tag(split(old)).pattern_string()
+        assert str(c.new_pattern) == tag(split(new)).pattern_string()
         for a, r, relation in c.pairs:
             if any(ch.isdigit() for ch in a + r):
                 assert relation is TermRelation.UNRELATED
@@ -513,6 +578,8 @@ class TestRenameMirror:
         forward = classify(RenameEvent(old, new))
         backward = classify(RenameEvent(new, old))
         assert backward.form is forward.form
+        assert (backward.old_pattern, backward.new_pattern) == (
+            forward.new_pattern, forward.old_pattern)
         assert backward.semantics is _MIRRORED_SEMANTICS[forward.semantics]
         assert Counter(backward.pairs) == Counter(
             (r, a, _MIRRORED_RELATION.get(relation, relation)) for a, r, relation in forward.pairs

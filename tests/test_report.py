@@ -122,8 +122,8 @@ def corpus():
 @pytest.fixture(scope="module")
 def accumulated(corpus):
     stats = CorpusStats()
-    for c, patterns in corpus:
-        accumulate(stats, c, patterns)
+    for c, _ in corpus:
+        accumulate(stats, c)
     return stats
 
 
@@ -161,14 +161,18 @@ class TestAccumulate:
         assert tally == {"Leading verb": expected}
         assert expected[0] > 0
 
+    def test_name_without_pattern_rejected(self):
+        stats = CorpusStats()
+        with pytest.raises(ValueError):
+            accumulate(stats, classify(RenameEvent("_", "testFoo")))
+        assert stats == CorpusStats()
+
     def test_pattern_pair_example(self):
         stats = CorpusStats()
         event = RenameEvent("testStringEncryption", "testStrongEncryption")
         c = classify(event)
-        p = pattern_of(tag(split(event.old_name)))
-        q = pattern_of(tag(split(event.new_name)))
-        accumulate(stats, c, (p, q))
-        accumulate(stats, c, (p, q))
+        accumulate(stats, c)
+        accumulate(stats, c)
         counts = rendered_counts(stats)
         assert counts["pairs"] == {("V NM N", "V NM N"): 2}
         assert counts["sem_by_pair"] == {("V NM N", "V NM N", "change"): 2}
@@ -185,8 +189,8 @@ class TestMerge:
         shards = []
         for part in parts:
             s = CorpusStats()
-            for c, p in part:
-                accumulate(s, c, p)
+            for c, _ in part:
+                accumulate(s, c)
             shards.append(s)
         a, b, c = shards
         assert merge(a, b) == merge(b, a)
@@ -197,8 +201,8 @@ class TestMerge:
         for _ in range(100):
             assignment = [rng.randrange(2) for _ in corpus]
             shard_a, shard_b = CorpusStats(), CorpusStats()
-            for pick, (c, p) in zip(assignment, corpus):
-                accumulate(shard_a if pick == 0 else shard_b, c, p)
+            for pick, (c, _) in zip(assignment, corpus):
+                accumulate(shard_a if pick == 0 else shard_b, c)
             assert merge(shard_a, shard_b) == accumulated
 
 
@@ -232,8 +236,7 @@ class TestRender:
     def test_single_event_is_hundred_percent(self):
         stats = CorpusStats()
         event = RenameEvent("testFoo", "testBar")
-        accumulate(stats, classify(event),
-                   (pattern_of(tag(split("testFoo"))), pattern_of(tag(split("testBar")))))
+        accumulate(stats, classify(event))
         doc = render_table(stats, "pairs", "md")
         assert "100.00%" in doc
 

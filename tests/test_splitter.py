@@ -1,7 +1,36 @@
-import pytest
-from hypothesis import given, strategies as st
+from itertools import groupby
 
-from testlens.splitter import InvalidIdentifierError, normalize, split
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from testlens import _data
+from testlens.splitter import (
+    InvalidIdentifierError,
+    TermSequence,
+    _char_class,
+    _split_segment,
+    normalize,
+    split,
+)
+
+
+def reference_split(name: str) -> TermSequence:
+    """Per-character reference: cut segments at separators, group each
+    segment's characters into maximal runs of one class."""
+    words = _data.common_words()
+    terms = []
+    seg_start = 0
+    for i in range(len(name) + 1):
+        if i == len(name) or name[i] in "_$":
+            if i > seg_start:
+                runs, offset = [], seg_start
+                for kind, chars in groupby(name[seg_start:i], _char_class):
+                    end = offset + len(list(chars))
+                    runs.append((kind, offset, end))
+                    offset = end
+                terms.extend(_split_segment(name, runs, words))
+            seg_start = i + 1
+    return TermSequence(name, tuple(terms))
 
 
 class TestSplitFixtures:
@@ -115,6 +144,11 @@ class TestSplitProperties:
         seq = split(name)
         for term in seq.surfaces() + seq.normalized():
             assert term.isdigit() or not any(ch.isdigit() for ch in term)
+
+    @given(identifiers | unicode_identifiers)
+    @settings(max_examples=500)
+    def test_equals_per_character_reference(self, name):
+        assert split(name) == reference_split(name)
 
     @given(identifiers)
     def test_idempotence_per_term(self, name):
