@@ -151,9 +151,9 @@ def _cmd_pattern(args, config: Config, out, err) -> int:
     return EXIT_OK
 
 
-def _scan_files(target: str, out_err: list[str]):
+def _scan_files(paths: list[str], out_err: list[str]):
     """Yield ``(src, methods, test flags, is_test_file, partial)`` per readable file."""
-    for path in _iter_java_files(target):
+    for path in paths:
         try:
             src = _read_source(path)
         except CliError as read_err:
@@ -167,10 +167,19 @@ def _scan_files(target: str, out_err: list[str]):
         yield src, methods, flags, is_test_file, perr is not None
 
 
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+
+
 def _cmd_scan(args, config: Config, out, err) -> int:
+    """Write ``{"files": [...]}`` one file record at a time, byte for byte
+    what ``json.dumps(doc, indent=2, sort_keys=True)`` writes: strings are
+    ASCII-escaped, so every newline of an encoded record is layout."""
+    paths = _iter_java_files(args.target)
     parse_errors: list[str] = []
-    records = [
-        {
+    out.write('{\n  "files": [')
+    empty = True
+    for src, methods, flags, is_test_file, partial in _scan_files(paths, parse_errors):
+        record = {
             "path": src.path,
             "is_test_file": is_test_file,
             "partial": partial,
@@ -185,9 +194,10 @@ def _cmd_scan(args, config: Config, out, err) -> int:
                 for m, flag in zip(methods, flags)
             ],
         }
-        for src, methods, flags, is_test_file, partial in _scan_files(args.target, parse_errors)
-    ]
-    out.write(json.dumps({"files": records}, indent=2, sort_keys=True) + "\n")
+        out.write(("\n    " if empty else ",\n    ")
+                  + _ENCODER.encode(record).replace("\n", "\n    "))
+        empty = False
+    out.write("]\n}\n" if empty else "\n  ]\n}\n")
     if parse_errors:
         for message in parse_errors:
             err.write(message + "\n")
@@ -213,7 +223,8 @@ def _cmd_lint(args, config: Config, out, err) -> int:
 
     parse_errors: list[str] = []
     diagnostics: list[lint_mod.Diagnostic] = []
-    for src, methods, flags, is_test_file, _ in _scan_files(args.target, parse_errors):
+    for src, methods, flags, is_test_file, _ in _scan_files(
+            _iter_java_files(args.target), parse_errors):
         if not is_test_file:
             continue
         for method, flag in zip(methods, flags):

@@ -1,11 +1,15 @@
 """Tolerant extraction of test methods from Java-style source text.
 
 One regex pass tokenizes the source into parallel kind, text and span
-columns (comments dropped, string literals kept as single tokens) and one
-stack pass pairs its parentheses and braces; then a signature heuristic
-finds method declarations at each '(' and marks their brace-balanced
-bodies. No compiler front-end is involved, so non-compiling snapshots
-still scan, in time linear in the token count.
+columns (comments dropped, string literals kept as single tokens). Each
+match has two groups, the skipped whitespace and comments and the token
+after them; the spans are running sums of their lengths, and a token's
+kind follows from its first character (a quote, a word character, a
+decimal digit or anything else). One stack pass then pairs the
+parentheses and braces, and a signature heuristic finds method
+declarations at each '(' and marks their brace-balanced bodies. No
+compiler front-end is involved, so non-compiling snapshots still scan,
+in time linear in the token count.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, count
+from itertools import accumulate, compress, count
+from operator import add, itemgetter, sub
 
 
 class TokenKind(Enum):
@@ -72,21 +77,40 @@ class PartialParseError(Exception):
         self.methods = methods
 
 
-# Whitespace and comments, then one token whose group number indexes
-# _GROUP_KINDS. Unterminated comments and literals run to the end of the text.
-# The empty last alternative takes trailing whitespace, so no match fails.
+# Two groups per match: the skip (whitespace and comments) and the token.
+# Unterminated comments and literals run to the end of the text. The empty
+# last alternative matches at the end, so no match fails and each match
+# starts where the previous one ended; only the last one or two matches
+# have an empty token.
 _TOKEN_RE = re.compile(
     r"""
-    (?: \s+ | //[^\n]* | /\*(?:.*?\*/|.*) )*
-    (?: ( "[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z) | '[^'\\]*(?:\\.[^'\\]*)*(?:'|\\?\Z) )
-      | ( [A-Za-z_$][A-Za-z0-9_$]* )
-      | ( \d[\w.]* )
-      | ( \S )
-      | \Z
+    ( \s* (?: (?: //[^\n]* | /\*(?:.*?\*/|.*) ) \s* )* )
+    ( [A-Za-z_$][A-Za-z0-9_$]*
+    | "[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z) | '[^'\\]*(?:\\.[^'\\]*)*(?:'|\\?\Z)
+    | \d[\w.]*
+    | \S
+    | \Z
     )""",
     re.DOTALL | re.VERBOSE,
 )
-_GROUP_KINDS = (None, TokenKind.STRING, TokenKind.WORD, TokenKind.NUMBER, TokenKind.PUNCTUATION)
+
+
+class _KindOfFirst(dict):
+    """A token's kind by its first character, which decides it because the
+    branches of _TOKEN_RE start with disjoint characters. Every ASCII
+    character is stored; a token starting with any other character is a
+    non-ASCII decimal digit's number or a single punctuation character."""
+
+    def __missing__(self, first: str) -> TokenKind:
+        return TokenKind.NUMBER if first.isdecimal() else TokenKind.PUNCTUATION
+
+
+_KIND_OF_FIRST = _KindOfFirst({
+    **dict.fromkeys(map(chr, range(128)), TokenKind.PUNCTUATION),
+    **dict.fromkeys("0123456789", TokenKind.NUMBER),
+    **dict.fromkeys("\"'", TokenKind.STRING),
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$", TokenKind.WORD),
+})
 
 _MODIFIERS = frozenset({
     "public", "private", "protected", "static", "final", "abstract",
@@ -112,16 +136,27 @@ _TYPE_PUNCT = frozenset({".", ",", "?", "&", "<", ">", "[", "]", "@"})
 
 
 def tokenize(text: str) -> TokenStream:
-    """Lex Java-ish source. Comments are skipped; literals are single tokens."""
-    kinds, texts, starts, ends = [], [], [], []
-    add_kind, add_text, add_start, add_end = kinds.append, texts.append, starts.append, ends.append
-    for m in _TOKEN_RE.finditer(text):
-        if g := m.lastindex:
-            add_kind(_GROUP_KINDS[g])
-            add_text(m[g])
-            add_start(m.start(g))
-            add_end(m.end())
-    return TokenStream(tuple(kinds), tuple(texts), tuple(starts), tuple(ends))
+    """Lex Java-ish source. Comments are skipped; literals are single tokens.
+
+    One ``findall`` yields a (skip, token) pair per token, where the skip
+    is the whitespace and comments before the token; the trailing pairs
+    with an empty token are dropped. The columns are built from the pairs
+    by ``map`` and ``accumulate``, with no Python loop per token: a token
+    ends at the running sum of skip and token lengths and starts its
+    length before that. Its kind follows from its first character: a
+    quote is STRING, an ASCII letter, ``_`` or ``$`` is WORD, a decimal
+    digit (``str.isdecimal``, which is what ``\\d`` matches) is NUMBER, and
+    anything else is PUNCTUATION.
+    """
+    rows = _TOKEN_RE.findall(text)
+    while rows and not rows[-1][1]:
+        rows.pop()
+    texts = tuple(map(itemgetter(1), rows))
+    ends = tuple(accumulate(map(add, map(len, map(itemgetter(0), rows)), map(len, texts))))
+    del rows
+    starts = tuple(map(sub, ends, map(len, texts)))
+    kinds = tuple(map(_KIND_OF_FIRST.__getitem__, map(itemgetter(0), texts)))
+    return TokenStream(kinds, texts, starts, ends)
 
 
 def _pair_brackets(texts: tuple[str, ...]) -> list[int | None]:

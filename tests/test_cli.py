@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,13 @@ def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, out, err)
     return code, out.getvalue(), err.getvalue()
+
+
+class _DiscardingSink:
+    """An output stream that keeps nothing it is given."""
+
+    def write(self, text: str) -> int:
+        return len(text)
 
 
 class TestSplitCommand:
@@ -140,9 +148,46 @@ class TestScanCommand:
         assert paths == sorted(paths)
 
     def test_missing_target(self):
-        code, _, err = invoke(["scan", "/nonexistent/path"])
+        code, out, err = invoke(["scan", "/nonexistent/path"])
         assert code == EXIT_ERROR
+        assert out == ""
         assert "error" in err
+
+    def test_directory_without_java_files(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("class NotJava {}\n")
+        assert invoke(["scan", str(tmp_path)]) == (EXIT_OK, '{\n  "files": []\n}\n', "")
+
+    def test_golden_tree(self, monkeypatch):
+        # nested directory, a file without methods, a generic test method,
+        # escaped and non-ASCII annotation text, and a partial parse
+        monkeypatch.chdir(DATA)
+        code, out, err = invoke(["scan", "scan_tree"])
+        assert code == EXIT_ERROR
+        assert out.encode() == (DATA / "golden_scan.json").read_bytes()
+        assert err == ("scan_tree/BrokenTest.java: unbalanced braces after method "
+                       "'neverCloses'; recovered 1 method(s)\n")
+
+    @staticmethod
+    def _scan_peak_bytes(root: Path, copies: int) -> int:
+        text = (DATA / "scan_tree" / "GenericTest.java").read_text(encoding="utf-8")
+        target = root / str(copies)
+        target.mkdir()
+        for i in range(copies):
+            (target / f"Generic{i}Test.java").write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        tracemalloc.start()
+        try:
+            code = run(["scan", str(target)], _DiscardingSink(), err)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err.getvalue()) == (EXIT_OK, "")
+        return peak
+
+    def test_memory_does_not_grow_with_file_count(self, tmp_path):
+        self._scan_peak_bytes(tmp_path, 1)  # compile regexes, fill caches
+        few, many = self._scan_peak_bytes(tmp_path, 10), self._scan_peak_bytes(tmp_path, 40)
+        assert many < 1.5 * few, (few, many)
 
     def test_partial_parse_reported(self, tmp_path):
         target = tmp_path / "Broken.java"

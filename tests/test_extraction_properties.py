@@ -78,8 +78,11 @@ def rows(text: str) -> tuple[Row, ...]:
 
 
 # characters that open or close every lexical state, plus non-ASCII
-# digits, letters and whitespace, which the two scanners classify alike
-_JAVA_CHARS = "aZ_$09.x \t\n\r/*\"'\\{}()<>@;,-=\u0663\u00e9\u00a0\u2028\x1c"
+# digits, letters and whitespace, which the two scanners classify alike:
+# '\u00b2' and '\u2460' are digits but not decimal, '\u01c5' is a title-case
+# letter, so a kind rule using isdigit or isalpha fails here
+_JAVA_CHARS = ("aZ_$09.x \t\n\r/*\"'\\{}()<>@;,-=\u0663\u00e9\u00a0\u2028\x1c"
+               "\u00b2\u2460\x0b\x0c\u3000\u01c5")
 _FRAGMENTS = [
     "/*", "*/", "//", "\n", '"', "'", "\\", '\\"', "\\'", "x", "Foo", "42", "4.2e3",
     "{", "}", "(", ")", "<", ">", "@", " ", "->", '"a b"', "'c'",
@@ -100,7 +103,9 @@ def test_tokenizer_matches_reference_scanner(text):
 
 def test_tokenizer_edge_cases_match_reference_scanner():
     for text in ["", "   ", "/", "a/", "/* open", "// open", '"open', "'open",
-                 '"ends in backslash\\', "x '\\", '"\\\n"', "/*/ x */ y", "1.2.3abc"]:
+                 '"ends in backslash\\', "x '\\", '"\\\n"', "/*/ x */ y", "1.2.3abc",
+                 # whitespace or a comment after the last token
+                 "x\n", "x \n", "x // c", "x /* c"]:
         assert rows(text) == reference_tokenize(text), text
 
 
