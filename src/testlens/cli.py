@@ -8,7 +8,9 @@ errors to stderr. Output ordering is fully deterministic.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -81,6 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--format", choices=report.FORMATS, default=None)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: ``parse_args`` keeps no state between calls."""
+    return build_parser()
 
 
 def _load_lexicon(config: Config, override: str | None = None) -> Lexicon:
@@ -167,13 +175,38 @@ def _scan_files(paths: list[str], out_err: list[str]):
         yield src, methods, flags, is_test_file, perr is not None
 
 
-_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+_JSON_STR = json.encoder.encode_basestring_ascii
+
+
+def _indented_json(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes
+    it when nested at ``indent``, for the str, bool, int, sequence and
+    dict values of a scan record. Strings go through the C encoder; the
+    pure-Python encoder that ``indent`` selects is slower and leaves a
+    reference cycle of closures per call, garbage that piles up with the
+    number of files until the cycle collector runs."""
+    if isinstance(value, str):
+        return _JSON_STR(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{_JSON_STR(key)}: {_indented_json(item, inner)}"
+                 for key, item in sorted(value.items())]
+    else:
+        brackets = "[]"
+        items = [_indented_json(item, inner) for item in value]
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
 def _cmd_scan(args, config: Config, out, err) -> int:
     """Write ``{"files": [...]}`` one file record at a time, byte for byte
-    what ``json.dumps(doc, indent=2, sort_keys=True)`` writes: strings are
-    ASCII-escaped, so every newline of an encoded record is layout."""
+    what ``json.dumps(doc, indent=2, sort_keys=True)`` writes."""
     paths = _iter_java_files(args.target)
     parse_errors: list[str] = []
     out.write('{\n  "files": [')
@@ -186,16 +219,15 @@ def _cmd_scan(args, config: Config, out, err) -> int:
             "methods": [
                 {
                     "name": m.name,
-                    "annotations": list(m.annotations),
+                    "annotations": m.annotations,
                     "is_test_method": flag,
-                    "name_span": list(m.name_span),
-                    "body_span": list(m.body_span),
+                    "name_span": m.name_span,
+                    "body_span": m.body_span,
                 }
                 for m, flag in zip(methods, flags)
             ],
         }
-        out.write(("\n    " if empty else ",\n    ")
-                  + _ENCODER.encode(record).replace("\n", "\n    "))
+        out.write(("\n    " if empty else ",\n    ") + _indented_json(record, "    "))
         empty = False
     out.write("]\n}\n" if empty else "\n  ]\n}\n")
     if parse_errors:
@@ -307,16 +339,18 @@ def _read_events(path: str) -> list[rename_mod.RenameEvent]:
         if not reader.fieldnames or not required <= set(reader.fieldnames):
             raise CliError(f"{path}: CSV header must include old_name,new_name")
         rows = list(reader)
-    return list(_parsed_rows(path, rows, _event_of))
+    return _parsed_rows(path, rows, _event_of)
 
 
-def _parsed_rows(path: str, rows: list, parse):
-    """Yield ``parse(row)`` per row; a malformed row is an error naming its index."""
+def _parsed_rows(path: str, rows: list, parse) -> list:
+    """``parse(row)`` per row; a malformed row is an error naming its index."""
+    parsed = []
     for i, row in enumerate(rows):
         try:
-            yield parse(row)
+            parsed.append(parse(row))
         except (KeyError, ValueError, TypeError) as verr:
             raise CliError(f"{path}: record {i}: {verr}") from verr
+    return parsed
 
 
 def _event_of(row: dict) -> rename_mod.RenameEvent:
@@ -329,35 +363,50 @@ def _event_of(row: dict) -> rename_mod.RenameEvent:
 
 
 _PATTERN_KEYS = ("old_pattern", "new_pattern")
+# tuples, not sets, so that an unhashable value gets the enum's own error
+_ENUM_VALUES = {
+    enum: tuple(member.value for member in enum)
+    for enum in (rename_mod.FormCategory, rename_mod.SemanticCategory, rename_mod.TermRelation)
+}
 
 
-def _classification_of(row: dict, lexicon: Lexicon,
-                       parsed: dict[str, patterns.GrammarPattern]
-                       ) -> rename_mod.RenameClassification:
-    """One classified record; ``parsed`` caches pattern strings for the run."""
-    event = _event_of(row)
-    old_pattern, new_pattern = _record_patterns(row, event, lexicon, parsed)
-    return rename_mod.RenameClassification(
-        event=event,
-        form=rename_mod.FormCategory(row["form"]),
-        semantics=rename_mod.SemanticCategory(row["semantics"]),
-        pairs=tuple(
-            (p["added"], p["removed"], rename_mod.TermRelation(p["relation"]))
-            for p in row.get("pairs", ())
-        ),
-        old_pattern=old_pattern,
-        new_pattern=new_pattern,
+def _counted_record(row: dict, lexicon: Lexicon,
+                    pattern_texts: dict[str, str]) -> report.CountedRename:
+    """One classified record as ``report`` counts it, its fields checked in
+    the order, and with the errors, of building its ``RenameClassification``;
+    ``pattern_texts`` caches the parse of each pattern string for the run."""
+    old_name, new_name = row["old_name"], row["new_name"]
+    rename_mod.validate_rename(old_name, new_name)
+    old_pattern, new_pattern = _record_patterns(row, (old_name, new_name), lexicon,
+                                                pattern_texts)
+    return report.CountedRename(
+        old_pattern, new_pattern,
+        _known(rename_mod.FormCategory, row["form"]),
+        _known(rename_mod.SemanticCategory, row["semantics"]),
+        tuple(map(_term_pair, row.get("pairs", ()))),
     )
 
 
-def _record_patterns(row: dict, event: rename_mod.RenameEvent, lexicon: Lexicon,
-                     parsed: dict[str, patterns.GrammarPattern]) -> list[patterns.GrammarPattern]:
-    """The record's two grammar patterns as written; a record classified
-    before they were written has both names tagged with ``lexicon``."""
+def _known(enum, value):
+    """``value`` if it is a value of ``enum``, else the error ``enum(value)`` raises."""
+    return value if value in _ENUM_VALUES[enum] else enum(value).value
+
+
+def _term_pair(pair: dict) -> tuple[str, str]:
+    """``(added, removed)`` of one pair record, its relation checked last."""
+    counted = pair["added"], pair["removed"]
+    _known(rename_mod.TermRelation, pair["relation"])
+    return counted
+
+
+def _record_patterns(row: dict, names: tuple[str, str], lexicon: Lexicon,
+                     pattern_texts: dict[str, str]) -> list[str]:
+    """The record's two grammar patterns as written, spaced as ``pattern``
+    prints them; a record classified before they were written has both
+    names tagged with ``lexicon``."""
     present = [key in row for key in _PATTERN_KEYS]
     if not any(present):
-        return [patterns.pattern_of(tag(split(name), lexicon))
-                for name in (event.old_name, event.new_name)]
+        return [str(patterns.pattern_of(tag(split(name), lexicon))) for name in names]
     if not all(present):
         raise ValueError("old_pattern and new_pattern must be given together")
     found = []
@@ -365,12 +414,12 @@ def _record_patterns(row: dict, event: rename_mod.RenameEvent, lexicon: Lexicon,
         text = row[key]
         if not isinstance(text, str):
             raise TypeError(f"{key} must be a string of POS tags, not {json.dumps(text)}")
-        if text not in parsed:
+        if text not in pattern_texts:
             try:
-                parsed[text] = patterns.GrammarPattern.parse(text)
+                pattern_texts[text] = str(patterns.GrammarPattern.parse(text))
             except ValueError as verr:
                 raise ValueError(f"{key}: {verr}") from verr
-        found.append(parsed[text])
+        found.append(pattern_texts[text])
     return found
 
 
@@ -455,10 +504,11 @@ def _cmd_report(args, config: Config, out, err) -> int:
     if args.k < 1:
         raise CliError("--k must be >= 1")
     stats = report.CorpusStats()
-    parsed: dict[str, patterns.GrammarPattern] = {}
-    for classification in _parsed_rows(
-            args.input, rows, lambda row: _classification_of(row, lexicon, parsed)):
-        report.accumulate(stats, classification)
+    pattern_texts: dict[str, str] = {}
+    # counted into ``stats`` inside the per-record check, so that a record
+    # the counters cannot take is a record error too
+    _parsed_rows(args.input, rows, lambda row: report.accumulate(
+        stats, _counted_record(row, lexicon, pattern_texts)))
     fmt = args.format or config.format or "md"
     try:
         out.write(report.render_table(stats, args.table, fmt, args.k, prefix_lens, catalog))
@@ -480,9 +530,9 @@ _COMMANDS = {
 def run(argv: list[str], out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = _parser().parse_args(argv)
     except SystemExit as exit_err:
         return EXIT_ERROR if exit_err.code not in (0, None) else EXIT_OK
     try:

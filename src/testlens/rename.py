@@ -50,6 +50,14 @@ class TermRelation(Enum):
     UNRELATED = "unrelated"
 
 
+def validate_rename(old_name: str, new_name: str) -> None:
+    """Raise ValueError unless both names are identifiers and they differ."""
+    validate_identifier(old_name)
+    validate_identifier(new_name)
+    if old_name == new_name:
+        raise ValueError("a rename requires the old and new names to differ")
+
+
 @dataclass(frozen=True)
 class RenameEvent:
     old_name: str
@@ -58,10 +66,7 @@ class RenameEvent:
     commit: str | None = None
 
     def __post_init__(self) -> None:
-        validate_identifier(self.old_name)
-        validate_identifier(self.new_name)
-        if self.old_name == self.new_name:
-            raise ValueError("a rename requires the old and new names to differ")
+        validate_rename(self.old_name, self.new_name)
 
 
 @dataclass(frozen=True)

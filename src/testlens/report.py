@@ -13,8 +13,9 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from io import StringIO
+from typing import NamedTuple
 
-from .patterns import CatalogEntry, default_catalog, matches, prefix
+from .patterns import CatalogEntry, GrammarPattern, default_catalog, matches, prefix
 from .rename import RenameClassification
 
 PREFIX_LENGTHS = (2, 3, 4, 5)
@@ -29,7 +30,8 @@ class CorpusStats:
     """The two counters every rename-analysis summary table is derived from.
 
     ``events`` is keyed by ``(old pattern, new pattern, form value,
-    semantics value)``; ``term_pairs`` by ``(added, removed)``.
+    semantics value)``, all text, the patterns as ``str(GrammarPattern)``
+    writes them; ``term_pairs`` by ``(added, removed)``.
     """
 
     events: Counter = field(default_factory=Counter)
@@ -39,8 +41,19 @@ class CorpusStats:
         return sum(self.events.values())
 
 
-def accumulate(stats: CorpusStats, classification: RenameClassification) -> CorpusStats:
-    """Fold one classified event into ``stats`` (mutated and returned).
+class CountedRename(NamedTuple):
+    """What one classified rename adds to the counters: its ``events``
+    key (the first four fields) and its ``(added, removed)`` term pairs."""
+
+    old_pattern: str
+    new_pattern: str
+    form: str
+    semantics: str
+    term_pairs: tuple[tuple[str, str], ...]
+
+
+def _counted(classification: RenameClassification) -> CountedRename:
+    """The counted form of a classification.
 
     Raises ValueError when a name has no grammar pattern (it is made only
     of separators).
@@ -48,9 +61,22 @@ def accumulate(stats: CorpusStats, classification: RenameClassification) -> Corp
     old_pattern, new_pattern = classification.old_pattern, classification.new_pattern
     if old_pattern is None or new_pattern is None:
         raise ValueError("a name without terms has no grammar pattern to count")
-    stats.events[(old_pattern, new_pattern, classification.form.value,
-                  classification.semantics.value)] += 1
-    stats.term_pairs.update((added, removed) for added, removed, _ in classification.pairs)
+    return CountedRename(str(old_pattern), str(new_pattern), classification.form.value,
+                         classification.semantics.value,
+                         tuple((added, removed) for added, removed, _ in classification.pairs))
+
+
+def accumulate(stats: CorpusStats,
+               classification: RenameClassification | CountedRename) -> CorpusStats:
+    """Fold one classified event into ``stats`` (mutated and returned).
+
+    Raises ValueError when a name has no grammar pattern (it is made only
+    of separators).
+    """
+    if not isinstance(classification, CountedRename):
+        classification = _counted(classification)
+    stats.events[classification[:4]] += 1
+    stats.term_pairs.update(classification.term_pairs)
     return stats
 
 
@@ -116,12 +142,20 @@ def _share_section(title: str, column: str, counts: Counter, total: int) -> _Sec
     return _Section(title, (column, "Count", "Percentage"), rows)
 
 
+def _parsed(pattern_pairs: Counter) -> dict[str, GrammarPattern]:
+    """Each distinct pattern text of ``pattern_pairs``, parsed once."""
+    texts = {text for pair in pattern_pairs for text in pair}
+    return {text: GrammarPattern.parse(text) for text in texts}
+
+
 def _catalog_section(pattern_pairs: Counter, catalog: list[CatalogEntry]) -> _Section:
     """Per entry: instances counts old and new names matching its template
     (an event can contribute twice), preserved counts events where both
     sides match. Each distinct pattern pair is matched once."""
     tally: dict[str, list[int]] = {}
-    for (old_pattern, new_pattern), count in pattern_pairs.items():
+    parsed = _parsed(pattern_pairs)
+    for (old_text, new_text), count in pattern_pairs.items():
+        old_pattern, new_pattern = parsed[old_text], parsed[new_text]
         for entry in catalog:
             old_hit = matches(entry.template, old_pattern)
             new_hit = matches(entry.template, new_pattern)
@@ -145,22 +179,23 @@ def _sections(stats: CorpusStats, table: str, k: int, prefix_lens: tuple[int, ..
     if table == "full":
         return [
             _counter_section("Grammar patterns before rename", ("Pattern",),
-                             _marginal(events, lambda e: str(e[0])), k, total),
+                             _marginal(events, lambda e: e[0]), k, total),
             _counter_section("Grammar patterns after rename", ("Pattern",),
-                             _marginal(events, lambda e: str(e[1])), k, total),
+                             _marginal(events, lambda e: e[1]), k, total),
         ]
     if table == "pairs":
         return [
             _counter_section("Grammar pattern pairs", ("Old Pattern", "New Pattern"),
-                             _marginal(events, lambda e: (str(e[0]), str(e[1]))), k, total),
+                             _marginal(events, lambda e: e[:2]), k, total),
         ]
     if table == "prefix":
         pattern_pairs = _marginal(events, lambda e: e[:2])
+        parsed = _parsed(pattern_pairs)
         return [
             _counter_section(
                 f"Prefix pattern pairs (length {n})", ("Old Prefix", "New Prefix"),
-                _marginal(pattern_pairs,
-                          lambda p: (str(prefix(p[0], n)), str(prefix(p[1], n)))),
+                _marginal(pattern_pairs, lambda p: (str(prefix(parsed[p[0]], n)),
+                                                    str(prefix(parsed[p[1]], n)))),
                 k, total,
             )
             for n in prefix_lens
@@ -171,7 +206,7 @@ def _sections(stats: CorpusStats, table: str, k: int, prefix_lens: tuple[int, ..
                            _marginal(events, lambda e: e[3]), total),
             _counter_section("Semantic categories by pattern pair",
                              ("Old Pattern", "New Pattern", "Category"),
-                             _marginal(events, lambda e: (str(e[0]), str(e[1]), e[3])),
+                             _marginal(events, lambda e: (e[0], e[1], e[3])),
                              k, total),
         ]
     if table == "terms":

@@ -1,13 +1,22 @@
 import io
 import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from testlens import _data
+import testlens
+from testlens import _data, cli
 from testlens.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, run
 from testlens.config import Config, ConfigError, parse_config_text
+from testlens.rename import RenameEvent, classify
+from testlens.report import FORMATS, TABLE_KINDS, CorpusStats, accumulate, render_table
 
 CLEAN_TEST = """\
 import org.junit.Test;
@@ -37,6 +46,14 @@ def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, out, err)
     return code, out.getvalue(), err.getvalue()
+
+
+PATTERN_KEYS = ("old_pattern", "new_pattern")
+
+CORPUS_NAMES = sorted({
+    record[key] for record in json.loads((DATA / "corpus_events.json").read_text())
+    for key in ("old_name", "new_name")
+})
 
 
 class _DiscardingSink:
@@ -183,6 +200,20 @@ class TestScanCommand:
             tracemalloc.stop()
         assert (code, err.getvalue()) == (EXIT_OK, "")
         return peak
+
+    # str, bool, int, sequence and dict values, as a scan record holds them
+    json_values = st.recursive(
+        st.text() | st.booleans() | st.integers(),
+        lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                       | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+        max_leaves=12,
+    )
+
+    @given(json_values, st.sampled_from(["", "  ", "    "]))
+    @settings(max_examples=300)
+    def test_record_layout_equals_json_dumps(self, value, indent):
+        want = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+        assert cli._indented_json(value, indent) == want
 
     def test_memory_does_not_grow_with_file_count(self, tmp_path):
         self._scan_peak_bytes(tmp_path, 1)  # compile regexes, fill caches
@@ -458,26 +489,62 @@ class TestReportCommand:
         assert pairs(with_keys) == [["V N", "N"]]
         assert pairs(without_keys) == [["NM N", "N"]]
 
-    @pytest.mark.parametrize("patterns", [
-        {"old_pattern": 7, "new_pattern": "V N"},
-        {"old_pattern": "V N", "new_pattern": ["V", "N"]},
-        {"old_pattern": None, "new_pattern": "V N"},
-        {"old_pattern": "V N", "new_pattern": ""},
-        {"old_pattern": "V XX", "new_pattern": "V N"},
-        {"old_pattern": "V N"},
-    ], ids=["number", "list", "null", "empty", "unknown-tag", "one-key"])
-    def test_malformed_pattern_is_record_error(self, tmp_path, patterns):
-        good = {"old_name": "testFoo", "new_name": "testBar", "form": "simple",
-                "semantics": "change", "pairs": [], "old_pattern": "V N",
-                "new_pattern": "V N"}
-        bad = {k: v for k, v in good.items() if k not in ("old_pattern", "new_pattern")}
+    GOOD_RECORD = {"old_name": "testFoo", "new_name": "testBar", "form": "simple",
+                   "semantics": "change", "pairs": [], "old_pattern": "V N",
+                   "new_pattern": "V N"}
+
+    def report_error(self, tmp_path, bad_record):
         path = tmp_path / "classified.json"
-        path.write_text(json.dumps([good, dict(bad, **patterns)]))
+        path.write_text(json.dumps([self.GOOD_RECORD, bad_record]))
         code, out, err = invoke(["report", "--input", str(path)])
         assert code == EXIT_ERROR
         assert out == ""
-        assert err.startswith(f"error: {path}: record 1: ")
+        prefix = f"error: {path}: record 1: "
+        assert err.startswith(prefix)
         assert "Traceback" not in err
+        return err[len(prefix):]
+
+    @pytest.mark.parametrize("patterns, message", [
+        ({"old_pattern": 7, "new_pattern": "V N"},
+         "old_pattern must be a string of POS tags, not 7"),
+        ({"old_pattern": "V N", "new_pattern": ["V", "N"]},
+         'new_pattern must be a string of POS tags, not ["V", "N"]'),
+        ({"old_pattern": None, "new_pattern": "V N"},
+         "old_pattern must be a string of POS tags, not null"),
+        ({"old_pattern": "V N", "new_pattern": ""},
+         "new_pattern: grammar pattern must contain at least one tag"),
+        ({"old_pattern": "V XX", "new_pattern": "V N"}, "old_pattern: unknown POS tag 'XX'"),
+        ({"old_pattern": "V N"}, "old_pattern and new_pattern must be given together"),
+    ], ids=["number", "list", "null", "empty", "unknown-tag", "one-key"])
+    def test_malformed_pattern_is_record_error(self, tmp_path, patterns, message):
+        bad = {k: v for k, v in self.GOOD_RECORD.items() if k not in PATTERN_KEYS}
+        assert self.report_error(tmp_path, dict(bad, **patterns)) == message + "\n"
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"form": "bogus"}, "'bogus' is not a valid FormCategory"),
+        ({"form": ["simple"]}, "['simple'] is not a valid FormCategory"),
+        ({"semantics": {}}, "{} is not a valid SemanticCategory"),
+        ({"pairs": [{"added": "a", "removed": "b", "relation": "akin"}]},
+         "'akin' is not a valid TermRelation"),
+        ({"pairs": [{"relation": "akin"}]}, "'added'"),
+        ({"old_name": "testBar"}, "a rename requires the old and new names to differ"),
+        ({"old_name": "test Foo"}, "identifier 'test Foo' contains unsupported character ' '"),
+        ({"new_name": ""}, "identifier is empty"),
+        ({"pairs": [{"added": ["a"], "removed": "b", "relation": "unrelated"}]},
+         "unhashable type: 'list'"),
+    ], ids=["form", "form-list", "semantics", "relation", "pair-key", "same-names",
+            "bad-name", "empty-name", "unhashable-term"])
+    def test_malformed_field_is_record_error(self, tmp_path, fields, message):
+        assert self.report_error(tmp_path, dict(self.GOOD_RECORD, **fields)) == message + "\n"
+
+    def test_pattern_spacing_counts_as_written_by_classify(self, tmp_path):
+        spaced = dict(self.GOOD_RECORD, old_pattern=" V\t N ")
+        path = tmp_path / "classified.json"
+        path.write_text(json.dumps([self.GOOD_RECORD, spaced]))
+        code, out, _ = invoke(["report", "--input", str(path), "--table", "pairs",
+                               "--format", "csv"])
+        assert code == EXIT_OK
+        assert out.splitlines()[1] == "Grammar pattern pairs,V N,V N,2,100.00%"
 
     def test_name_without_terms_is_record_error(self, tmp_path):
         events = tmp_path / "events.csv"
@@ -493,6 +560,40 @@ class TestReportCommand:
             code, _, err = invoke(["report", "--input", str(classified)])
             assert code == EXIT_ERROR
             assert "record 0: " in err
+
+
+renames = st.lists(
+    st.tuples(st.sampled_from(CORPUS_NAMES), st.sampled_from(CORPUS_NAMES), st.booleans())
+    .filter(lambda r: r[0] != r[1]),
+    min_size=1, max_size=12,
+)
+
+
+@given(renames)
+@settings(max_examples=25, deadline=None)
+def test_report_of_classified_json_equals_library_counts(renames):
+    """``report`` on ``rename classify``'s JSON renders what ``render_table``
+    renders from ``accumulate``d ``classify()`` results, for every table and
+    format, also where records are written without their pattern keys."""
+    stats = CorpusStats()
+    for old_name, new_name, _ in renames:
+        accumulate(stats, classify(RenameEvent(old_name, new_name)))
+    with tempfile.TemporaryDirectory() as tmp:
+        events = Path(tmp) / "events.json"
+        events.write_text(json.dumps([{"old_name": o, "new_name": n} for o, n, _ in renames]))
+        code, out, _ = invoke(["rename", "classify", "--input", str(events)])
+        assert code == EXIT_OK
+        records = [
+            record if keep else {k: v for k, v in record.items() if k not in PATTERN_KEYS}
+            for record, (_, _, keep) in zip(json.loads(out), renames)
+        ]
+        classified = Path(tmp) / "classified.json"
+        classified.write_text(json.dumps(records))
+        for table in TABLE_KINDS:
+            for fmt in FORMATS:
+                got = invoke(["report", "--input", str(classified), "--table", table,
+                              "--format", fmt])
+                assert got == (EXIT_OK, render_table(stats, table, fmt), ""), (table, fmt)
 
 
 class TestConfig:
@@ -550,6 +651,33 @@ class TestConfig:
         assert code == EXIT_ERROR
 
 
+    def readme_sample(self):
+        readme = (Path(testlens.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+        [sample] = re.findall(r"```toml\n(# every supported key.*?)```", readme, re.DOTALL)
+        return parse_config_text(sample)
+
+    def test_readme_sample_format_works_for_every_command(self, tmp_path, monkeypatch):
+        fmt = self.readme_sample().format
+        assert fmt == "json"
+        config = tmp_path / "testlens.toml"
+        config.write_text(f'format = "{fmt}"\n')
+        monkeypatch.setenv("TESTLENS_CONFIG", str(config))
+        (tmp_path / "FailTest.java").write_text(R1_VIOLATION)
+        code, out, _ = invoke(["lint", str(tmp_path)])
+        assert code == EXIT_FINDINGS
+        assert [d["rule"] for d in json.loads(out)] == ["R1"]
+        events = tmp_path / "events.csv"
+        events.write_text("old_name,new_name,file,commit\ntestHasItem,testContainsItem,,\n")
+        code, out, _ = invoke(["rename", "classify", "--input", str(events)])
+        assert code == EXIT_OK
+        assert json.loads(out)[0]["semantics"] == "preserve"
+        classified = tmp_path / "classified.json"
+        classified.write_text(out)
+        code, out, _ = invoke(["report", "--input", str(classified), "--table", "forms"])
+        assert code == EXIT_OK
+        assert json.loads(out)[0]["rows"] == [["simple", "1", "100.00%"]]
+
+
 class TestDeterminism:
     def test_identical_invocations_byte_identical(self, tmp_path):
         (tmp_path / "FailTest.java").write_text(R1_VIOLATION)
@@ -562,7 +690,97 @@ class TestDeterminism:
         assert first == second
 
 
+class TestInProcessReuse:
+    BEFORE = """\
+import org.junit.Test;
+class T {
+    @Test public void testOldName() { a(); b(); c(); d(); }
+    @Test public void testKept() { k(); }
+}
+"""
+
+    def test_repeated_commands_byte_identical_with_one_parser(self, tmp_path, monkeypatch):
+        builds = []
+
+        def counting_build_parser():
+            builds.append(1)
+            return real_build_parser()
+
+        real_build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        before, after = tmp_path / "Before.java", tmp_path / "After.java"
+        before.write_text(self.BEFORE)
+        after.write_text(self.BEFORE.replace("testOldName", "testNewNames"))
+        detected, classified = tmp_path / "detected.json", tmp_path / "classified.json"
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text(json.dumps([{"old_name": "testFoo", "new_name": "testFoo"}]))
+        commands = [
+            (["rename", "detect", "--before", str(before), "--after", str(after)], detected),
+            (["rename", "classify", "--input", str(detected)], classified),
+            (["report", "--input", str(classified), "--table", "pairs"], None),
+            (["report", "--table", "pairs"], None),
+            (["report", "--input", str(malformed)], None),
+        ]
+
+        def session():
+            results = []
+            for argv, save in commands:
+                results.append(invoke(argv))
+                if save is not None:
+                    save.write_text(results[-1][1])
+            return results
+
+        first = session()
+        try:
+            assert [code for code, _, _ in first] == [EXIT_OK] * 3 + [EXIT_ERROR] * 2
+            assert "testNewNames" in first[0][1]
+            assert "| V NM N | V NM NPL | 1 | 100.00% |" in first[2][1]
+            assert first[3][2].startswith("usage: testlens report")
+            assert first[4][2].startswith(f"error: {malformed}: record 0: ")
+            assert session() == first
+            assert len(builds) == 1
+        finally:
+            cli._parser.cache_clear()
+
+
+class TestEntryPoint:
+    """``python -m testlens``, which calls ``cli.main``, in a subprocess."""
+
+    def run_module(self, *argv):
+        src = str(Path(testlens.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        return subprocess.run([sys.executable, "-m", "testlens", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    def test_help_on_stdout(self):
+        proc = self.run_module("--help")
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout.startswith("usage: testlens")
+        assert proc.stderr == ""
+
+    def test_missing_target_usage_on_stderr(self):
+        proc = self.run_module("scan")
+        assert proc.returncode == EXIT_ERROR
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: testlens scan")
+
+
 class TestUsage:
+    def test_usage_error_written_to_err_stream(self, capsys):
+        code, out, err = invoke(["scan"])
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == ("usage: testlens scan [-h] target\ntestlens scan: error: "
+                       "the following arguments are required: target\n")
+        assert capsys.readouterr() == ("", "")
+
+    def test_help_written_to_out_stream(self, capsys):
+        code, out, err = invoke(["--help"])
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("usage: testlens")
+        assert capsys.readouterr() == ("", "")
+
     def test_no_command_is_error(self):
         code, _, _ = invoke([])
         assert code == EXIT_ERROR

@@ -11,6 +11,7 @@ from testlens.splitter import (
     _split_segment,
     normalize,
     split,
+    validate_identifier,
 )
 
 
@@ -114,6 +115,19 @@ unicode_identifiers = st.text(
     min_size=1,
     max_size=24,
 ).filter(lambda name: all(ch.isalpha() or ch.isdigit() or ch in "_$" for ch in name))
+
+
+class TestValidateIdentifier:
+    @given(st.text(alphabet=st.sampled_from("aZ09_$-. \n\t\u00e9\u00bd\u00b2\u0663\u2460\u01c5")
+                   | st.characters(), max_size=12))
+    @settings(max_examples=500)
+    def test_accepts_exactly_letters_digits_and_separators(self, text):
+        valid = bool(text) and all(ch.isalpha() or ch.isdigit() or ch in "_$" for ch in text)
+        if valid:
+            assert validate_identifier(text) is text
+        else:
+            with pytest.raises(InvalidIdentifierError):
+                validate_identifier(text)
 
 
 class TestSplitProperties:
