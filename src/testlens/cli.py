@@ -17,6 +17,7 @@ import os
 import sys
 
 from . import extraction, lint as lint_mod, patterns, rename as rename_mod, renamedetect, report
+from ._jsonout import dump
 from .config import Config, ConfigError, load_config
 from .splitter import split
 from .tagger import Lexicon, tag
@@ -125,11 +126,8 @@ def _read_source(path: str) -> extraction.SourceFile:
 def _cmd_split(args, config: Config, out, err) -> int:
     seq = split(args.name)
     if args.json:
-        doc = [
-            {"surface": t.surface, "start": t.start, "end": t.end}
-            for t in seq.terms
-        ]
-        out.write(json.dumps(doc, indent=2) + "\n")
+        dump([{"surface": t.surface, "start": t.start, "end": t.end} for t in seq.terms],
+             out.write)
     else:
         for term in seq.terms:
             out.write(term.surface + "\n")
@@ -175,61 +173,29 @@ def _scan_files(paths: list[str], out_err: list[str]):
         yield src, methods, flags, is_test_file, perr is not None
 
 
-_JSON_STR = json.encoder.encode_basestring_ascii
-
-
-def _indented_json(value, indent: str) -> str:
-    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes
-    it when nested at ``indent``, for the str, bool, int, sequence and
-    dict values of a scan record. Strings go through the C encoder; the
-    pure-Python encoder that ``indent`` selects is slower and leaves a
-    reference cycle of closures per call, garbage that piles up with the
-    number of files until the cycle collector runs."""
-    if isinstance(value, str):
-        return _JSON_STR(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        brackets = "{}"
-        items = [f"{_JSON_STR(key)}: {_indented_json(item, inner)}"
-                 for key, item in sorted(value.items())]
-    else:
-        brackets = "[]"
-        items = [_indented_json(item, inner) for item in value]
-    if not items:
-        return brackets
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
-
-
 def _cmd_scan(args, config: Config, out, err) -> int:
-    """Write ``{"files": [...]}`` one file record at a time, byte for byte
-    what ``json.dumps(doc, indent=2, sort_keys=True)`` writes."""
+    """Write ``{"files": [...]}`` one file record at a time."""
     paths = _iter_java_files(args.target)
     parse_errors: list[str] = []
-    out.write('{\n  "files": [')
-    empty = True
-    for src, methods, flags, is_test_file, partial in _scan_files(paths, parse_errors):
-        record = {
-            "path": src.path,
+    records = (
+        {
             "is_test_file": is_test_file,
-            "partial": partial,
             "methods": [
                 {
-                    "name": m.name,
                     "annotations": m.annotations,
-                    "is_test_method": flag,
-                    "name_span": m.name_span,
                     "body_span": m.body_span,
+                    "is_test_method": flag,
+                    "name": m.name,
+                    "name_span": m.name_span,
                 }
                 for m, flag in zip(methods, flags)
             ],
+            "partial": partial,
+            "path": src.path,
         }
-        out.write(("\n    " if empty else ",\n    ") + _indented_json(record, "    "))
-        empty = False
-    out.write("]\n}\n" if empty else "\n  ]\n}\n")
+        for src, methods, flags, is_test_file, partial in _scan_files(paths, parse_errors)
+    )
+    dump({"files": records}, out.write)
     if parse_errors:
         for message in parse_errors:
             err.write(message + "\n")
@@ -271,18 +237,9 @@ def _cmd_lint(args, config: Config, out, err) -> int:
 
     fmt = args.format or config.format or "text"
     if fmt == "json":
-        doc = [
-            {
-                "rule": d.rule_id,
-                "method": d.method_name,
-                "file": d.file,
-                "name_span": list(d.name_span),
-                "message": d.message,
-                "severity": d.severity,
-            }
-            for d in diagnostics
-        ]
-        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        dump([{"file": d.file, "message": d.message, "method": d.method_name,
+               "name_span": d.name_span, "rule": d.rule_id, "severity": d.severity}
+              for d in diagnostics], out.write)
     elif fmt == "text":
         for d in diagnostics:
             err.write(
@@ -308,16 +265,8 @@ def _cmd_rename_detect(args, config: Config, out, err) -> int:
         events = renamedetect.detect_renames(pair, threshold)
     except ValueError as verr:
         raise CliError(str(verr)) from verr
-    doc = [
-        {
-            "old_name": e.old_name,
-            "new_name": e.new_name,
-            "file": e.file or "",
-            "commit": e.commit or "",
-        }
-        for e in events
-    ]
-    out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    dump([{"commit": e.commit or "", "file": e.file or "",
+           "new_name": e.new_name, "old_name": e.old_name} for e in events], out.write)
     return EXIT_OK
 
 
@@ -328,11 +277,13 @@ def _read_events(path: str) -> list[rename_mod.RenameEvent]:
     except OSError as err:
         raise CliError(f"cannot read {path}: {err}") from err
     rows: list[dict]
-    if text.lstrip().startswith("["):
+    if text.lstrip().startswith(("[", "{")):
         try:
             rows = json.loads(text)
         except json.JSONDecodeError as jerr:
             raise CliError(f"{path}: invalid JSON: {jerr}") from jerr
+        if not isinstance(rows, list):
+            raise CliError(f"{path}: expected a JSON array of rename events")
     else:
         reader = csv.DictReader(io.StringIO(text))
         required = {"old_name", "new_name"}
@@ -425,18 +376,18 @@ def _record_patterns(row: dict, names: tuple[str, str], lexicon: Lexicon,
 
 def _classification_doc(c: rename_mod.RenameClassification) -> dict:
     return {
-        "old_name": c.event.old_name,
-        "new_name": c.event.new_name,
-        "file": c.event.file or "",
         "commit": c.event.commit or "",
+        "file": c.event.file or "",
         "form": c.form.value,
-        "semantics": c.semantics.value,
+        "new_name": c.event.new_name,
+        "new_pattern": None if c.new_pattern is None else str(c.new_pattern),
+        "old_name": c.event.old_name,
+        "old_pattern": None if c.old_pattern is None else str(c.old_pattern),
         "pairs": [
-            {"added": a, "removed": r, "relation": rel.value}
+            {"added": a, "relation": rel.value, "removed": r}
             for a, r, rel in c.pairs
         ],
-        "old_pattern": None if c.old_pattern is None else str(c.old_pattern),
-        "new_pattern": None if c.new_pattern is None else str(c.new_pattern),
+        "semantics": c.semantics.value,
     }
 
 
@@ -448,8 +399,7 @@ def _cmd_rename_classify(args, config: Config, out, err) -> int:
     results = (rename_mod.classify(e, provider, lexicon) for e in events)
     fmt = args.format or config.format or "json"
     if fmt == "json":
-        out.write(json.dumps([_classification_doc(c) for c in results],
-                             indent=2, sort_keys=True) + "\n")
+        dump(map(_classification_doc, results), out.write)
     elif fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["old_name", "new_name", "file", "commit",

@@ -2,14 +2,16 @@
 
 The config file is a flat TOML-style key/value document. Supported value
 forms are quoted strings, booleans, numbers, and single-line arrays of
-quoted strings. Unknown keys are rejected. Command-line flags always win
+quoted strings, each optionally followed by a ``#`` comment. Unknown keys
+and values of the wrong type are rejected. Command-line flags always win
 over file values.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+import re
+from dataclasses import dataclass, replace
 
 from .lint import DEFAULT_COLLECTION_VOCABULARY
 from .renamedetect import DEFAULT_THRESHOLD
@@ -32,8 +34,28 @@ class Config:
     not_rule_boolean_asserts: bool = False
 
 
+_STRING = ((str,), str, "a quoted string")
+_STRINGS = ((tuple, str), lambda v: v if isinstance(v, tuple) else (v,),
+            "an array of quoted strings")
+# per key: the parsed value types it takes, what it is stored as, and
+# what the error says it must be
+_EXPECTED = {
+    "lexicon": _STRING,
+    "catalog": _STRING,
+    "rules": _STRINGS,
+    "collection_vocabulary": _STRINGS,
+    "threshold": ((int, float), float, "a number"),
+    "format": _STRING,
+    "not_rule_boolean_asserts": ((bool,), bool, "true or false"),
+}
+
+# a value, then an optional comment; a '#' inside quotes is text
+_VALUE_RE = re.compile(r'((?:[^"#]|"[^"]*")*)(?:#.*)?')
+
+
 def _parse_value(raw: str, lineno: int):
-    raw = raw.strip()
+    match = _VALUE_RE.fullmatch(raw)
+    raw = (match.group(1) if match else raw).strip()
     if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
         return raw[1:-1]
     if raw in ("true", "false"):
@@ -56,7 +78,6 @@ def _parse_value(raw: str, lineno: int):
 
 
 def parse_config_text(text: str) -> Config:
-    known = {f.name: f for f in fields(Config)}
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -66,21 +87,14 @@ def parse_config_text(text: str) -> Config:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in known:
+        if key not in _EXPECTED:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        values[key] = _parse_value(raw, lineno)
-    cfg = Config()
-    for key, value in values.items():
-        if key in ("rules", "collection_vocabulary") and isinstance(value, str):
-            value = (value,)
-        if key == "threshold":
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError("threshold must be a number")
-            value = float(value)
-        if key == "not_rule_boolean_asserts" and not isinstance(value, bool):
-            raise ConfigError("not_rule_boolean_asserts must be true or false")
-        cfg = replace(cfg, **{key: value})
-    return cfg
+        value = _parse_value(raw, lineno)
+        types, convert, expected = _EXPECTED[key]
+        if type(value) not in types:
+            raise ConfigError(f"line {lineno}: {key} must be {expected}")
+        values[key] = convert(value)
+    return replace(Config(), **values)
 
 
 def load_config(path: str | None = None) -> Config:

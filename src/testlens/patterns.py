@@ -86,8 +86,7 @@ def prefix(p: GrammarPattern, k: int) -> GrammarPattern:
 def matches(template: PatternTemplate, p: GrammarPattern) -> bool:
     t = template.tags
     q = p.tags
-    if template.containment_mode:
-        return any(q[i : i + len(t)] == t for i in range(len(q) - len(t) + 1))
+    # a containment template has both wildcards (checked on construction)
     if template.leading_wildcard and template.trailing_wildcard:
         return any(q[i : i + len(t)] == t for i in range(len(q) - len(t) + 1))
     if template.trailing_wildcard:

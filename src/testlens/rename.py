@@ -538,19 +538,23 @@ def _preserving_swap(added: list[str], removed: list[str], relations: dict) -> b
     """True when removed and added terms match one-to-one via meaning-keeping relations."""
     if len(added) != len(removed) or len(removed) > 8:
         return False
+    return _match_from(0, set(), added, removed, relations)
 
-    def backtrack(i: int, used: set[int]) -> bool:
-        if i == len(removed):
-            return True
-        for j, a in enumerate(added):
-            if j in used:
-                continue
-            if relations[a, removed[i]] in _PRESERVING_RELATIONS:
-                if backtrack(i + 1, used | {j}):
-                    return True
-        return False
 
-    return backtrack(0, set())
+def _match_from(i: int, used: set[int], added: list[str], removed: list[str],
+                relations: dict) -> bool:
+    """``removed[i:]`` each keep their meaning with a distinct added term
+    outside ``used``. A module-level function: a nested recursive one is a
+    reference cycle, left as garbage by every event that reaches it."""
+    if i == len(removed):
+        return True
+    for j, a in enumerate(added):
+        if j in used:
+            continue
+        if relations[a, removed[i]] in _PRESERVING_RELATIONS:
+            if _match_from(i + 1, used | {j}, added, removed, relations):
+                return True
+    return False
 
 
 def _changed_before_head(

@@ -9,12 +9,12 @@ pattern / count / percentage rows in markdown, CSV, or JSON.
 from __future__ import annotations
 
 import csv
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from io import StringIO
 from typing import NamedTuple
 
+from ._jsonout import dump
 from .patterns import CatalogEntry, GrammarPattern, default_catalog, matches, prefix
 from .rename import RenameClassification
 
@@ -245,15 +245,10 @@ def _render_csv(sections: list[_Section]) -> str:
 
 
 def _render_json(sections: list[_Section]) -> str:
-    doc = [
-        {
-            "title": section.title,
-            "columns": list(section.columns),
-            "rows": [list(row) for row in section.rows],
-        }
-        for section in sections
-    ]
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    pieces: list[str] = []
+    dump([{"columns": section.columns, "rows": section.rows, "title": section.title}
+          for section in sections], pieces.append)
+    return "".join(pieces)
 
 
 def render_table(

@@ -80,11 +80,16 @@ class Lexicon:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Lexicon":
+        if not isinstance(data, dict):
+            raise ValueError("a lexicon must be a JSON object of word lists")
         unknown = set(data) - set(_LEXICON_FIELDS)
         if unknown:
             raise ValueError(f"unknown lexicon keys: {sorted(unknown)}")
-        kwargs = {f: frozenset(data.get(f, ())) for f in _LEXICON_FIELDS}
-        return cls(**kwargs)
+        lists = {f: data.get(f, []) for f in _LEXICON_FIELDS}
+        for f, words in lists.items():
+            if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+                raise ValueError(f"lexicon key {f!r} must be a list of strings")
+        return cls(**{f: frozenset(words) for f, words in lists.items()})
 
     @classmethod
     def from_file(cls, path: str) -> "Lexicon":

@@ -104,6 +104,12 @@ class TestTagCommand:
         assert code == EXIT_OK
         assert out.splitlines()[0] == "frobnicate/V"
 
+    def test_lexicon_field_not_a_list_is_error(self, tmp_path):
+        path = tmp_path / "lex.json"
+        path.write_text(json.dumps({**_data.lexicon_dict(), "verbs": "test"}))
+        assert invoke(["tag", "testParser", "--lexicon", str(path)]) == (
+            EXIT_ERROR, "", "error: lexicon key 'verbs' must be a list of strings\n")
+
 
 class TestPatternCommand:
     def test_pattern(self):
@@ -200,20 +206,6 @@ class TestScanCommand:
             tracemalloc.stop()
         assert (code, err.getvalue()) == (EXIT_OK, "")
         return peak
-
-    # str, bool, int, sequence and dict values, as a scan record holds them
-    json_values = st.recursive(
-        st.text() | st.booleans() | st.integers(),
-        lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
-                       | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
-        max_leaves=12,
-    )
-
-    @given(json_values, st.sampled_from(["", "  ", "    "]))
-    @settings(max_examples=300)
-    def test_record_layout_equals_json_dumps(self, value, indent):
-        want = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
-        assert cli._indented_json(value, indent) == want
 
     def test_memory_does_not_grow_with_file_count(self, tmp_path):
         self._scan_peak_bytes(tmp_path, 1)  # compile regexes, fill caches
@@ -349,6 +341,62 @@ class T {
         path.write_text("old_name,new_name,file,commit\nsame,same,,\n")
         code, _, err = invoke(["rename", "classify", "--input", str(path)])
         assert code == EXIT_ERROR
+
+    def test_classify_json_object_input_is_error(self, tmp_path):
+        path = tmp_path / "events.json"
+        path.write_text('{"old_name": "testFoo", "new_name": "testBar"}\n')
+        assert invoke(["rename", "classify", "--input", str(path)]) == (
+            EXIT_ERROR, "", f"error: {path}: expected a JSON array of rename events\n")
+
+    @staticmethod
+    def _write_events(path: Path, count: int) -> None:
+        corpus = json.loads((DATA / "corpus_events.json").read_text())
+        path.write_text(json.dumps([corpus[i % len(corpus)] for i in range(count)]))
+
+    def _classify_peak_bytes(self, tmp_path, count: int) -> int:
+        """tracemalloc's peak while ``rename classify`` writes ``count``
+        records, above the memory held once the events are read."""
+        events = tmp_path / f"{count}.json"
+        self._write_events(events, count)
+        held = []
+
+        def read_then_reset_peak(path, read_events=cli._read_events):
+            result = read_events(path)
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return result
+
+        err = io.StringIO()
+        tracemalloc.start()
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cli, "_read_events", read_then_reset_peak)
+                code = run(["rename", "classify", "--input", str(events), "--format", "json"],
+                           _DiscardingSink(), err)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err.getvalue()) == (EXIT_OK, "")
+        return peak - held[0]
+
+    def test_classify_memory_does_not_grow_with_event_count(self, tmp_path):
+        self._classify_peak_bytes(tmp_path, 250)  # fill caches
+        few = self._classify_peak_bytes(tmp_path, 50)
+        many = self._classify_peak_bytes(tmp_path, 250)
+        # Holding every record costs about 4 KB per event. Holding none still
+        # reads some 40 B per event, as a bare loop over classify() does:
+        # tracemalloc counts the blocks CPython keeps on free lists for reuse.
+        assert (many - few) / 200 < 256, (few, many)
+
+    def test_classify_malformed_last_record_writes_nothing(self, tmp_path):
+        path = tmp_path / "events.json"
+        self._write_events(path, 200)
+        rows = json.loads(path.read_text())
+        rows[-1]["new_name"] = rows[-1]["old_name"]
+        path.write_text(json.dumps(rows))
+        code, out, err = invoke(["rename", "classify", "--input", str(path), "--format", "json"])
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith(f"error: {path}: record 199: ")
 
 
 class TestReportCommand:
@@ -650,6 +698,44 @@ class TestConfig:
         code, _, err = invoke(["split", "fooBar"])
         assert code == EXIT_ERROR
 
+    @pytest.mark.parametrize("line, message", [
+        ("rules = 5", "line 2: rules must be an array of quoted strings"),
+        ("collection_vocabulary = true",
+         "line 2: collection_vocabulary must be an array of quoted strings"),
+        ("lexicon = 7", "line 2: lexicon must be a quoted string"),
+        ('catalog = ["a.json"]', "line 2: catalog must be a quoted string"),
+        ('format = false', "line 2: format must be a quoted string"),
+        ('threshold = "0.6"', "line 2: threshold must be a number"),
+        ("threshold = true", "line 2: threshold must be a number"),
+        ("not_rule_boolean_asserts = 1", "line 2: not_rule_boolean_asserts must be true or false"),
+    ])
+    def test_wrong_value_type_names_key(self, line, message):
+        with pytest.raises(ConfigError) as raised:
+            parse_config_text(f"# testlens\n{line}\n")
+        assert str(raised.value) == message
+
+    def test_number_lexicon_is_config_error(self, tmp_path, monkeypatch):
+        # an int path was once opened as a file descriptor
+        config = tmp_path / "testlens.toml"
+        config.write_text("lexicon = 987654\n")
+        monkeypatch.setenv("TESTLENS_CONFIG", str(config))
+        assert invoke(["tag", "testParser"]) == (
+            EXIT_ERROR, "", "error: line 1: lexicon must be a quoted string\n")
+
+    def test_comment_after_value(self):
+        cfg = parse_config_text(
+            "threshold = 0.7  # x\n"
+            'format = "a#b" # quoted # is text\n'
+            'rules = ["R1", "R#2"]# no space\n'
+            "not_rule_boolean_asserts = true #\n"
+        )
+        assert (cfg.threshold, cfg.format, cfg.rules, cfg.not_rule_boolean_asserts) == (
+            0.7, "a#b", ("R1", "R#2"), True)
+
+    def test_unclosed_quote_is_not_a_comment(self):
+        with pytest.raises(ConfigError, match="cannot parse value"):
+            parse_config_text('format = "json # x\n')
+
 
     def readme_sample(self):
         readme = (Path(testlens.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
@@ -688,6 +774,28 @@ class TestDeterminism:
         first = invoke(["lint", str(tmp_path), "--format", "json"])
         second = invoke(["lint", str(tmp_path), "--format", "json"])
         assert first == second
+
+
+class TestGoldenJson:
+    """Each JSON-writing command's stdout, byte for byte, run from
+    ``tests/data``; ``scan`` and ``report`` have golden tests of their own."""
+
+    BROKEN = ("scan_tree/BrokenTest.java: unbalanced braces after method "
+              "'neverCloses'; recovered 1 method(s)\n")
+
+    @pytest.mark.parametrize("argv, golden, code, err", [
+        (["split", "--json", "testÜber2HTTPServer_ok"], "golden_split.json", EXIT_OK, ""),
+        (["lint", "scan_tree", "--format", "json"], "golden_lint.json", EXIT_ERROR, BROKEN),
+        (["rename", "detect", "--before", "rename_pair/Before.java",
+          "--after", "rename_pair/After.java"], "golden_detect.json", EXIT_OK, ""),
+        (["rename", "classify", "--input", "corpus_events.json", "--format", "json"],
+         "golden_classify.json", EXIT_OK, ""),
+    ], ids=["split", "lint", "detect", "classify"])
+    def test_stdout_equals_golden_bytes(self, monkeypatch, argv, golden, code, err):
+        monkeypatch.chdir(DATA)
+        got_code, out, got_err = invoke(argv)
+        assert (got_code, got_err) == (code, err)
+        assert out.encode() == (DATA / golden).read_bytes()
 
 
 class TestInProcessReuse:

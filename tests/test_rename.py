@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 
 import pytest
@@ -369,6 +370,22 @@ class TestClassify:
     def test_identical_names_rejected(self):
         with pytest.raises(ValueError):
             RenameEvent("same", "same")
+
+    def test_leaves_no_reference_cycles(self):
+        # a cycle per event is garbage that piles up until the collector runs
+        events = [RenameEvent("testHasItem", "testContainsItem"),
+                  RenameEvent("shouldAcceptRaxProtocols", "shouldRejectRaxProtocols"),
+                  RenameEvent("testStringEncryption", "testStrongEncryption")]
+        for event in events:
+            classify(event)  # fill caches
+        gc.collect()
+        gc.disable()
+        try:
+            for event in events:
+                classify(event)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 words = st.sampled_from([

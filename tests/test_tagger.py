@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from testlens import _data
 from testlens.splitter import split
 from testlens.tagger import Lexicon, PosTag, TaggedName, noun_run_rewrite, tag
 
@@ -143,6 +144,17 @@ class TestLexicon:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
             Lexicon.from_dict({"bogus": []})
+
+    @pytest.mark.parametrize("data", [["verbs"], "verbs", None])
+    def test_lexicon_must_be_an_object(self, data):
+        with pytest.raises(ValueError, match="a lexicon must be a JSON object of word lists"):
+            Lexicon.from_dict(data)
+
+    @pytest.mark.parametrize("words", ["test", ["test", 7], {"test": 1}, None])
+    def test_field_must_be_list_of_strings(self, words):
+        # a string used to become its set of letters: {"e", "s", "t"}
+        with pytest.raises(ValueError, match="lexicon key 'verbs' must be a list of strings"):
+            Lexicon.from_dict({**_data.lexicon_dict(), "verbs": words})
 
     def test_verb_noun_ambiguity_is_positional(self):
         lex = Lexicon.default()
