@@ -150,10 +150,10 @@ def _cmd_pattern(args, config: Config, out, err) -> int:
         if args.prefix < 1:
             raise CliError("--prefix must be >= 1")
         pattern = patterns.prefix(pattern, args.prefix)
+    hits = patterns.catalog_match(pattern, _load_catalog(config)) if args.catalog else ()
     out.write(str(pattern) + "\n")
-    if args.catalog:
-        for entry in patterns.catalog_match(pattern, _load_catalog(config)):
-            out.write(f"{entry.name} [{entry.template}] ({entry.origin.value})\n")
+    for entry in hits:
+        out.write(f"{entry.name} [{entry.template}] ({entry.origin.value})\n")
     return EXIT_OK
 
 
@@ -261,13 +261,16 @@ def _cmd_rename_detect(args, config: Config, out, err) -> int:
         before=_read_source(args.before),
         after=_read_source(args.after),
     )
+    parse_errors: list[str] = []
     try:
-        events = renamedetect.detect_renames(pair, threshold)
+        events = renamedetect.detect_renames(pair, threshold, parse_errors)
     except ValueError as verr:
         raise CliError(str(verr)) from verr
     dump([{"commit": e.commit or "", "file": e.file or "",
            "new_name": e.new_name, "old_name": e.old_name} for e in events], out.write)
-    return EXIT_OK
+    for message in parse_errors:
+        err.write(message + "\n")
+    return EXIT_ERROR if parse_errors else EXIT_OK
 
 
 def _read_events(path: str) -> list[rename_mod.RenameEvent]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .lint import DEFAULT_COLLECTION_VOCABULARY
 from .renamedetect import DEFAULT_THRESHOLD
@@ -23,8 +23,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     lexicon: str | None = None
     catalog: str | None = None
     rules: tuple[str, ...] | None = None
@@ -94,7 +93,7 @@ def parse_config_text(text: str) -> Config:
         if type(value) not in types:
             raise ConfigError(f"line {lineno}: {key} must be {expected}")
         values[key] = convert(value)
-    return replace(Config(), **values)
+    return Config(**values)
 
 
 def load_config(path: str | None = None) -> Config:

@@ -15,10 +15,10 @@ in time linear in the token count.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, compress, count
 from operator import add, itemgetter, sub
+from typing import NamedTuple
 
 
 class TokenKind(Enum):
@@ -28,10 +28,10 @@ class TokenKind(Enum):
     NUMBER = "number"
 
 
-@dataclass(frozen=True)
-class TokenStream:
+class TokenStream(NamedTuple):
     """Tokens as four parallel columns: token ``i`` has kind ``kinds[i]``,
-    text ``texts[i]`` and source span ``starts[i]:ends[i]``."""
+    text ``texts[i]`` and source span ``starts[i]:ends[i]``. ``len`` counts
+    the tokens, not the four columns."""
 
     kinds: tuple[TokenKind, ...]
     texts: tuple[str, ...]
@@ -47,20 +47,23 @@ class TokenStream:
         return self.texts
 
 
-@dataclass(frozen=True)
-class SourceFile:
+class SourceFile(NamedTuple):
     path: str
     text: str
 
 
-@dataclass(frozen=True)
-class TestMethod:
+class TestMethod(NamedTuple):
     name: str
     annotations: tuple[str, ...]
-    file_tokens: TokenStream = field(repr=False)
+    file_tokens: TokenStream  # left out of repr
     body_range: tuple[int, int]  # token indexes strictly between the body's braces
     name_span: tuple[int, int]
     body_span: tuple[int, int]
+
+    def __repr__(self) -> str:
+        return (f"TestMethod(name={self.name!r}, annotations={self.annotations!r}, "
+                f"body_range={self.body_range!r}, name_span={self.name_span!r}, "
+                f"body_span={self.body_span!r})")
 
     @property
     def body_tokens(self) -> TokenStream:

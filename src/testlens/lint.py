@@ -8,8 +8,7 @@ have a body that shows it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .extraction import TestMethod, TokenKind
 from .rename import stem
@@ -20,8 +19,7 @@ DEFAULT_COLLECTION_VOCABULARY = ("List", "Map", "Set", "Collection", "Iterable")
 _FAIL_FORMS = frozenset({"fail", "fails", "failure", "failing"})
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """A lint rule. Triggers see only the tagged name; expectations see the
     method body (plus the name, so the expectation can mirror the exact
     terms that fired)."""
@@ -33,8 +31,7 @@ class Rule:
     severity: str = "warning"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     rule_id: str
     method_name: str
     file: str

@@ -3,23 +3,24 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import _data
 from .tagger import PosTag, TaggedName, parse_tag
 
 
-@dataclass(frozen=True)
-class GrammarPattern:
+class GrammarPattern(namedtuple("GrammarPattern", "tags")):
     """An ordered, non-empty sequence of POS tags."""
 
-    tags: tuple[PosTag, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.tags:
+    def __new__(cls, tags: tuple[PosTag, ...]) -> "GrammarPattern":
+        if not tags:
             raise ValueError("grammar pattern must contain at least one tag")
+        return tuple.__new__(cls, (tags,))
 
     def __str__(self) -> str:
         return " ".join(t.value for t in self.tags)
@@ -29,24 +30,24 @@ class GrammarPattern:
         return cls(tuple(parse_tag(part) for part in text.split()))
 
 
-@dataclass(frozen=True)
-class PatternTemplate:
+class PatternTemplate(namedtuple(
+        "PatternTemplate", "tags leading_wildcard trailing_wildcard containment_mode")):
     """Catalog template: concrete tags plus optional '+' wildcards.
 
     ``containment_mode`` covers the +X+ templates that only require the
     tags to occur contiguously somewhere in the pattern.
     """
 
-    tags: tuple[PosTag, ...]
-    leading_wildcard: bool = False
-    trailing_wildcard: bool = False
-    containment_mode: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.tags:
+    def __new__(cls, tags: tuple[PosTag, ...], leading_wildcard: bool = False,
+                trailing_wildcard: bool = False,
+                containment_mode: bool = False) -> "PatternTemplate":
+        if not tags:
             raise ValueError("pattern template needs at least one concrete tag")
-        if self.containment_mode and not (self.leading_wildcard and self.trailing_wildcard):
+        if containment_mode and not (leading_wildcard and trailing_wildcard):
             raise ValueError("containment templates imply wildcards on both sides")
+        return tuple.__new__(cls, (tags, leading_wildcard, trailing_wildcard, containment_mode))
 
     def __str__(self) -> str:
         core = " ".join(t.value for t in self.tags)
@@ -64,8 +65,7 @@ class CatalogOrigin(Enum):
     EXTENDED = "extended"
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     template: PatternTemplate
     origin: CatalogOrigin = CatalogOrigin.EXTENDED
@@ -105,18 +105,32 @@ def catalog_match(p: GrammarPattern, catalog: list[CatalogEntry]) -> list[Catalo
     return hits
 
 
-def _entry_from_dict(data: dict) -> CatalogEntry:
-    template = PatternTemplate(
-        tags=tuple(parse_tag(t) for t in data["tags"]),
-        leading_wildcard=bool(data.get("leading_wildcard", False)),
-        trailing_wildcard=bool(data.get("trailing_wildcard", False)),
-        containment_mode=bool(data.get("containment", False)),
-    )
-    return CatalogEntry(
-        name=data["name"],
-        template=template,
-        origin=CatalogOrigin(data.get("origin", "extended")),
-    )
+_FLAG_KEYS = ("leading_wildcard", "trailing_wildcard", "containment")
+
+
+def _entry_from_dict(data) -> CatalogEntry:
+    """One catalog entry; a malformed field is a ValueError naming it."""
+    if not isinstance(data, dict):
+        raise ValueError("must be a JSON object")
+    name, tags = data.get("name"), data.get("tags")
+    if not isinstance(name, str):
+        raise ValueError("name must be a string")
+    if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+        raise ValueError("tags must be an array of strings")
+    flags = [data.get(key, False) for key in _FLAG_KEYS]
+    for key, flag in zip(_FLAG_KEYS, flags):
+        if not isinstance(flag, bool):
+            raise ValueError(f"{key} must be true or false")
+    try:
+        parsed = tuple(parse_tag(t) for t in tags)
+    except ValueError as verr:
+        raise ValueError(f"tags: {verr}") from None
+    template = PatternTemplate(parsed, *flags)
+    try:
+        origin = CatalogOrigin(data.get("origin", "extended"))
+    except ValueError as verr:
+        raise ValueError(f"origin: {verr}") from None
+    return CatalogEntry(name, template, origin)
 
 
 def load_catalog(path: str) -> list[CatalogEntry]:
@@ -125,8 +139,15 @@ def load_catalog(path: str) -> list[CatalogEntry]:
     return _catalog_from_list(raw)
 
 
-def _catalog_from_list(raw: list) -> list[CatalogEntry]:
-    entries = [_entry_from_dict(item) for item in raw]
+def _catalog_from_list(raw) -> list[CatalogEntry]:
+    if not isinstance(raw, list):
+        raise ValueError("a catalog must be a JSON array of entries")
+    entries = []
+    for index, item in enumerate(raw):
+        try:
+            entries.append(_entry_from_dict(item))
+        except ValueError as verr:
+            raise ValueError(f"catalog entry {index}: {verr}") from None
     names = [e.name for e in entries]
     if len(names) != len(set(names)):
         raise ValueError("catalog entry names must be unique")

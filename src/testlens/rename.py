@@ -10,8 +10,7 @@ spelling fix, or unrelated).
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Protocol
@@ -58,19 +57,16 @@ def validate_rename(old_name: str, new_name: str) -> None:
         raise ValueError("a rename requires the old and new names to differ")
 
 
-@dataclass(frozen=True)
-class RenameEvent:
-    old_name: str
-    new_name: str
-    file: str | None = None
-    commit: str | None = None
+class RenameEvent(namedtuple("RenameEvent", "old_name new_name file commit")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        validate_rename(self.old_name, self.new_name)
+    def __new__(cls, old_name: str, new_name: str, file: str | None = None,
+                commit: str | None = None) -> "RenameEvent":
+        validate_rename(old_name, new_name)
+        return tuple.__new__(cls, (old_name, new_name, file, commit))
 
 
-@dataclass(frozen=True)
-class RenameClassification:
+class RenameClassification(NamedTuple):
     """One classified rename. ``old_pattern`` and ``new_pattern`` are the
     grammar patterns of the two names, ``None`` for a name made only of
     separators, which has no terms to tag."""

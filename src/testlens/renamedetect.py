@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .extraction import SourceFile, TokenStream, is_test_method, recover_methods
 from .rename import RenameEvent
@@ -26,8 +26,7 @@ from .rename import RenameEvent
 DEFAULT_THRESHOLD = 0.6
 
 
-@dataclass(frozen=True)
-class FileVersionPair:
+class FileVersionPair(NamedTuple):
     before: SourceFile
     after: SourceFile
 
@@ -109,17 +108,25 @@ def _similar_pairs(left: list[Counter], right: list[Counter], threshold: float) 
     return pairs
 
 
-def _test_methods(src: SourceFile):
-    methods, _ = recover_methods(src)
+def _test_methods(src: SourceFile, parse_errors: list[str] | None):
+    methods, err = recover_methods(src)
+    if err is not None and parse_errors is not None:
+        parse_errors.append(str(err))
     return [m for m in methods if is_test_method(m)]
 
 
-def detect_renames(pair: FileVersionPair, threshold: float = DEFAULT_THRESHOLD) -> list[RenameEvent]:
-    """Greedy one-to-one matching of disappeared to appeared test methods."""
+def detect_renames(pair: FileVersionPair, threshold: float = DEFAULT_THRESHOLD,
+                   parse_errors: list[str] | None = None) -> list[RenameEvent]:
+    """Greedy one-to-one matching of disappeared to appeared test methods.
+
+    A version whose braces never close contributes the methods recovered
+    before that point; its partial-parse message is appended to
+    ``parse_errors`` when that list is given.
+    """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
-    before = _test_methods(pair.before)
-    after = _test_methods(pair.after)
+    before = _test_methods(pair.before, parse_errors)
+    after = _test_methods(pair.after, parse_errors)
     before_names = {m.name for m in before}
     after_names = {m.name for m in after}
     removed = [m for m in before if m.name not in after_names]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass, field
 from io import StringIO
 from typing import NamedTuple
 
@@ -25,17 +24,28 @@ TABLE_KINDS = ("full", "pairs", "prefix", "semantic", "terms", "forms", "catalog
 FORMATS = ("md", "csv", "json")
 
 
-@dataclass
 class CorpusStats:
     """The two counters every rename-analysis summary table is derived from.
 
     ``events`` is keyed by ``(old pattern, new pattern, form value,
     semantics value)``, all text, the patterns as ``str(GrammarPattern)``
-    writes them; ``term_pairs`` by ``(added, removed)``.
+    writes them; ``term_pairs`` by ``(added, removed)``. Each instance
+    gets counters of its own unless they are given.
     """
 
-    events: Counter = field(default_factory=Counter)
-    term_pairs: Counter = field(default_factory=Counter)
+    __slots__ = ("events", "term_pairs")
+
+    def __init__(self, events: Counter | None = None, term_pairs: Counter | None = None):
+        self.events = Counter() if events is None else events
+        self.term_pairs = Counter() if term_pairs is None else term_pairs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.events == other.events and self.term_pairs == other.term_pairs
+
+    def __repr__(self) -> str:
+        return f"CorpusStats(events={self.events!r}, term_pairs={self.term_pairs!r})"
 
     def event_count(self) -> int:
         return sum(self.events.values())
@@ -115,8 +125,7 @@ def _pct(count: int, total: int) -> str:
     return f"{100.0 * count / total:.2f}%"
 
 
-@dataclass(frozen=True)
-class _Section:
+class _Section(NamedTuple):
     title: str
     columns: tuple[str, ...]
     rows: list[tuple]  # final column values are pre-rendered strings

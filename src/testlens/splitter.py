@@ -9,7 +9,7 @@ are retained so the original identifier can be reconstructed exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _data
 
@@ -42,8 +42,7 @@ def validate_identifier(text: str) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     """One term of a split identifier with its [start, end) source span."""
 
     surface: str
@@ -51,8 +50,7 @@ class Term:
     end: int
 
 
-@dataclass(frozen=True)
-class TermSequence:
+class TermSequence(NamedTuple):
     """Ordered terms of one identifier, spans indexing into ``raw``."""
 
     raw: str

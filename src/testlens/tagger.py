@@ -11,7 +11,7 @@ except the head into a modifier.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 
@@ -49,34 +49,32 @@ _CLOSED_CLASS_FIELDS = ("prepositions", "determiners", "conjunctions", "pronouns
 _LEXICON_FIELDS = _CLOSED_CLASS_FIELDS + ("adverbs", "verbs", "known_nouns")
 
 
-@dataclass(frozen=True)
-class Lexicon:
+class Lexicon(namedtuple("Lexicon", _LEXICON_FIELDS)):
     """Word lists backing the tag cascade. All entries are lowercase."""
 
-    prepositions: frozenset[str]
-    determiners: frozenset[str]
-    conjunctions: frozenset[str]
-    pronouns: frozenset[str]
-    adverbs: frozenset[str]
-    verbs: frozenset[str]
-    known_nouns: frozenset[str]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for field in _LEXICON_FIELDS:
-            words = getattr(self, field)
+    def __new__(cls, prepositions: frozenset[str], determiners: frozenset[str],
+                conjunctions: frozenset[str], pronouns: frozenset[str],
+                adverbs: frozenset[str], verbs: frozenset[str],
+                known_nouns: frozenset[str]) -> "Lexicon":
+        self = tuple.__new__(cls, (prepositions, determiners, conjunctions, pronouns,
+                                   adverbs, verbs, known_nouns))
+        for field, words in zip(_LEXICON_FIELDS, self):
             bad = [w for w in words if w != w.lower() or not w]
             if bad:
                 raise ValueError(f"lexicon {field} entries must be lowercase: {bad[:3]}")
-        closed = [getattr(self, f) for f in _CLOSED_CLASS_FIELDS]
+        closed = self[:len(_CLOSED_CLASS_FIELDS)]
         for i, a in enumerate(closed):
             for b in closed[i + 1:]:
                 overlap = a & b
                 if overlap:
                     raise ValueError(f"closed-class lexicons overlap: {sorted(overlap)[:3]}")
-        if not {"not", "when", "exactly"} <= self.adverbs:
+        if not {"not", "when", "exactly"} <= adverbs:
             raise ValueError("adverb lexicon must contain at least: not, when, exactly")
-        if not {"the", "no", "all"} <= self.determiners:
+        if not {"the", "no", "all"} <= determiners:
             raise ValueError("determiner lexicon must contain at least: the, no, all")
+        return self
 
     @classmethod
     def from_dict(cls, data: dict) -> "Lexicon":
@@ -106,19 +104,18 @@ def _default_lexicon() -> Lexicon:
     return Lexicon.from_dict(_data.lexicon_dict())
 
 
-@dataclass(frozen=True)
-class TaggedName:
+class TaggedName(namedtuple("TaggedName", "terms tags")):
     """Terms of a split identifier aligned with their POS tags."""
 
-    terms: TermSequence
-    tags: tuple[PosTag, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.tags) != len(self.terms.terms):
+    def __new__(cls, terms: TermSequence, tags: tuple[PosTag, ...]) -> "TaggedName":
+        if len(tags) != len(terms.terms):
             raise ValueError("tag count must equal term count")
-        for term, tag in zip(self.terms.terms, self.tags):
+        for term, tag in zip(terms.terms, tags):
             if term.surface.isdigit() != (tag is PosTag.DIGIT):
                 raise ValueError(f"digit tag mismatch on term {term.surface!r}")
+        return tuple.__new__(cls, (terms, tags))
 
     def pattern_string(self) -> str:
         return " ".join(t.value for t in self.tags)

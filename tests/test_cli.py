@@ -317,6 +317,25 @@ class T {
         ])
         assert json.loads(out) == []
 
+    def test_detect_reports_partial_parse(self, tmp_path):
+        before = tmp_path / "Before.java"
+        after = tmp_path / "After.java"
+        before.write_text(self.BEFORE + "class U {\n    @Test public void testOpen() { x();\n")
+        after.write_text(self.AFTER)
+        code, out, err = invoke([
+            "rename", "detect", "--before", str(before), "--after", str(after),
+        ])
+        assert code == EXIT_ERROR
+        assert err == (f"{before}: unbalanced braces after method 'testOpen'; "
+                       "recovered 1 method(s)\n")
+        # the events of the methods recovered before the unclosed body
+        assert json.loads(out) == [{
+            "old_name": "testOldName", "new_name": "testNewName",
+            "file": str(after), "commit": "",
+        }]
+        _, scan_err = invoke(["scan", str(before)])[1:]
+        assert scan_err == err
+
     def test_classify_csv_input(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text(
@@ -642,6 +661,36 @@ def test_report_of_classified_json_equals_library_counts(renames):
                 got = invoke(["report", "--input", str(classified), "--table", table,
                               "--format", fmt])
                 assert got == (EXIT_OK, render_table(stats, table, fmt), ""), (table, fmt)
+
+
+class TestCatalogErrors:
+    """A malformed configured catalog is one ``error:`` line and exit 2,
+    with nothing on stdout, for each command that loads it."""
+
+    @pytest.mark.parametrize("raw, message", [
+        ([{"name": "Verb", "tags": ["V"], "trailing_wildcard": "false"}],
+         "catalog entry 0: trailing_wildcard must be true or false"),
+        ([{"name": "Verb Noun", "tags": "VN"}],
+         "catalog entry 0: tags must be an array of strings"),
+        ({"name": "Verb", "tags": ["V"]}, "a catalog must be a JSON array of entries"),
+        ([["V"]], "catalog entry 0: must be a JSON object"),
+        ([{"name": "Verb", "tags": ["V"]}, {"tags": ["N"]}],
+         "catalog entry 1: name must be a string"),
+    ], ids=["flag-as-string", "tags-as-string", "catalog-as-object", "entry-not-object",
+            "name-missing"])
+    def test_one_error_line(self, tmp_path, monkeypatch, raw, message):
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(json.dumps(raw))
+        config = tmp_path / "testlens.toml"
+        config.write_text(f'catalog = "{catalog}"\n')
+        monkeypatch.setenv("TESTLENS_CONFIG", str(config))
+        classified = tmp_path / "classified.json"
+        classified.write_text(json.dumps([{
+            "old_name": "testFoo", "new_name": "testBar", "form": "simple",
+            "semantics": "change", "pairs": []}]))
+        for argv in (["pattern", "testFoo", "--catalog"],
+                     ["report", "--input", str(classified), "--table", "catalog"]):
+            assert invoke(argv) == (EXIT_ERROR, "", f"error: {message}\n"), argv
 
 
 class TestConfig:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +9,7 @@ from testlens.patterns import (
     PatternTemplate,
     catalog_match,
     default_catalog,
+    load_catalog,
     matches,
     pattern_of,
     prefix,
@@ -157,6 +160,56 @@ class TestCatalog:
 
 
 tags_strategy = st.lists(st.sampled_from(list(PosTag)), min_size=1, max_size=8)
+
+
+VALID_ENTRY = {"name": "Verb Start", "tags": ["V"], "trailing_wildcard": True}
+
+# (catalog JSON, the one ValueError message loading it gives)
+MALFORMED_CATALOGS = {
+    "flag-as-string": ([{"name": "Verb", "tags": ["V"], "trailing_wildcard": "false"}],
+                       "catalog entry 0: trailing_wildcard must be true or false"),
+    "leading-flag-as-number": ([VALID_ENTRY, {"name": "Noun", "tags": ["N"],
+                                              "leading_wildcard": 1}],
+                               "catalog entry 1: leading_wildcard must be true or false"),
+    "containment-as-null": ([{"name": "Not", "tags": ["VM"], "containment": None}],
+                            "catalog entry 0: containment must be true or false"),
+    "tags-as-string": ([{"name": "Verb Noun", "tags": "VN"}],
+                       "catalog entry 0: tags must be an array of strings"),
+    "tags-missing": ([{"name": "Verb"}], "catalog entry 0: tags must be an array of strings"),
+    "tag-unknown": ([{"name": "Verb", "tags": ["X"]}],
+                    "catalog entry 0: tags: unknown POS tag 'X'"),
+    "catalog-as-object": (VALID_ENTRY, "a catalog must be a JSON array of entries"),
+    "entry-as-string": (["Verb Start"], "catalog entry 0: must be a JSON object"),
+    "name-missing": ([VALID_ENTRY, {"tags": ["N"]}], "catalog entry 1: name must be a string"),
+    "name-as-number": ([{"name": 7, "tags": ["N"]}], "catalog entry 0: name must be a string"),
+    "origin-unknown": ([{"name": "Verb", "tags": ["V"], "origin": "mined"}],
+                       "catalog entry 0: origin: 'mined' is not a valid CatalogOrigin"),
+}
+
+
+class TestLoadCatalog:
+    def test_entry_fields_and_defaults(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([VALID_ENTRY, {"name": "Not", "tags": ["VM"],
+                                                  "leading_wildcard": True,
+                                                  "trailing_wildcard": True,
+                                                  "containment": True,
+                                                  "origin": "wu_clause"}]))
+        first, second = load_catalog(str(path))
+        assert (first.name, first.template, first.origin) == (
+            "Verb Start", PatternTemplate((V,), trailing_wildcard=True), CatalogOrigin.EXTENDED)
+        assert second.template == PatternTemplate((VM,), True, True, True)
+        assert second.origin is CatalogOrigin.WU_CLAUSE
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CATALOGS))
+    def test_malformed_catalog_names_entry_and_field(self, tmp_path, case):
+        raw, message = MALFORMED_CATALOGS[case]
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError) as raised:
+            load_catalog(str(path))
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == message
 
 
 class TestPatternProperties:

@@ -122,6 +122,18 @@ class TestDetectRenames:
         assert detect_renames(FileVersionPair(before, after), 1.0) == []
         assert detect_renames(FileVersionPair(before, after), 0.5) != []
 
+    def test_partial_parses_are_collected(self):
+        text = java_file("Before.java", {"testOld": "a(); b();"}).text
+        before = SourceFile("Before.java", text + "class U { void testOpen() { x();\n")
+        after = java_file("After.java", {"testNew": "a(); b();"})
+        errors = []
+        events = detect_renames(FileVersionPair(before, after), 0.9, errors)
+        assert [(e.old_name, e.new_name) for e in events] == [("testOld", "testNew")]
+        assert errors == ["Before.java: unbalanced braces after method 'testOpen'; "
+                          "recovered 1 method(s)"]
+        assert detect_renames(FileVersionPair(before, after), 0.9) == events
+
+
 
 def brute_force_assignment(scores: dict[tuple[str, str], float], threshold: float):
     """Exhaustive best assignment: max total score, all pairs >= threshold."""
