@@ -452,7 +452,7 @@ def _cmd_report(args, config: Config, out, err) -> int:
     if not isinstance(rows, list):
         raise CliError(f"{args.input}: expected a JSON array of classifications")
     lexicon = _load_lexicon(config)
-    catalog = _load_catalog(config)
+    catalog = _load_catalog(config) if args.table == "catalog" else None
     prefix_lens = _parse_prefix_lens(args.prefix_len)
     if args.k < 1:
         raise CliError("--k must be >= 1")

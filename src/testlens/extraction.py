@@ -1,13 +1,14 @@
 """Tolerant extraction of test methods from Java-style source text.
 
-One regex pass tokenizes the source into parallel kind, text and span
-columns (comments dropped, string literals kept as single tokens). Each
-match has two groups, the skipped whitespace and comments and the token
-after them; the spans are running sums of their lengths, and a token's
-kind follows from its first character (a quote, a word character, a
-decimal digit or anything else). One stack pass then pairs the
-parentheses and braces, and a signature heuristic finds method
-declarations at each '(' and marks their brace-balanced bodies. No
+One regex pass tokenizes the source into two parallel columns, token
+texts and token end offsets (comments dropped, string literals kept as
+single tokens). Each match has two groups, the skipped whitespace and
+comments and the token after them; the ends are running sums of their
+lengths. A token's start is its end minus its length, and its kind
+follows from its first character (a quote, a letter, ``_`` or ``$``, a
+decimal digit or anything else), so neither is stored. One stack pass
+then pairs the parentheses and braces, and a signature heuristic finds
+method declarations at each '(' and marks their brace-balanced bodies. No
 compiler front-end is involved, so non-compiling snapshots still scan,
 in time linear in the token count.
 """
@@ -29,17 +30,23 @@ class TokenKind(Enum):
 
 
 class TokenStream(NamedTuple):
-    """Tokens as four parallel columns: token ``i`` has kind ``kinds[i]``,
-    text ``texts[i]`` and source span ``starts[i]:ends[i]``. ``len`` counts
-    the tokens, not the four columns."""
+    """Tokens as two parallel columns: token ``i`` has text ``texts[i]``
+    and ends at source offset ``ends[i]``. ``kinds`` and ``starts`` are
+    derived on each read. ``len`` counts the tokens, not the columns."""
 
-    kinds: tuple[TokenKind, ...]
     texts: tuple[str, ...]
-    starts: tuple[int, ...]
     ends: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.texts)
+
+    @property
+    def kinds(self) -> tuple[TokenKind, ...]:
+        return tuple(map(_KIND_OF_FIRST.__getitem__, map(itemgetter(0), self.texts)))
+
+    @property
+    def starts(self) -> tuple[int, ...]:
+        return tuple(map(sub, self.ends, map(len, self.texts)))
 
     @property
     def tokens(self) -> tuple[str, ...]:
@@ -69,7 +76,7 @@ class TestMethod(NamedTuple):
     def body_tokens(self) -> TokenStream:
         """The body's tokens, sliced from the file's columns on each call."""
         s, body = self.file_tokens, slice(*self.body_range)
-        return TokenStream(s.kinds[body], s.texts[body], s.starts[body], s.ends[body])
+        return TokenStream(s.texts[body], s.ends[body])
 
 
 class PartialParseError(Exception):
@@ -84,27 +91,52 @@ class PartialParseError(Exception):
 # Unterminated comments and literals run to the end of the text. The empty
 # last alternative matches at the end, so no match fails and each match
 # starts where the previous one ended; only the last one or two matches
-# have an empty token.
-_TOKEN_RE = re.compile(
-    r"""
+# have an empty token. WORD stands for the word branch.
+_TOKEN_PATTERN = r"""
     ( \s* (?: (?: //[^\n]* | /\*(?:.*?\*/|.*) ) \s* )* )
-    ( [A-Za-z_$][A-Za-z0-9_$]*
+    ( WORD
     | "[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z) | '[^'\\]*(?:\\.[^'\\]*)*(?:'|\\?\Z)
     | \d[\w.]*
     | \S
     | \Z
-    )""",
-    re.DOTALL | re.VERBOSE,
-)
+    )"""
+
+
+def _compile_tokens(word: str) -> re.Pattern:
+    return re.compile(_TOKEN_PATTERN.replace("WORD", word), re.DOTALL | re.VERBOSE)
+
+
+_TOKEN_RE = _compile_tokens("[A-Za-z_$][A-Za-z0-9_$]*")
+_ASCII_RUNS = re.compile(r"[\x00-\x7f]+")
+
+
+def _token_re(text: str) -> re.Pattern:
+    """``_TOKEN_RE`` if ``text`` is ASCII, else that regex with a Unicode
+    word branch. A word holds the characters ``splitter.validate_identifier``
+    accepts (letters, digits, ``_`` and ``$``) and does not start with a
+    digit. ``re`` has no letter class, and ``\\w`` also holds numerics such
+    as '½', so the branch takes ``\\w`` less the text's own characters that
+    are numerics, or at the start also non-decimal digits such as '²'.
+    ``re`` caches the compiled patterns."""
+    if text.isascii():
+        return _TOKEN_RE
+    odd = "".join(sorted(c for c in set(_ASCII_RUNS.sub("", text))
+                         if c.isalnum() and not c.isalpha() and not c.isdecimal()))
+    numerics = "".join(c for c in odd if not c.isdigit())
+    rest = rf"[A-Za-z0-9_$]*(?:[^\W{numerics}][A-Za-z0-9_$]*)*"
+    return _compile_tokens(rf"[A-Za-z_$]{rest}|[^\W\d{odd}]{rest}")
 
 
 class _KindOfFirst(dict):
     """A token's kind by its first character, which decides it because the
-    branches of _TOKEN_RE start with disjoint characters. Every ASCII
+    branches of the token regex start with disjoint characters. Every ASCII
     character is stored; a token starting with any other character is a
-    non-ASCII decimal digit's number or a single punctuation character."""
+    word if that is a letter, a number if it is a decimal digit, and else a
+    single punctuation character."""
 
     def __missing__(self, first: str) -> TokenKind:
+        if first.isalpha():
+            return TokenKind.WORD
         return TokenKind.NUMBER if first.isdecimal() else TokenKind.PUNCTUATION
 
 
@@ -114,6 +146,9 @@ _KIND_OF_FIRST = _KindOfFirst({
     **dict.fromkeys("\"'", TokenKind.STRING),
     **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$", TokenKind.WORD),
 })
+# module names for the members the scans test: a member read through the
+# enum class is several times slower on CPython 3.11
+_WORD, _PUNCTUATION = TokenKind.WORD, TokenKind.PUNCTUATION
 
 _MODIFIERS = frozenset({
     "public", "private", "protected", "static", "final", "abstract",
@@ -143,23 +178,18 @@ def tokenize(text: str) -> TokenStream:
 
     One ``findall`` yields a (skip, token) pair per token, where the skip
     is the whitespace and comments before the token; the trailing pairs
-    with an empty token are dropped. The columns are built from the pairs
-    by ``map`` and ``accumulate``, with no Python loop per token: a token
-    ends at the running sum of skip and token lengths and starts its
-    length before that. Its kind follows from its first character: a
-    quote is STRING, an ASCII letter, ``_`` or ``$`` is WORD, a decimal
-    digit (``str.isdecimal``, which is what ``\\d`` matches) is NUMBER, and
-    anything else is PUNCTUATION.
+    with an empty token are dropped. The two columns are built from the
+    pairs by ``map`` and ``accumulate``, with no Python loop per token: a
+    token ends at the running sum of skip and token lengths. Its kind
+    follows from its first character: a quote is STRING, a letter, ``_``
+    or ``$`` is WORD, a decimal digit (``str.isdecimal``, which is what
+    ``\\d`` matches) is NUMBER, and anything else is PUNCTUATION.
     """
-    rows = _TOKEN_RE.findall(text)
+    rows = _token_re(text).findall(text)
     while rows and not rows[-1][1]:
         rows.pop()
     texts = tuple(map(itemgetter(1), rows))
-    ends = tuple(accumulate(map(add, map(len, map(itemgetter(0), rows)), map(len, texts))))
-    del rows
-    starts = tuple(map(sub, ends, map(len, texts)))
-    kinds = tuple(map(_KIND_OF_FIRST.__getitem__, map(itemgetter(0), texts)))
-    return TokenStream(kinds, texts, starts, ends)
+    return TokenStream(texts, tuple(accumulate(map(add, map(len, map(itemgetter(0), rows)), map(len, texts)))))
 
 
 def _pair_brackets(texts: tuple[str, ...]) -> list[int | None]:
@@ -182,70 +212,70 @@ def _pair_brackets(texts: tuple[str, ...]) -> list[int | None]:
     return partner
 
 
-def _annotation_at(s: TokenStream, partner: list[int | None], close: int) -> int | None:
+def _annotation_at(texts: tuple[str, ...], partner: list[int | None], close: int) -> int | None:
     """Index of the '@' of the annotation whose argument list ends at ``close``."""
     open_idx = partner[close]
     if (
         open_idx is not None
         and open_idx >= 2
-        and s.kinds[open_idx - 1] is TokenKind.WORD
-        and s.texts[open_idx - 2] == "@"
+        and texts[open_idx - 2] == "@"
+        and _KIND_OF_FIRST[texts[open_idx - 1][0]] is _WORD
     ):
         return open_idx - 2
     return None
 
 
-def _type_open(s: TokenStream, partner: list[int | None], i: int) -> int | None:
+def _type_open(texts: tuple[str, ...], partner: list[int | None], i: int) -> int | None:
     """Index of the '<' or '[' matching the '>' or ']' at ``i``, or None.
 
     The scan stops with None at the first token that cannot appear in a
     type, so a '>' of a lambda arrow or a comparison costs a few steps.
     """
-    kinds, texts = s.kinds, s.texts
     close = texts[i]
     opener = _TYPE_OPENER_OF[close]
     depth = 0
     while i >= 0:
-        kind = kinds[i]
         text = texts[i]
-        if kind is TokenKind.PUNCTUATION:
+        kind = _KIND_OF_FIRST[text[0]]
+        if kind is _PUNCTUATION:
             if text == close:
                 depth += 1
             elif text == opener:
                 depth -= 1
                 if depth == 0:
                     return i
-            elif text == ")" and (at := _annotation_at(s, partner, i)) is not None:
+            elif text == ")" and (at := _annotation_at(texts, partner, i)) is not None:
                 i = at
             elif text not in _TYPE_PUNCT:
                 return None
-        elif kind is not TokenKind.WORD:
+        elif kind is not _WORD:
             return None
         i -= 1
     return None
 
 
-def _scan_return_type_back(s: TokenStream, partner: list[int | None], i: int) -> int | None:
+def _scan_return_type_back(texts: tuple[str, ...], partner: list[int | None], i: int) -> int | None:
     """Index of the first token of the return type ending at ``i``, or None."""
     if i < 0:
         return None
-    kinds, texts = s.kinds, s.texts
     if texts[i] in _TYPE_OPENER_OF:
-        start = _type_open(s, partner, i)
+        start = _type_open(texts, partner, i)
         if start is None or start == 0:
             return None
-        if kinds[start - 1] is TokenKind.WORD and texts[start - 1] not in _NOT_METHOD_NAMES:
+        word = texts[start - 1]
+        if _KIND_OF_FIRST[word[0]] is _WORD and word not in _NOT_METHOD_NAMES:
             return start - 1
         return None
-    if kinds[i] is TokenKind.WORD and texts[i] not in _NOT_RETURN_TYPES:
+    if _KIND_OF_FIRST[texts[i][0]] is _WORD and texts[i] not in _NOT_RETURN_TYPES:
         return i
     return None
 
 
 def _collect_annotations(s: TokenStream, partner: list[int | None], before: int, text: str) -> tuple[str, ...]:
     """Annotation texts preceding token index ``before``, across modifiers
-    and a type-parameter list (`@Test public <T> void`)."""
-    kinds, texts, starts, ends = s.kinds, s.texts, s.starts, s.ends
+    and a type-parameter list (`@Test public <T> void`). Each runs from
+    its one-character '@' to the end of its last token."""
+    texts, ends = s
     annotations: list[str] = []
     i = before
     while i >= 0:
@@ -254,24 +284,24 @@ def _collect_annotations(s: TokenStream, partner: list[int | None], before: int,
             i -= 1
             continue
         # remainder of a dotted return type: java.util.List
-        if tok == "." and i >= 1 and kinds[i - 1] is TokenKind.WORD:
+        if tok == "." and i >= 1 and _KIND_OF_FIRST[texts[i - 1][0]] is _WORD:
             i -= 2
             continue
         if tok == ")":
-            at = _annotation_at(s, partner, i)
+            at = _annotation_at(texts, partner, i)
             if at is None:
                 break
-            annotations.append(text[starts[at] : ends[i]])
+            annotations.append(text[ends[at] - 1 : ends[i]])
             i = at - 1
             continue
         if tok == ">":
-            start = _type_open(s, partner, i)
+            start = _type_open(texts, partner, i)
             if start is None:
                 break
             i = start - 1
             continue
-        if kinds[i] is TokenKind.WORD and i >= 1 and texts[i - 1] == "@":
-            annotations.append(text[starts[i - 1] : ends[i]])
+        if i >= 1 and texts[i - 1] == "@" and _KIND_OF_FIRST[tok[0]] is _WORD:
+            annotations.append(text[ends[i - 1] - 1 : ends[i]])
             i -= 2
             continue
         break
@@ -279,13 +309,12 @@ def _collect_annotations(s: TokenStream, partner: list[int | None], before: int,
     return tuple(annotations)
 
 
-def _body_open(s: TokenStream, i: int) -> int | None:
+def _body_open(texts: tuple[str, ...], i: int) -> int | None:
     """Index of the '{' at ``i`` or after a throws clause starting at ``i``."""
-    kinds, texts = s.kinds, s.texts
     n = len(texts)
     if i < n and texts[i] == "throws":
         i += 1
-        while i < n and (kinds[i] is TokenKind.WORD or texts[i] in (",", ".")):
+        while i < n and (texts[i] in (",", ".") or _KIND_OF_FIRST[texts[i][0]] is _WORD):
             i += 1
     return i if i < n and texts[i] == "{" else None
 
@@ -299,37 +328,37 @@ def extract_methods(src: SourceFile) -> list[TestMethod]:
     recovered before the failure. Runs in time linear in the token count.
     """
     s = tokenize(src.text)
-    kinds, texts, starts, ends = s.kinds, s.texts, s.starts, s.ends
+    texts, ends = s
     partner = _pair_brackets(texts)
     methods: list[TestMethod] = []
     # a declaration is a name token followed by a matched '('
     for paren in compress(count(), map("(".__eq__, texts)):
         i = paren - 1
-        if i < 0 or kinds[i] is not TokenKind.WORD or texts[i] in _NOT_METHOD_NAMES:
+        if i < 0 or (name := texts[i]) in _NOT_METHOD_NAMES or _KIND_OF_FIRST[name[0]] is not _WORD:
             continue
         if (close := partner[paren]) is None:
             continue
-        type_start = _scan_return_type_back(s, partner, i - 1)
+        type_start = _scan_return_type_back(texts, partner, i - 1)
         if type_start is None:
             continue
-        brace = _body_open(s, close + 1)
+        brace = _body_open(texts, close + 1)
         if brace is None:
             continue
         body_close = partner[brace]
         if body_close is None:
             raise PartialParseError(
-                f"{src.path}: unbalanced braces after method {texts[i]!r}; "
+                f"{src.path}: unbalanced braces after method {name!r}; "
                 f"recovered {len(methods)} method(s)",
                 methods,
             )
         methods.append(
             TestMethod(
-                name=texts[i],
+                name=name,
                 annotations=_collect_annotations(s, partner, type_start - 1, src.text),
                 file_tokens=s,
                 body_range=(brace + 1, body_close),
-                name_span=(starts[i], ends[i]),
-                body_span=(starts[brace], ends[body_close]),
+                name_span=(ends[i] - len(name), ends[i]),
+                body_span=(ends[brace] - 1, ends[body_close]),
             )
         )
     return methods

@@ -10,8 +10,9 @@ Each body's bigram multiset is built once. Pairs that cannot reach the
 threshold are never scored: an exact similarity-join prefix filter
 (Chaudhuri et al., ICDE 2006; Xiao et al., WWW 2008) over bigram
 occurrences ordered rarest first, then the Dice length bound, leave only
-candidates that share a rare bigram and have compatible sizes. The result
-is the same as scoring and sorting every removed x added pair.
+candidates that share a rare bigram and have compatible sizes; each
+candidate's overlap is one set intersection. The result is the same as
+scoring and sorting every removed x added pair.
 """
 
 from __future__ import annotations
@@ -47,62 +48,52 @@ def body_similarity(a: TokenStream, b: TokenStream) -> float:
     return 2.0 * shared / total
 
 
-def _prefixes(bags: list[Counter], rank: dict, threshold: float) -> list[list[int]]:
-    """Per bag, the ranks of its rarest bigram occurrences that any partner
-    scoring at least ``threshold`` must share at least one of.
-
-    A partner needs an overlap of at least t*n/(2-t) occurrences, so the
-    first n - ceil(t*n/(2-t)) + 1 ranks suffice; one more is kept, so float
-    rounding in that bound never drops a pair.
-    """
-    out = []
-    for bag in bags:
-        ranks = sorted(rank[gram, k] for gram, count in bag.items() for k in range(count))
-        n = len(ranks)
-        need = math.ceil(threshold * n / (2.0 - threshold)) - 1
-        out.append(ranks[: n - max(need, 1) + 1])
-    return out
-
-
 def _similar_pairs(left: list[Counter], right: list[Counter], threshold: float) -> list[tuple[float, int, int]]:
     """Every (score, i, j) whose Dice score of left[i] and right[j] is at
-    least ``threshold``, computed as ``body_similarity`` computes it."""
-    sizes_l = [sum(bag.values()) for bag in left]
-    sizes_r = [sum(bag.values()) for bag in right]
+    least ``threshold``, computed as ``body_similarity`` computes it.
+
+    A bigram's k-th occurrence in a bag is its own element (gram, k), so
+    the multiset overlap is the overlap of these element sets. Each bag
+    becomes the sorted ranks of its elements, rarest first. A partner
+    scoring at least t needs an overlap of at least t*n/(2-t) of a bag's n
+    elements, so it shares one of the first n - ceil(t*n/(2-t)) + 1 ranks;
+    one more is kept, so float rounding in that bound never drops a pair.
+    """
+    elements = [[(gram, k) for gram, count in bag.items() for k in range(count)] for bag in (*left, *right)]
+    freq: Counter = Counter()
+    for elems in elements:
+        freq.update(elems)
+    rank = {elem: r for r, elem in enumerate(sorted(freq, key=freq.__getitem__))}
+    ranked = [sorted(map(rank.__getitem__, elems)) for elems in elements]
+    del elements, freq, rank
+    ranked_l, ranked_r = ranked[:len(left)], ranked[len(left):]
+
+    def prefix(ranks: list[int]) -> list[int]:
+        n = len(ranks)
+        return ranks[: n - max(math.ceil(threshold * n / (2.0 - threshold)) - 1, 1) + 1]
+
     pairs = [
         (1.0, i, j)
-        for i, nl in enumerate(sizes_l) if nl == 0
-        for j, nr in enumerate(sizes_r) if nr == 0
+        for i, a in enumerate(ranked_l) if not a
+        for j, b in enumerate(ranked_r) if not b
     ]
-    # a bigram's k-th occurrence in a bag is its own element, so the
-    # multiset overlap is the overlap of these element sets
-    freq: Counter = Counter()
-    for bag in (*left, *right):
-        for gram, count in bag.items():
-            for k in range(count):
-                freq[gram, k] += 1
-    rank = {elem: r for r, elem in enumerate(sorted(freq, key=freq.__getitem__))}
-
     index: dict[int, list[int]] = {}
-    for j, prefix in enumerate(_prefixes(right, rank, threshold)):
-        for r in prefix:
+    for j, b in enumerate(ranked_r):
+        for r in prefix(b):
             index.setdefault(r, []).append(j)
-    for i, prefix in enumerate(_prefixes(left, rank, threshold)):
-        candidates = {j for r in prefix for j in index.get(r, ())}
-        a, na = left[i], sizes_l[i]
+    for i, a in enumerate(ranked_l):
+        candidates = {j for r in prefix(a) for j in index.get(r, ())}
+        if not candidates:
+            continue
+        na, mine = len(a), set(a)
         for j in candidates:
-            b, nb = right[j], sizes_r[j]
+            b = ranked_r[j]
+            nb = len(b)
             total = na + nb
             # the overlap is at most the smaller size (Dice length bound)
             if 2.0 * min(na, nb) / total < threshold:
                 continue
-            small, big = (a, b) if len(a) <= len(b) else (b, a)
-            shared = 0
-            for gram, count in small.items():
-                other = big.get(gram)
-                if other:
-                    shared += count if count < other else other
-            score = 2.0 * shared / total
+            score = 2.0 * len(mine.intersection(b)) / total
             if score >= threshold:
                 pairs.append((score, i, j))
     return pairs

@@ -138,6 +138,16 @@ class TestScanCommand:
         assert doc["files"][0]["methods"][0]["name"] == "testParser"
         assert doc["files"][0]["methods"][0]["is_test_method"] is True
 
+    def test_scan_non_ascii_names(self, tmp_path):
+        target = tmp_path / "GrößeTest.java"
+        target.write_text(CLEAN_TEST.replace(
+            "testParser()", "testGrößeAfterClear() { x(); }\n    @Test public void testÉtat()"),
+            encoding="utf-8")
+        code, out, _ = invoke(["scan", str(target)])
+        assert code == EXIT_OK
+        names = [m["name"] for m in json.loads(out)["files"][0]["methods"]]
+        assert names == ["testGrößeAfterClear", "testÉtat"]
+
     @staticmethod
     def _is_test_file(tmp_path, text):
         target = tmp_path / "T.java"
@@ -306,6 +316,20 @@ class T {
         assert (doc[0]["old_pattern"], doc[0]["new_pattern"]) == ("V NM N", "V NM N")
         assert doc[0]["pairs"] == [{"added": "new", "removed": "old",
                                     "relation": "unrelated"}]
+
+    def test_detect_non_ascii_rename(self, tmp_path):
+        before = tmp_path / "Before.java"
+        after = tmp_path / "After.java"
+        before.write_text(self.BEFORE.replace("testOldName", "testGrößeAfterClear"), encoding="utf-8")
+        after.write_text(self.AFTER.replace("testNewName", "testSizeAfterClear"), encoding="utf-8")
+        code, out, _ = invoke([
+            "rename", "detect", "--before", str(before), "--after", str(after),
+        ])
+        assert code == EXIT_OK
+        assert json.loads(out) == [{
+            "old_name": "testGrößeAfterClear", "new_name": "testSizeAfterClear",
+            "file": str(after), "commit": "",
+        }]
 
     def test_detect_threshold_rejects(self, tmp_path):
         before = tmp_path / "Before.java"
@@ -691,6 +715,23 @@ class TestCatalogErrors:
         for argv in (["pattern", "testFoo", "--catalog"],
                      ["report", "--input", str(classified), "--table", "catalog"]):
             assert invoke(argv) == (EXIT_ERROR, "", f"error: {message}\n"), argv
+
+    def test_only_the_catalog_table_loads_the_catalog(self, tmp_path, monkeypatch):
+        classified = tmp_path / "classified.json"
+        classified.write_text(json.dumps([{
+            "old_name": "testFoo", "new_name": "testBar", "form": "simple",
+            "semantics": "change", "pairs": []}]))
+        argv = ["report", "--input", str(classified)]
+        expected = invoke([*argv, "--table", "full"])
+        assert expected[0] == EXIT_OK and expected[1]
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(json.dumps([["V"]]))
+        config = tmp_path / "testlens.toml"
+        config.write_text(f'catalog = "{catalog}"\n')
+        monkeypatch.setenv("TESTLENS_CONFIG", str(config))
+        assert invoke([*argv, "--table", "full"]) == expected
+        assert invoke([*argv, "--table", "catalog"]) == (
+            EXIT_ERROR, "", "error: catalog entry 0: must be a JSON object\n")
 
 
 class TestConfig:

@@ -105,6 +105,26 @@ class TestTokenize:
         kinds = dict(zip(stream.texts, stream.kinds))
         assert kinds["42"] is TokenKind.NUMBER
 
+    def test_non_ascii_letters_make_words(self):
+        stream = tokenize("testGrößeAfterClear(_é, $ü, ǅx2, x²)")
+        words = [t for k, t in zip(stream.kinds, stream.texts) if k is TokenKind.WORD]
+        assert words == ["testGrößeAfterClear", "_é", "$ü", "ǅx2", "x²"]
+
+    def test_characters_no_identifier_holds_are_punctuation(self):
+        # '½' is numeric but neither a letter nor a digit; '²' is a digit,
+        # which cannot start a word; '٣' is a decimal digit and starts a number
+        stream = tokenize("a½b ²c ٣x")
+        assert list(zip(stream.kinds, stream.texts)) == [
+            (TokenKind.WORD, "a"), (TokenKind.PUNCTUATION, "½"), (TokenKind.WORD, "b"),
+            (TokenKind.PUNCTUATION, "²"), (TokenKind.WORD, "c"), (TokenKind.NUMBER, "٣x")]
+
+    def test_kinds_and_starts_are_derived_from_texts_and_ends(self):
+        stream = tokenize("é = 'c' + 1;")
+        assert stream._fields == ("texts", "ends")
+        assert stream.kinds == (TokenKind.WORD, TokenKind.PUNCTUATION, TokenKind.STRING,
+                                TokenKind.PUNCTUATION, TokenKind.NUMBER, TokenKind.PUNCTUATION)
+        assert stream.starts == (0, 2, 4, 8, 10, 11)
+
 
 class TestExtractMethods:
     def test_single_method(self):
@@ -203,6 +223,13 @@ class TestExtractMethods:
             [m.name for m in extract_methods(a)]
             + [m.name for m in extract_methods(b)]
         )
+
+    def test_non_ascii_method_name(self):
+        text = "class T {\n    @Test void testGrößeAfterClear() { größe(); }\n}\n"
+        [m] = extract_methods(SourceFile("T.java", text))
+        assert m.name == "testGrößeAfterClear" and m.annotations == ("@Test",)
+        assert text[slice(*m.name_span)] == m.name
+        assert m.body_tokens.texts == ("größe", "(", ")", ";")
 
     def test_body_tokens_within_body_span(self):
         methods = extract_methods(SourceFile("ParserTest.java", SIMPLE))

@@ -14,8 +14,8 @@ from testlens.extraction import (
     extract_methods,
     tokenize,
 )
+from testlens.splitter import InvalidIdentifierError, split
 
-_WORD_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 _NUMBER_RE = re.compile(r"\d[\w.]*")
 
 
@@ -23,7 +23,8 @@ Row = tuple[TokenKind, str, int, int]  # kind, text, start, end
 
 
 def reference_tokenize(text: str) -> tuple[Row, ...]:
-    """The character-at-a-time scanner the regex tokenizer replaced."""
+    """The character-at-a-time scanner the regex tokenizer replaced, with
+    words widened from ASCII to the characters ``split`` accepts."""
     tokens: list[Row] = []
     i = 0
     n = len(text)
@@ -57,10 +58,13 @@ def reference_tokenize(text: str) -> tuple[Row, ...]:
             tokens.append((TokenKind.STRING, text[i:j], i, j))
             i = j
             continue
-        m = _WORD_RE.match(text, i)
-        if m:
-            tokens.append((TokenKind.WORD, m.group(), i, m.end()))
-            i = m.end()
+        if ch.isalpha() or ch in "_$":
+            # what splitter.validate_identifier accepts, from a non-digit
+            j = i + 1
+            while j < n and (text[j].isalpha() or text[j].isdigit() or text[j] in "_$"):
+                j += 1
+            tokens.append((TokenKind.WORD, text[i:j], i, j))
+            i = j
             continue
         m = _NUMBER_RE.match(text, i)
         if m:
@@ -78,11 +82,13 @@ def rows(text: str) -> tuple[Row, ...]:
 
 
 # characters that open or close every lexical state, plus non-ASCII
-# digits, letters and whitespace, which the two scanners classify alike:
-# '\u00b2' and '\u2460' are digits but not decimal, '\u01c5' is a title-case
-# letter, so a kind rule using isdigit or isalpha fails here
+# digits, letters, numerics and whitespace: '\u00b2' and '\u2460' are
+# digits but not decimal, so they continue a word but do not start one;
+# '\u00bd' and '\u216b' are numeric but neither digits nor letters, so they
+# are punctuation outside a number; '\u01c5' is a title-case letter and
+# '\u4e00' a letter with a numeric value
 _JAVA_CHARS = ("aZ_$09.x \t\n\r/*\"'\\{}()<>@;,-=\u0663\u00e9\u00a0\u2028\x1c"
-               "\u00b2\u2460\x0b\x0c\u3000\u01c5")
+               "\u00b2\u2460\x0b\x0c\u3000\u01c5\u00bd\u216b\u4e00")
 _FRAGMENTS = [
     "/*", "*/", "//", "\n", '"', "'", "\\", '\\"', "\\'", "x", "Foo", "42", "4.2e3",
     "{", "}", "(", ")", "<", ">", "@", " ", "->", '"a b"', "'c'",
@@ -118,6 +124,42 @@ def test_columns_are_parallel_and_slice_the_text(text):
     assert stream.tokens == stream.texts
     for i in range(n):
         assert text[stream.starts[i]:stream.ends[i]] == stream.texts[i]
+
+
+def _split_accepts(name: str) -> bool:
+    try:
+        split(name)
+    except InvalidIdentifierError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(_java_text | st.text(max_size=40))
+def test_every_word_is_an_identifier_split_accepts(text):
+    stream = tokenize(text)
+    for kind, word in zip(stream.kinds, stream.texts):
+        if kind is TokenKind.WORD:
+            assert _split_accepts(word), word
+
+
+# statement keywords, which never name a method
+_KEYWORDS = {"if", "for", "while", "switch", "catch", "do", "else", "try", "return",
+             "new", "super", "this", "assert", "throw", "synchronized"}
+_identifiers = st.text(
+    st.characters(categories=("Lu", "Ll", "Lt", "Lm", "Lo", "Nd", "Nl", "No"))
+    | st.sampled_from("_$aZ09"),
+    min_size=1, max_size=12,
+).filter(lambda name: _split_accepts(name) and not name[0].isdigit() and name not in _KEYWORDS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_identifiers)
+def test_every_identifier_split_accepts_is_extracted(name):
+    text = f"import org.junit.Test;\nclass T {{\n    void {name}() {{}}\n}}\n"
+    methods = extract_methods(SourceFile("T.java", text))
+    assert [m.name for m in methods] == [name]
+    assert text[slice(*methods[0].name_span)] == name
 
 
 _SOUP = [

@@ -82,8 +82,7 @@ VALUES = {
                       dict(old_pattern="V N", new_pattern="V N", form="simple",
                            semantics="change", term_pairs=(("new", "old"),)),
                       dict(semantics="preserve")),
-    "TokenStream": (TokenStream, dict(kinds=_STREAM.kinds, texts=_STREAM.texts,
-                                      starts=_STREAM.starts, ends=_STREAM.ends),
+    "TokenStream": (TokenStream, dict(texts=_STREAM.texts, ends=_STREAM.ends),
                     dict(texts=_OTHER_STREAM.texts)),
     "SourceFile": (SourceFile, dict(path="T.java", text="class T {}"), dict(text="")),
     "TestMethod": (extraction.TestMethod,
