@@ -496,8 +496,12 @@ def run(argv: list[str], out=None, err=None) -> int:
         else:
             handler = _COMMANDS[args.command]
         return handler(args, config, out, err)
-    except (CliError, ConfigError, ValueError) as known:
+    # a RecursionError is JSON input nested deeper than the decoder goes
+    except (CliError, ConfigError, ValueError, RecursionError) as known:
         err.write(f"error: {known}\n")
+        return EXIT_ERROR
+    except BrokenPipeError:
+        # the reader closed the output early: it wants no more, not an error line
         return EXIT_ERROR
     except OSError as oserr:
         err.write(f"error: {oserr}\n")
@@ -505,4 +509,11 @@ def run(argv: list[str], out=None, err=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is left goes nowhere, so that the flush at exit is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_ERROR
+    sys.exit(code)

@@ -20,13 +20,13 @@ _FAIL_FORMS = frozenset({"fail", "fails", "failure", "failing"})
 
 
 class Rule(NamedTuple):
-    """A lint rule. Triggers see only the tagged name; expectations see the
-    method body (plus the name, so the expectation can mirror the exact
-    terms that fired)."""
+    """A lint rule. A trigger sees only the name: its normalized terms and
+    their tags. An expectation sees the method body, plus the normalized
+    terms, so it can mirror the exact terms that fired."""
 
     id: str
-    trigger: Callable[[TaggedName], bool]
-    expectation: Callable[[TestMethod, TaggedName], bool]
+    trigger: Callable[[tuple[str, ...], tuple[PosTag, ...]], bool]
+    expectation: Callable[[TestMethod, tuple[str, ...]], bool]
     message: str
     severity: str = "warning"
 
@@ -40,12 +40,7 @@ class Diagnostic(NamedTuple):
     severity: str
 
 
-def _terms(name: TaggedName) -> list[str]:
-    return name.terms.normalized()
-
-
-def _tagged_terms(name: TaggedName) -> list[tuple[str, PosTag]]:
-    return list(zip(name.terms.normalized(), name.tags))
+_VERB_MODIFIER, _DETERMINER = PosTag.VERB_MODIFIER, PosTag.DETERMINER
 
 
 def _stem_safe(term: str) -> str:
@@ -63,24 +58,22 @@ def _has_word(method: TestMethod, word: str) -> bool:
 
 # R1: a "fail" term promises an explicit fail(...) call
 
-def _r1_trigger(name: TaggedName) -> bool:
-    return any(t in _FAIL_FORMS or _stem_safe(t) == "fail" for t in _terms(name))
+def _r1_trigger(terms: tuple[str, ...], tags: tuple[PosTag, ...]) -> bool:
+    return any(t in _FAIL_FORMS or _stem_safe(t) == "fail" for t in terms)
 
 
-def _r1_expectation(method: TestMethod, name: TaggedName) -> bool:
+def _r1_expectation(method: TestMethod, terms: tuple[str, ...]) -> bool:
     texts = method.body_tokens.texts
     return ("fail", "(") in zip(texts, texts[1:])
 
 
 # R2: "true"/"false" terms promise the matching boolean assert
 
-def _r2_trigger(name: TaggedName) -> bool:
-    terms = _terms(name)
+def _r2_trigger(terms: tuple[str, ...], tags: tuple[PosTag, ...]) -> bool:
     return "true" in terms or "false" in terms
 
 
-def _r2_expectation(method: TestMethod, name: TaggedName) -> bool:
-    terms = _terms(name)
+def _r2_expectation(method: TestMethod, terms: tuple[str, ...]) -> bool:
     if "true" in terms and not _has_word(method, "assertTrue"):
         return False
     if "false" in terms and not _has_word(method, "assertFalse"):
@@ -90,15 +83,12 @@ def _r2_expectation(method: TestMethod, name: TaggedName) -> bool:
 
 # R3: an adverbial "not" promises null-based checking
 
-def _r3_trigger(name: TaggedName) -> bool:
-    return any(
-        t == "not" and tag is PosTag.VERB_MODIFIER
-        for t, tag in _tagged_terms(name)
-    )
+def _r3_trigger(terms: tuple[str, ...], tags: tuple[PosTag, ...]) -> bool:
+    return "not" in terms and ("not", _VERB_MODIFIER) in zip(terms, tags)
 
 
-def _make_r3_expectation(allow_boolean: bool) -> Callable[[TestMethod, TaggedName], bool]:
-    def expectation(method: TestMethod, name: TaggedName) -> bool:
+def _make_r3_expectation(allow_boolean: bool) -> Callable[[TestMethod, tuple[str, ...]], bool]:
+    def expectation(method: TestMethod, terms: tuple[str, ...]) -> bool:
         if _has_word(method, "assertNull") or _has_word(method, "assertNotNull"):
             return True
         if allow_boolean and (
@@ -112,20 +102,18 @@ def _make_r3_expectation(allow_boolean: bool) -> Callable[[TestMethod, TaggedNam
 
 # R4: "all" (or the phrases "all of"/"at least") promises collection-based data
 
-def _r4_trigger(name: TaggedName) -> bool:
-    if any(t == "all" and tag is PosTag.DETERMINER for t, tag in _tagged_terms(name)):
+def _r4_trigger(terms: tuple[str, ...], tags: tuple[PosTag, ...]) -> bool:
+    if "all" in terms and (("all", _DETERMINER) in zip(terms, tags)
+                           or ("all", "of") in zip(terms, terms[1:])):
         return True
-    terms = _terms(name)
-    for i in range(len(terms) - 1):
-        if (terms[i], terms[i + 1]) in (("all", "of"), ("at", "least")):
-            return True
-    return False
+    return "at" in terms and ("at", "least") in zip(terms, terms[1:])
 
 
-def _make_r4_expectation(vocabulary: tuple[str, ...]) -> Callable[[TestMethod, TaggedName], bool]:
+def _make_r4_expectation(
+        vocabulary: tuple[str, ...]) -> Callable[[TestMethod, tuple[str, ...]], bool]:
     vocab = frozenset(vocabulary)
 
-    def expectation(method: TestMethod, name: TaggedName) -> bool:
+    def expectation(method: TestMethod, terms: tuple[str, ...]) -> bool:
         body = method.body_tokens
         return "[" in body.texts or any(
             kind is TokenKind.WORD for kind, text in zip(body.kinds, body.texts) if text in vocab
@@ -136,8 +124,8 @@ def _make_r4_expectation(vocabulary: tuple[str, ...]) -> Callable[[TestMethod, T
 
 # R5: an "exception" term promises expected-exception handling
 
-def _r5_trigger(name: TaggedName) -> bool:
-    return any(_stem_safe(t) == "except" for t in _terms(name))
+def _r5_trigger(terms: tuple[str, ...], tags: tuple[PosTag, ...]) -> bool:
+    return any(_stem_safe(t) == "except" for t in terms)
 
 
 def _assertion_token(texts: tuple[str, ...], i: int) -> bool:
@@ -146,7 +134,7 @@ def _assertion_token(texts: tuple[str, ...], i: int) -> bool:
     return texts[i] == "fail" and i + 1 < len(texts) and texts[i + 1] == "("
 
 
-def _r5_expectation(method: TestMethod, name: TaggedName) -> bool:
+def _r5_expectation(method: TestMethod, terms: tuple[str, ...]) -> bool:
     if any("expected" in annotation for annotation in method.annotations):
         return True
     texts = method.body_tokens.texts
@@ -195,9 +183,10 @@ def lint(
     file: str = "",
 ) -> list[Diagnostic]:
     """One diagnostic per rule whose trigger fires and whose expectation fails."""
+    terms = tuple(name.terms.normalized())
     diagnostics: list[Diagnostic] = []
     for rule in rules:
-        if rule.trigger(name) and not rule.expectation(method, name):
+        if rule.trigger(terms, name.tags) and not rule.expectation(method, terms):
             diagnostics.append(
                 Diagnostic(
                     rule_id=rule.id,

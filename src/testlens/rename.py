@@ -18,7 +18,7 @@ from typing import NamedTuple, Protocol
 from . import _data
 from .patterns import GrammarPattern
 from .splitter import TermSequence, _split_valid, validate_identifier
-from .tagger import Lexicon, PosTag, inflected_match, tag
+from .tagger import _NOUNISH, Lexicon, PosTag, inflected_match, tag
 
 
 class FormCategory(Enum):
@@ -49,6 +49,13 @@ class TermRelation(Enum):
     UNRELATED = "unrelated"
 
 
+# members as module names for the per-event code: a read through the class costs more
+_FORMATTING, _REORDERING, _SIMPLE, _COMPLEX = FormCategory
+_PRESERVE, _CHANGE, _NARROW, _BROADEN, _ADD, _REMOVE = SemanticCategory
+(_SYNONYM, _ANTONYM, _SPECIALIZATION, _GENERALIZATION, _SAME_STEM, _TENSE_CHANGE,
+ _PLURALITY_CHANGE, _SPELLING_FIX, _UNRELATED) = TermRelation
+
+
 def validate_rename(old_name: str, new_name: str) -> None:
     """Raise ValueError unless both names are identifiers and they differ."""
     validate_identifier(old_name)
@@ -63,6 +70,9 @@ class RenameEvent(namedtuple("RenameEvent", "old_name new_name file commit")):
     def __new__(cls, old_name: str, new_name: str, file: str | None = None,
                 commit: str | None = None) -> "RenameEvent":
         validate_rename(old_name, new_name)
+        for field, value in (("file", file), ("commit", commit)):
+            if value is not None and not isinstance(value, str):
+                raise TypeError(f"{field} must be a string or None, not {type(value).__name__}")
         return tuple.__new__(cls, (old_name, new_name, file, commit))
 
 
@@ -262,7 +272,7 @@ def stem(term: str) -> str:
     """
     if not term:
         raise ValueError("cannot stem an empty term")
-    if any(ch.isdigit() for ch in term):
+    if any(map(str.isdigit, term)):
         raise ValueError(f"cannot stem a term containing digits: {term!r}")
     w = term.lower()
     while True:
@@ -402,7 +412,7 @@ def relate(removed: str, added: str, provider: WordRelationProvider | None = Non
     relations, synonym, antonym, specialization, generalization, unrelated.
     """
     for term in (removed, added):
-        if any(ch.isdigit() for ch in term):
+        if any(map(str.isdigit, term)):
             raise ValueError(f"relate requires digit-free terms: {term!r}")
     if provider is None:
         provider = CuratedRelationProvider.default()
@@ -413,24 +423,24 @@ def relate(removed: str, added: str, provider: WordRelationProvider | None = Non
     if single_words:
         if _within_edits(removed, added, 2):
             if provider.in_dictionary(removed) != provider.in_dictionary(added):
-                return TermRelation.SPELLING_FIX
+                return _SPELLING_FIX
         if stem(removed) == stem(added):
             if added == removed + "s" or removed == added + "s":
-                return TermRelation.PLURALITY_CHANGE
+                return _PLURALITY_CHANGE
             if added == removed + "ed" or removed == added + "ed" \
                     or added == removed + "d" or removed == added + "d":
-                return TermRelation.TENSE_CHANGE
-            return TermRelation.SAME_STEM
+                return _TENSE_CHANGE
+            return _SAME_STEM
 
     if added in provider.synonyms(removed):
-        return TermRelation.SYNONYM
+        return _SYNONYM
     if added in provider.antonyms(removed):
-        return TermRelation.ANTONYM
+        return _ANTONYM
     if removed in _transitive_hypernyms(added, provider):
-        return TermRelation.SPECIALIZATION
+        return _SPECIALIZATION
     if added in _transitive_hypernyms(removed, provider):
-        return TermRelation.GENERALIZATION
-    return TermRelation.UNRELATED
+        return _GENERALIZATION
+    return _UNRELATED
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +496,12 @@ def _diff(event: RenameEvent) -> _RenameDiff:
 
 def _form(d: _RenameDiff) -> FormCategory:
     if [t for t in d.old_terms if not t.isdigit()] == [t for t in d.new_terms if not t.isdigit()]:
-        return FormCategory.FORMATTING
+        return _FORMATTING
     if not d.added and not d.removed:
-        return FormCategory.REORDERING
+        return _REORDERING
     if sum(d.added.values()) <= 1 and sum(d.removed.values()) <= 1:
-        return FormCategory.SIMPLE
-    return FormCategory.COMPLEX
+        return _SIMPLE
+    return _COMPLEX
 
 
 def _pairs(d: _RenameDiff) -> list[tuple[str, str]]:
@@ -510,18 +520,13 @@ def _in_name_order(name_terms: list[str], counts: Counter) -> list[str]:
     return ordered
 
 
-_PRESERVING_RELATIONS = frozenset({
-    TermRelation.SYNONYM,
-    TermRelation.SAME_STEM,
-    TermRelation.PLURALITY_CHANGE,
-    TermRelation.TENSE_CHANGE,
-    TermRelation.SPELLING_FIX,
-})
+_PRESERVING_RELATIONS = frozenset({_SYNONYM, _SAME_STEM, _PLURALITY_CHANGE, _TENSE_CHANGE,
+                                   _SPELLING_FIX})
 
 
 def _pair_relation(added: str, removed: str, provider: WordRelationProvider) -> TermRelation:
-    if any(ch.isdigit() for ch in added) or any(ch.isdigit() for ch in removed):
-        return TermRelation.UNRELATED
+    if any(map(str.isdigit, added)) or any(map(str.isdigit, removed)):
+        return _UNRELATED
     return relate(removed, added, provider)
 
 
@@ -561,7 +566,7 @@ def _changed_before_head(
     The diff against ``other_terms`` is taken without phrase collapsing so
     positions stay aligned with the tag sequence.
     """
-    nouns = [i for i, t in enumerate(tags) if t in (PosTag.NOUN, PosTag.NOUN_PLURAL)]
+    nouns = [i for i, t in enumerate(tags) if t in _NOUNISH]
     if not nouns or name_terms[nouns[-1]] not in other_terms:
         return False
     head = nouns[-1]
@@ -577,28 +582,28 @@ def _semantics(
     old_tags: tuple[PosTag, ...],
     new_tags: tuple[PosTag, ...],
 ) -> SemanticCategory:
-    if form in (FormCategory.FORMATTING, FormCategory.REORDERING):
-        return SemanticCategory.PRESERVE
+    if form in (_FORMATTING, _REORDERING):
+        return _PRESERVE
     # any other form has added or removed terms
     if not d.removed:
         if _changed_before_head(d.new_terms, new_tags, d.old_terms):
-            return SemanticCategory.NARROW
-        return SemanticCategory.ADD
+            return _NARROW
+        return _ADD
     if not d.added:
         if _changed_before_head(d.old_terms, old_tags, d.new_terms):
-            return SemanticCategory.BROADEN
-        return SemanticCategory.REMOVE
+            return _BROADEN
+        return _REMOVE
     if _preserving_swap(list(d.added.elements()), list(d.removed.elements()), relations):
-        return SemanticCategory.PRESERVE
+        return _PRESERVE
 
     found = set(relations.values())
-    has_spec = TermRelation.SPECIALIZATION in found
-    has_gen = TermRelation.GENERALIZATION in found
+    has_spec = _SPECIALIZATION in found
+    has_gen = _GENERALIZATION in found
     if has_spec and not has_gen:
-        return SemanticCategory.NARROW
+        return _NARROW
     if has_gen and not has_spec:
-        return SemanticCategory.BROADEN
-    return SemanticCategory.CHANGE
+        return _BROADEN
+    return _CHANGE
 
 
 def _tags(terms: TermSequence, lexicon: Lexicon | None) -> tuple[PosTag, ...]:

@@ -15,10 +15,6 @@ from . import _data
 
 _SEPARATORS = frozenset("_$")
 
-# Pieces of one character class: an ASCII run matches whole, any other
-# character alone (its class comes from ``_char_class``).
-_PIECE = re.compile(r"[0-9]+|[A-Z]+|[a-z]+|[_$]+|.", re.DOTALL)
-
 
 class InvalidIdentifierError(ValueError):
     """Raised for empty identifiers or identifiers with unsupported characters."""
@@ -30,7 +26,10 @@ _ASCII_IDENTIFIER = re.compile(r"[A-Za-z0-9_$]+")
 
 def validate_identifier(text: str) -> str:
     """Return ``text`` unchanged if it is a well-formed identifier."""
-    if isinstance(text, str) and _ASCII_IDENTIFIER.fullmatch(text):
+    if not isinstance(text, str):
+        # a list of letters would pass the per-character check below
+        raise InvalidIdentifierError(f"identifier must be a string, not {type(text).__name__}")
+    if _ASCII_IDENTIFIER.fullmatch(text):
         return text
     if not text:
         raise InvalidIdentifierError("identifier is empty")
@@ -81,48 +80,6 @@ def normalize(term: str) -> str:
     return term.lower()
 
 
-def _char_class(ch: str) -> str:
-    if ch.isdigit():
-        return "digit"
-    if ch.isupper():
-        return "upper"
-    return "lower"
-
-
-def _split_segment(raw: str, runs: list[tuple[str, int, int]], words: frozenset[str]) -> list[Term]:
-    terms: list[Term] = []
-
-    def emit(start: int, end: int) -> None:
-        terms.append(Term(raw[start:end], start, end))
-
-    i = 0
-    while i < len(runs):
-        kind, start, end = runs[i]
-        nxt = runs[i + 1] if i + 1 < len(runs) else None
-        if kind == "upper" and nxt is not None and nxt[0] == "lower":
-            _, lo_start, lo_end = nxt
-            lower_text = raw[lo_start:lo_end]
-            if end - start == 1:
-                # single capital starts a capitalized word: "String"
-                emit(start, lo_end)
-            elif lower_text == "s":
-                # plural acronym: "IDs", "URLs"
-                emit(start, lo_end)
-            elif lower_text in words:
-                # acronym or preamble followed by a real lowercase word
-                emit(start, end)
-                emit(lo_start, lo_end)
-            else:
-                # last capital of the run begins the next word: "HTTPSServer"
-                emit(start, end - 1)
-                emit(end - 1, lo_end)
-            i += 2
-        else:
-            emit(start, end)
-            i += 1
-    return terms
-
-
 def split(name: str) -> TermSequence:
     """Decompose ``name`` into ordered terms.
 
@@ -132,24 +89,43 @@ def split(name: str) -> TermSequence:
     return _split_valid(validate_identifier(name))
 
 
+class _CharClasses(dict):
+    """``str.translate`` table giving each character one class letter: ``d``
+    a digit, ``u`` upper case, ``s`` a separator, ``l`` anything else.
+    A character is classified, and kept, on first sight; split sees only
+    validated names, so that is one entry per letter or digit at most."""
+
+    def __missing__(self, code: int) -> str:
+        ch = chr(code)
+        kind = "s" if ch in _SEPARATORS else "d" if ch.isdigit() else "u" if ch.isupper() else "l"
+        self[code] = kind
+        return kind
+
+
+_CLASS_OF = _CharClasses()
+"".join(map(chr, range(128))).translate(_CLASS_OF)  # ASCII is classified up front
+
+# One term per match over the class string; separators match nothing. Only
+# an upper run of two or more followed by lower case (the groups) is cut by
+# the acronym rules.
+_TERM = re.compile(r"d+|u(?!u)l*|(u+)(l*)|l+")
+
+
 def _split_valid(name: str) -> TermSequence:
     """``split`` of a name the caller has already validated."""
     words = _data.common_words()
     terms: list[Term] = []
-    runs: list[tuple[str, int, int]] = []  # maximal (class, start, end) runs of a segment
-    for piece in _PIECE.finditer(name):
-        start, end = piece.span()
-        first = name[start]
-        if first in _SEPARATORS:
-            if runs:
-                terms.extend(_split_segment(name, runs, words))
-                runs = []
+    for match in _TERM.finditer(name.translate(_CLASS_OF)):
+        start, end = match.span()
+        cut = match.end(1)  # upper run [start, cut), lower run [cut, end)
+        if cut == -1 or cut == end or name[cut:end] == "s":
+            # one term; "s" after an upper run is a plural acronym: "IDs", "URLs"
+            terms.append(Term(name[start:end], start, end))
             continue
-        kind = _char_class(first)
-        if runs and runs[-1][0] == kind:
-            runs[-1] = (kind, runs[-1][1], end)
-        else:
-            runs.append((kind, start, end))
-    if runs:
-        terms.extend(_split_segment(name, runs, words))
+        if name[cut:end] not in words:
+            # the last capital begins the next word: "HTTPSServer"; else an
+            # acronym or preamble precedes a real lowercase word
+            cut -= 1
+        terms.append(Term(name[start:cut], start, cut))
+        terms.append(Term(name[cut:end], cut, end))
     return TermSequence(name, tuple(terms))

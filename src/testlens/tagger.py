@@ -16,7 +16,7 @@ from enum import Enum
 from functools import lru_cache
 
 from . import _data
-from .splitter import TermSequence, normalize
+from .splitter import TermSequence
 
 
 class PosTag(Enum):
@@ -36,6 +36,9 @@ class PosTag(Enum):
 
 
 _TAG_BY_VALUE = {t.value: t for t in PosTag}
+# members as module names: a read through the class costs several times more
+_N, _DT, _CJ, _P, _NPL, _NM, _V, _VM, _PR, _D = PosTag
+_NOUNISH = (_N, _NPL)
 
 
 def parse_tag(text: str) -> PosTag:
@@ -113,7 +116,7 @@ class TaggedName(namedtuple("TaggedName", "terms tags")):
         if len(tags) != len(terms.terms):
             raise ValueError("tag count must equal term count")
         for term, tag in zip(terms.terms, tags):
-            if term.surface.isdigit() != (tag is PosTag.DIGIT):
+            if term.surface.isdigit() != (tag is _D):
                 raise ValueError(f"digit tag mismatch on term {term.surface!r}")
         return tuple.__new__(cls, (terms, tags))
 
@@ -132,7 +135,7 @@ def inflected_match(word: str, words: frozenset[str], suffixes: tuple[str, ...])
     """
     if word in words:
         return True
-    for suffix in suffixes:
+    for suffix in _suffixes_by_last_letter(suffixes).get(word[-1:], ()):
         if word.endswith(suffix) and len(word) > len(suffix):
             base = word[: -len(suffix)]
             if len(base) >= 3 and base in words:
@@ -142,78 +145,67 @@ def inflected_match(word: str, words: frozenset[str], suffixes: tuple[str, ...])
     return False
 
 
+@lru_cache(maxsize=16)
+def _suffixes_by_last_letter(suffixes: tuple[str, ...]) -> dict[str, tuple[str, ...]]:
+    """The suffixes grouped by their last letter: a word can end only with those of its own."""
+    lasts = {s[-1:] for s in suffixes}
+    return {last: tuple(s for s in suffixes if s[-1:] == last) for last in lasts}
+
+
 _VERB_SUFFIXES = ("s", "es", "ed", "d", "ing")
 _NOUN_SUFFIXES = ("s", "es")
 
 
-def _is_verb_form(word: str, lexicon: Lexicon) -> bool:
-    return inflected_match(word, lexicon.verbs, _VERB_SUFFIXES)
-
-
-def _is_known_noun(word: str, lexicon: Lexicon) -> bool:
-    return inflected_match(word, lexicon.known_nouns, _NOUN_SUFFIXES)
-
-
-def _looks_plural(word: str) -> bool:
-    return (
-        len(word) >= 3
-        and word.endswith("s")
-        and not word.endswith(("ss", "us", "is"))
-    )
-
-
-def _tag_term(word: str, index: int, prior: list[PosTag], lexicon: Lexicon) -> PosTag:
-    if word.isdigit():
-        return PosTag.DIGIT
-    if word in lexicon.prepositions:
-        return PosTag.PREPOSITION
-    if word in lexicon.determiners:
-        return PosTag.DETERMINER
-    if word in lexicon.conjunctions:
-        return PosTag.CONJUNCTION
-    if word in lexicon.pronouns:
-        return PosTag.PRONOUN
-    if word in lexicon.adverbs:
-        return PosTag.VERB_MODIFIER
-    if _is_verb_form(word, lexicon):
-        # verb/noun ambiguity resolves positionally: nouns win right after
-        # a preposition or determiner, verbs everywhere else
-        after_p_dt = index > 0 and prior[index - 1] in (
-            PosTag.PREPOSITION,
-            PosTag.DETERMINER,
-        )
-        if not (after_p_dt and _is_known_noun(word, lexicon)):
-            return PosTag.VERB
-    if _looks_plural(word):
-        return PosTag.NOUN_PLURAL
-    return PosTag.NOUN
+@lru_cache(maxsize=8)
+def _closed_class_tags(lexicon: Lexicon) -> dict[str, PosTag]:
+    """Each closed-class word or adverb of ``lexicon`` -> its tag. A word in
+    two lists keeps the first: preposition, determiner, conjunction,
+    pronoun, adverb."""
+    table: dict[str, PosTag] = {}
+    for words, pos in zip(lexicon, (_P, _DT, _CJ, _PR, _VM)):
+        for word in words:
+            table.setdefault(word, pos)
+    return table
 
 
 def noun_run_rewrite(tags: list[PosTag]) -> list[PosTag]:
     """Within each maximal N/NPL run of length >= 2, demote all but the last to NM."""
     out = list(tags)
-    nounish = (PosTag.NOUN, PosTag.NOUN_PLURAL)
-    i = 0
-    while i < len(out):
-        if out[i] in nounish:
-            j = i
-            while j + 1 < len(out) and out[j + 1] in nounish:
-                j += 1
-            for k in range(i, j):
-                out[k] = PosTag.NOUN_MODIFIER
-            i = j + 1
-        else:
-            i += 1
+    for i in range(len(out) - 1):
+        # out[i + 1] is still as given
+        if out[i] in _NOUNISH and out[i + 1] in _NOUNISH:
+            out[i] = _NM
     return out
 
 
 def tag(terms: TermSequence, lexicon: Lexicon | None = None) -> TaggedName:
-    """Assign one POS tag per term of a split identifier."""
+    """Assign one POS tag per term of a split identifier.
+
+    Digits are D and closed-class words and adverbs take their list's tag.
+    A verb form is V unless it is also a known noun right after a P or DT
+    (verb/noun ambiguity resolves by position). Anything else is NPL when
+    it looks plural, else N.
+    """
     if not terms.terms:
         raise ValueError("cannot tag an empty term sequence")
     if lexicon is None:
         lexicon = Lexicon.default()
+    closed = _closed_class_tags(lexicon)
+    verbs, nouns = lexicon.verbs, lexicon.known_nouns
     raw_tags: list[PosTag] = []
-    for i, term in enumerate(terms.terms):
-        raw_tags.append(_tag_term(normalize(term.surface), i, raw_tags, lexicon))
+    prior = None
+    for term in terms.terms:
+        word = term.surface.lower()
+        pos = _D if word.isdigit() else closed.get(word)
+        if pos is None:
+            if inflected_match(word, verbs, _VERB_SUFFIXES) and not (
+                    (prior is _P or prior is _DT)
+                    and inflected_match(word, nouns, _NOUN_SUFFIXES)):
+                pos = _V
+            elif len(word) >= 3 and word.endswith("s") and not word.endswith(("ss", "us", "is")):
+                pos = _NPL
+            else:
+                pos = _N
+        raw_tags.append(pos)
+        prior = pos
     return TaggedName(terms, tuple(noun_run_rewrite(raw_tags)))

@@ -964,6 +964,25 @@ class TestEntryPoint:
         assert proc.stdout == ""
         assert proc.stderr.startswith("usage: testlens scan")
 
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_reader_closing_stdout_early_is_quiet(self, tmp_path, unbuffered):
+        # far more output than a pipe holds, so the writer meets the closed pipe
+        methods = "".join(f"    @Test\n    public void testParser{i}() {{ }}\n" for i in range(2000))
+        (tmp_path / "BigTest.java").write_text(
+            f"import org.junit.Test;\npublic class BigTest {{\n{methods}}}\n")
+        src = str(Path(testlens.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        proc = subprocess.Popen([sys.executable, "-m", "testlens", "scan", str(tmp_path)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert proc.stdout.read(10) == b'{\n  "files"'[:10]
+            proc.stdout.close()
+            assert proc.stderr.read() == b""
+            assert proc.wait(timeout=60) == EXIT_ERROR
+        finally:
+            proc.kill()
+            proc.stderr.close()
+
 
 class TestUsage:
     def test_usage_error_written_to_err_stream(self, capsys):

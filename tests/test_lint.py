@@ -228,7 +228,7 @@ class TestLintMechanics:
         """)
         for d in diags:
             tagged = tag(split(d.method_name))
-            assert by_id[d.rule_id].trigger(tagged)
+            assert by_id[d.rule_id].trigger(tuple(tagged.terms.normalized()), tagged.tags)
 
     def test_monotonicity_adding_satisfying_tokens(self):
         violating = """

@@ -6,18 +6,61 @@ from hypothesis import given, settings, strategies as st
 from testlens import _data
 from testlens.splitter import (
     InvalidIdentifierError,
+    Term,
     TermSequence,
-    _char_class,
-    _split_segment,
     normalize,
     split,
     validate_identifier,
 )
 
 
+def _char_class(ch: str) -> str:
+    if ch.isdigit():
+        return "digit"
+    if ch.isupper():
+        return "upper"
+    return "lower"
+
+
+def _split_segment(raw: str, runs: list[tuple[str, int, int]], words: frozenset[str]) -> list[Term]:
+    """Terms of one separator-free segment from its maximal class runs."""
+    terms: list[Term] = []
+
+    def emit(start: int, end: int) -> None:
+        terms.append(Term(raw[start:end], start, end))
+
+    i = 0
+    while i < len(runs):
+        kind, start, end = runs[i]
+        nxt = runs[i + 1] if i + 1 < len(runs) else None
+        if kind == "upper" and nxt is not None and nxt[0] == "lower":
+            _, lo_start, lo_end = nxt
+            lower_text = raw[lo_start:lo_end]
+            if end - start == 1:
+                # single capital starts a capitalized word: "String"
+                emit(start, lo_end)
+            elif lower_text == "s":
+                # plural acronym: "IDs", "URLs"
+                emit(start, lo_end)
+            elif lower_text in words:
+                # acronym or preamble followed by a real lowercase word
+                emit(start, end)
+                emit(lo_start, lo_end)
+            else:
+                # last capital of the run begins the next word: "HTTPSServer"
+                emit(start, end - 1)
+                emit(end - 1, lo_end)
+            i += 2
+        else:
+            emit(start, end)
+            i += 1
+    return terms
+
+
 def reference_split(name: str) -> TermSequence:
     """Per-character reference: cut segments at separators, group each
-    segment's characters into maximal runs of one class."""
+    segment's characters into maximal runs of one class, then apply the
+    acronym rules run by run."""
     words = _data.common_words()
     terms = []
     seg_start = 0
@@ -117,6 +160,27 @@ unicode_identifiers = st.text(
 ).filter(lambda name: all(ch.isalpha() or ch.isdigit() or ch in "_$" for ch in name))
 
 
+# runs the acronym rules see: upper runs (ASCII and not) before lower-case
+# text and common words, title-case letters, and non-decimal digits
+_COMMON_WORDS = sorted(_data.common_words())
+composed_identifiers = st.lists(
+    st.one_of(
+        st.text(st.characters(categories=("Lu",)) | st.sampled_from("AZÉẞǄΣ"),
+                min_size=1, max_size=4),
+        st.text(st.characters(categories=("Ll", "Lo")) | st.sampled_from("azéßσ一"),
+                min_size=1, max_size=3),
+        st.sampled_from(_COMMON_WORDS).map(lambda w: w.capitalize() if len(w) % 3 == 0 else w),
+        st.characters(categories=("Lt",)) | st.sampled_from("ǅǈǋǲ"),
+        st.sampled_from("²³¹⁴①⑨"),
+        st.text("0123456789٣", min_size=1, max_size=3),
+        st.just("s"),
+        st.sampled_from("_$"),
+    ),
+    min_size=1,
+    max_size=6,
+).map("".join).filter(lambda name: all(ch.isalpha() or ch.isdigit() or ch in "_$" for ch in name))
+
+
 class TestValidateIdentifier:
     @given(st.text(alphabet=st.sampled_from("aZ09_$-. \n\t\u00e9\u00bd\u00b2\u0663\u2460\u01c5")
                    | st.characters(), max_size=12))
@@ -159,8 +223,8 @@ class TestSplitProperties:
         for term in seq.surfaces() + seq.normalized():
             assert term.isdigit() or not any(ch.isdigit() for ch in term)
 
-    @given(identifiers | unicode_identifiers)
-    @settings(max_examples=500)
+    @given(identifiers | unicode_identifiers | composed_identifiers)
+    @settings(max_examples=1000)
     def test_equals_per_character_reference(self, name):
         assert split(name) == reference_split(name)
 
