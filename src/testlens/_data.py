@@ -1,4 +1,4 @@
-"""Loaders for the data files bundled with the package."""
+"""Readers of the data files bundled with the package and of every input file."""
 
 from __future__ import annotations
 
@@ -29,3 +29,20 @@ def catalog_list() -> list:
 @lru_cache(maxsize=None)
 def relations_dict() -> dict:
     return json.loads(_read_text("relations.json"))
+
+
+def read_file(path: str) -> str:
+    """The text of ``path``; one that cannot be opened or decoded is an OSError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise OSError(f"cannot read {path}: {err}") from err
+
+
+def load_json(path: str, text: str | None = None):
+    """The JSON in ``text``, else in ``path``; invalid or too deep is a ValueError naming it."""
+    try:
+        return json.loads(read_file(path) if text is None else text)
+    except (ValueError, RecursionError) as err:
+        raise ValueError(f"{path}: invalid JSON: {err}") from err

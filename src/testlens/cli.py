@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
-import io
-import json
 import os
 import sys
 
-from . import extraction, lint as lint_mod, patterns, rename as rename_mod, renamedetect, report
+from . import (_data, _records, extraction, lint as lint_mod, patterns, rename as rename_mod,
+               renamedetect, report)
 from ._jsonout import dump
-from .config import Config, ConfigError, load_config
+from .config import Config, load_config
 from .splitter import split
 from .tagger import Lexicon, tag
 
@@ -115,14 +113,6 @@ def _iter_java_files(target: str) -> list[str]:
     return sorted(found)
 
 
-def _read_source(path: str) -> extraction.SourceFile:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return extraction.SourceFile(path=path, text=fh.read())
-    except (OSError, UnicodeDecodeError) as err:
-        raise CliError(f"cannot read {path}: {err}") from err
-
-
 def _cmd_split(args, config: Config, out, err) -> int:
     seq = split(args.name)
     if args.json:
@@ -161,8 +151,8 @@ def _scan_files(paths: list[str], out_err: list[str]):
     """Yield ``(src, methods, test flags, is_test_file, partial)`` per readable file."""
     for path in paths:
         try:
-            src = _read_source(path)
-        except CliError as read_err:
+            src = extraction.SourceFile(path, _data.read_file(path))
+        except OSError as read_err:
             out_err.append(str(read_err))
             continue
         methods, perr = extraction.recover_methods(src)
@@ -258,14 +248,11 @@ def _cmd_lint(args, config: Config, out, err) -> int:
 def _cmd_rename_detect(args, config: Config, out, err) -> int:
     threshold = args.threshold if args.threshold is not None else config.threshold
     pair = renamedetect.FileVersionPair(
-        before=_read_source(args.before),
-        after=_read_source(args.after),
+        before=extraction.SourceFile(args.before, _data.read_file(args.before)),
+        after=extraction.SourceFile(args.after, _data.read_file(args.after)),
     )
     parse_errors: list[str] = []
-    try:
-        events = renamedetect.detect_renames(pair, threshold, parse_errors)
-    except ValueError as verr:
-        raise CliError(str(verr)) from verr
+    events = renamedetect.detect_renames(pair, threshold, parse_errors)
     dump([{"commit": e.commit or "", "file": e.file or "",
            "new_name": e.new_name, "old_name": e.old_name} for e in events], out.write)
     for message in parse_errors:
@@ -273,154 +260,13 @@ def _cmd_rename_detect(args, config: Config, out, err) -> int:
     return EXIT_ERROR if parse_errors else EXIT_OK
 
 
-def _read_events(path: str) -> list[rename_mod.RenameEvent]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        raise CliError(f"cannot read {path}: {err}") from err
-    rows: list[dict]
-    if text.lstrip().startswith(("[", "{")):
-        try:
-            rows = json.loads(text)
-        except json.JSONDecodeError as jerr:
-            raise CliError(f"{path}: invalid JSON: {jerr}") from jerr
-        if not isinstance(rows, list):
-            raise CliError(f"{path}: expected a JSON array of rename events")
-    else:
-        reader = csv.DictReader(io.StringIO(text))
-        required = {"old_name", "new_name"}
-        if not reader.fieldnames or not required <= set(reader.fieldnames):
-            raise CliError(f"{path}: CSV header must include old_name,new_name")
-        rows = list(reader)
-    return _parsed_rows(path, rows, _event_of)
-
-
-def _parsed_rows(path: str, rows: list, parse) -> list:
-    """``parse(row)`` per row; a malformed row is an error naming its index."""
-    parsed = []
-    for i, row in enumerate(rows):
-        try:
-            parsed.append(parse(row))
-        except (KeyError, ValueError, TypeError) as verr:
-            raise CliError(f"{path}: record {i}: {verr}") from verr
-    return parsed
-
-
-def _event_of(row: dict) -> rename_mod.RenameEvent:
-    return rename_mod.RenameEvent(
-        old_name=row["old_name"],
-        new_name=row["new_name"],
-        file=row.get("file") or None,
-        commit=row.get("commit") or None,
-    )
-
-
-_PATTERN_KEYS = ("old_pattern", "new_pattern")
-# tuples, not sets, so that an unhashable value gets the enum's own error
-_ENUM_VALUES = {
-    enum: tuple(member.value for member in enum)
-    for enum in (rename_mod.FormCategory, rename_mod.SemanticCategory, rename_mod.TermRelation)
-}
-
-
-def _counted_record(row: dict, lexicon: Lexicon,
-                    pattern_texts: dict[str, str]) -> report.CountedRename:
-    """One classified record as ``report`` counts it, its fields checked in
-    the order, and with the errors, of building its ``RenameClassification``;
-    ``pattern_texts`` caches the parse of each pattern string for the run."""
-    old_name, new_name = row["old_name"], row["new_name"]
-    rename_mod.validate_rename(old_name, new_name)
-    old_pattern, new_pattern = _record_patterns(row, (old_name, new_name), lexicon,
-                                                pattern_texts)
-    return report.CountedRename(
-        old_pattern, new_pattern,
-        _known(rename_mod.FormCategory, row["form"]),
-        _known(rename_mod.SemanticCategory, row["semantics"]),
-        tuple(map(_term_pair, row.get("pairs", ()))),
-    )
-
-
-def _known(enum, value):
-    """``value`` if it is a value of ``enum``, else the error ``enum(value)`` raises."""
-    return value if value in _ENUM_VALUES[enum] else enum(value).value
-
-
-def _term_pair(pair: dict) -> tuple[str, str]:
-    """``(added, removed)`` of one pair record, its relation checked last."""
-    counted = pair["added"], pair["removed"]
-    _known(rename_mod.TermRelation, pair["relation"])
-    return counted
-
-
-def _record_patterns(row: dict, names: tuple[str, str], lexicon: Lexicon,
-                     pattern_texts: dict[str, str]) -> list[str]:
-    """The record's two grammar patterns as written, spaced as ``pattern``
-    prints them; a record classified before they were written has both
-    names tagged with ``lexicon``."""
-    present = [key in row for key in _PATTERN_KEYS]
-    if not any(present):
-        return [str(patterns.pattern_of(tag(split(name), lexicon))) for name in names]
-    if not all(present):
-        raise ValueError("old_pattern and new_pattern must be given together")
-    found = []
-    for key in _PATTERN_KEYS:
-        text = row[key]
-        if not isinstance(text, str):
-            raise TypeError(f"{key} must be a string of POS tags, not {json.dumps(text)}")
-        if text not in pattern_texts:
-            try:
-                pattern_texts[text] = str(patterns.GrammarPattern.parse(text))
-            except ValueError as verr:
-                raise ValueError(f"{key}: {verr}") from verr
-        found.append(pattern_texts[text])
-    return found
-
-
-def _classification_doc(c: rename_mod.RenameClassification) -> dict:
-    return {
-        "commit": c.event.commit or "",
-        "file": c.event.file or "",
-        "form": c.form.value,
-        "new_name": c.event.new_name,
-        "new_pattern": None if c.new_pattern is None else str(c.new_pattern),
-        "old_name": c.event.old_name,
-        "old_pattern": None if c.old_pattern is None else str(c.old_pattern),
-        "pairs": [
-            {"added": a, "relation": rel.value, "removed": r}
-            for a, r, rel in c.pairs
-        ],
-        "semantics": c.semantics.value,
-    }
-
-
 def _cmd_rename_classify(args, config: Config, out, err) -> int:
-    events = _read_events(args.input)
+    events = _records.read_events(args.input)
     provider = rename_mod.CuratedRelationProvider.default()
     lexicon = _load_lexicon(config)
     # one pass, so no classification outlives its output row
-    results = (rename_mod.classify(e, provider, lexicon) for e in events)
-    fmt = args.format or config.format or "json"
-    if fmt == "json":
-        dump(map(_classification_doc, results), out.write)
-    elif fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["old_name", "new_name", "file", "commit",
-                         "form", "semantics", "pairs"])
-        for c in results:
-            pairs = ";".join(f"{a}->{r}:{rel.value}" for a, r, rel in c.pairs)
-            writer.writerow([c.event.old_name, c.event.new_name,
-                             c.event.file or "", c.event.commit or "",
-                             c.form.value, c.semantics.value, pairs])
-    elif fmt == "md":
-        out.write("| Old Name | New Name | Form | Semantics | Pairs |\n")
-        out.write("| --- | --- | --- | --- | --- |\n")
-        for c in results:
-            pairs = ", ".join(f"{a}/{r} ({rel.value})" for a, r, rel in c.pairs)
-            out.write(f"| {c.event.old_name} | {c.event.new_name} "
-                      f"| {c.form.value} | {c.semantics.value} | {pairs} |\n")
-    else:
-        raise CliError(f"unsupported classify format {fmt!r}")
+    _records.write_classified((rename_mod.classify(e, provider, lexicon) for e in events),
+                              args.format or config.format or "json", out)
     return EXIT_OK
 
 
@@ -442,31 +288,17 @@ def _parse_prefix_lens(raw: str) -> tuple[int, ...]:
 
 
 def _cmd_report(args, config: Config, out, err) -> int:
-    try:
-        with open(args.input, encoding="utf-8") as fh:
-            rows = json.load(fh)
-    except OSError as oerr:
-        raise CliError(f"cannot read {args.input}: {oerr}") from oerr
-    except json.JSONDecodeError as jerr:
-        raise CliError(f"{args.input}: invalid JSON: {jerr}") from jerr
-    if not isinstance(rows, list):
-        raise CliError(f"{args.input}: expected a JSON array of classifications")
+    rows = _records.read_classified(args.input)
     lexicon = _load_lexicon(config)
     catalog = _load_catalog(config) if args.table == "catalog" else None
     prefix_lens = _parse_prefix_lens(args.prefix_len)
     if args.k < 1:
         raise CliError("--k must be >= 1")
     stats = report.CorpusStats()
-    pattern_texts: dict[str, str] = {}
-    # counted into ``stats`` inside the per-record check, so that a record
-    # the counters cannot take is a record error too
-    _parsed_rows(args.input, rows, lambda row: report.accumulate(
-        stats, _counted_record(row, lexicon, pattern_texts)))
+    for counted in _records.counted_renames(args.input, rows, lexicon):
+        report.accumulate(stats, counted)
     fmt = args.format or config.format or "md"
-    try:
-        out.write(report.render_table(stats, args.table, fmt, args.k, prefix_lens, catalog))
-    except ValueError as verr:
-        raise CliError(str(verr)) from verr
+    out.write(report.render_table(stats, args.table, fmt, args.k, prefix_lens, catalog))
     return EXIT_OK
 
 
@@ -496,15 +328,11 @@ def run(argv: list[str], out=None, err=None) -> int:
         else:
             handler = _COMMANDS[args.command]
         return handler(args, config, out, err)
-    # a RecursionError is JSON input nested deeper than the decoder goes
-    except (CliError, ConfigError, ValueError, RecursionError) as known:
-        err.write(f"error: {known}\n")
-        return EXIT_ERROR
     except BrokenPipeError:
         # the reader closed the output early: it wants no more, not an error line
         return EXIT_ERROR
-    except OSError as oserr:
-        err.write(f"error: {oserr}\n")
+    except (CliError, ValueError, OSError) as known:
+        err.write(f"error: {known}\n")
         return EXIT_ERROR
 
 

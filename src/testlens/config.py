@@ -13,6 +13,7 @@ import os
 import re
 from typing import NamedTuple
 
+from . import _data
 from .lint import DEFAULT_COLLECTION_VOCABULARY
 from .renamedetect import DEFAULT_THRESHOLD
 
@@ -102,5 +103,4 @@ def load_config(path: str | None = None) -> Config:
         path = os.environ.get(ENV_CONFIG)
     if not path:
         return Config()
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    return parse_config_text(_data.read_file(path))

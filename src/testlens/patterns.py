@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
@@ -134,9 +133,7 @@ def _entry_from_dict(data) -> CatalogEntry:
 
 
 def load_catalog(path: str) -> list[CatalogEntry]:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return _catalog_from_list(raw)
+    return _catalog_from_list(_data.load_json(path))
 
 
 def _catalog_from_list(raw) -> list[CatalogEntry]:

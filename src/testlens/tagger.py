@@ -10,7 +10,6 @@ except the head into a modifier.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
@@ -94,8 +93,7 @@ class Lexicon(namedtuple("Lexicon", _LEXICON_FIELDS)):
 
     @classmethod
     def from_file(cls, path: str) -> "Lexicon":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(_data.load_json(path))
 
     @classmethod
     def default(cls) -> "Lexicon":

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import testlens
-from testlens import _data, cli
+from testlens import _data, _records, cli
 from testlens.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, run
 from testlens.config import Config, ConfigError, parse_config_text
 from testlens.rename import RenameEvent, classify
@@ -403,7 +403,7 @@ class T {
         self._write_events(events, count)
         held = []
 
-        def read_then_reset_peak(path, read_events=cli._read_events):
+        def read_then_reset_peak(path, read_events=_records.read_events):
             result = read_events(path)
             held.append(tracemalloc.get_traced_memory()[0])
             tracemalloc.reset_peak()
@@ -413,7 +413,7 @@ class T {
         tracemalloc.start()
         try:
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(cli, "_read_events", read_then_reset_peak)
+                patch.setattr(_records, "read_events", read_then_reset_peak)
                 code = run(["rename", "classify", "--input", str(events), "--format", "json"],
                            _DiscardingSink(), err)
             peak = tracemalloc.get_traced_memory()[1]
@@ -622,9 +622,13 @@ class TestReportCommand:
         ({"old_name": "test Foo"}, "identifier 'test Foo' contains unsupported character ' '"),
         ({"new_name": ""}, "identifier is empty"),
         ({"pairs": [{"added": ["a"], "removed": "b", "relation": "unrelated"}]},
-         "unhashable type: 'list'"),
+         'pair added must be a string, not ["a"]'),
+        ({"pairs": [{"added": 5, "removed": "b", "relation": "unrelated"}]},
+         "pair added must be a string, not 5"),
+        ({"pairs": [{"added": "a", "removed": None, "relation": "unrelated"}]},
+         "pair removed must be a string, not null"),
     ], ids=["form", "form-list", "semantics", "relation", "pair-key", "same-names",
-            "bad-name", "empty-name", "unhashable-term"])
+            "bad-name", "empty-name", "unhashable-term", "number-term", "null-term"])
     def test_malformed_field_is_record_error(self, tmp_path, fields, message):
         assert self.report_error(tmp_path, dict(self.GOOD_RECORD, **fields)) == message + "\n"
 

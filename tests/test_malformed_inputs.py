@@ -204,9 +204,10 @@ DEEP = "[" * 100_000 + "]" * 100_000
 class TestRegressions:
     """Faults the properties above found, each one line and exit 2 now."""
 
-    def run_file(self, argv, content: str, config: str | None = None):
+    def run_file(self, argv, content: str | bytes, config: str | None = None):
         with tempfile.TemporaryDirectory() as workdir:
-            path = write(workdir, "in.json", content.encode())
+            raw = content.encode() if isinstance(content, str) else content
+            path = write(workdir, "in.json", raw)
             argv = [path if arg == "IN" else arg for arg in argv]
             config_bytes = None if config is None else config.replace("IN", path).encode()
             code, err = run_with_config(workdir, argv, config_bytes)
@@ -221,8 +222,21 @@ class TestRegressions:
     def test_json_nested_too_deeply(self, argv, config):
         code, err = self.run_file(argv, DEEP, config)
         assert code == EXIT_ERROR
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: IN: invalid JSON: ") and err.count("\n") == 1
         assert "maximum recursion depth exceeded while decoding a JSON array" in err
+
+    @pytest.mark.parametrize("argv, config", [
+        (["tag", "testFoo", "--lexicon", "IN"], None),
+        (["tag", "testFoo"], 'lexicon = "IN"'),
+        (["pattern", "testFoo", "--catalog"], 'catalog = "IN"'),
+    ], ids=["lexicon-flag", "lexicon-config", "catalog-config"])
+    @pytest.mark.parametrize("content, message", [
+        (b"not json", "error: IN: invalid JSON: Expecting value: line 1 column 1 (char 0)\n"),
+        (b"\xff", "error: cannot read IN: 'utf-8' codec can't decode byte 0xff in position 0: "
+                  "invalid start byte\n"),
+    ], ids=["syntax", "undecodable"])
+    def test_json_file_error_names_the_file(self, argv, config, content, message):
+        assert self.run_file(argv, content, config) == (EXIT_ERROR, message)
 
     @pytest.mark.parametrize("field", ["old_name", "new_name"])
     def test_event_name_that_is_a_list_of_letters(self, field):
