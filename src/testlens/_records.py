@@ -22,11 +22,14 @@ def read_events(path: str) -> list[rename_mod.RenameEvent]:
         rows = _data.load_json(path, text)
         if not isinstance(rows, list):
             raise ValueError(f"{path}: expected a JSON array of rename events")
-    else:
-        rows = csv.DictReader(io.StringIO(text))
+        return list(_parsed(path, rows, _event_of))
+    rows = csv.DictReader(io.StringIO(text))
+    try:
         if not rows.fieldnames or not {"old_name", "new_name"} <= set(rows.fieldnames):
             raise ValueError(f"{path}: CSV header must include old_name,new_name")
-    return list(_parsed(path, rows, _event_of))
+        return list(_parsed(path, rows, _event_of))
+    except csv.Error as err:  # such as a field over the csv module's size limit
+        raise ValueError(f"{path}: invalid CSV: {err}") from err
 
 
 def _parsed(path: str, rows: Iterable, parse) -> Iterator:

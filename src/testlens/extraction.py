@@ -1,24 +1,25 @@
 """Tolerant extraction of test methods from Java-style source text.
 
-One regex pass tokenizes the source into two parallel columns, token
-texts and token end offsets (comments dropped, string literals kept as
-single tokens). Each match has two groups, the skipped whitespace and
-comments and the token after them; the ends are running sums of their
-lengths. A token's start is its end minus its length, and its kind
-follows from its first character (a quote, a letter, ``_`` or ``$``, a
-decimal digit or anything else), so neither is stored. One stack pass
-then pairs the parentheses and braces, and a signature heuristic finds
-method declarations at each '(' and marks their brace-balanced bodies. No
-compiler front-end is involved, so non-compiling snapshots still scan,
-in time linear in the token count.
+One ``re.split`` tokenizes the source into two parallel columns, token
+texts and end offsets (comments dropped; literals and text blocks kept
+as single tokens); a token's start is its end minus its length. One
+``str.translate`` of the tokens' first characters, which decide their
+kinds, gives the file's shape: ``w`` per word, ``0`` per number, ``"``
+per literal and ASCII punctuation as itself. One stack pass pairs the
+parentheses and braces. One regex over the shape finds each word followed
+by '(' after a word, '>' or ']', where a return type can end; a signature
+heuristic checks each and marks its brace-balanced body. No compiler
+front-end is involved, so non-compiling snapshots still scan, in time
+linear in the token count.
 """
 
 from __future__ import annotations
 
 import re
 from enum import Enum
-from itertools import accumulate, compress, count
-from operator import add, itemgetter, sub
+from bisect import bisect_right
+from itertools import accumulate, compress, count, islice
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 
@@ -42,7 +43,7 @@ class TokenStream(NamedTuple):
 
     @property
     def kinds(self) -> tuple[TokenKind, ...]:
-        return tuple(map(_KIND_OF_FIRST.__getitem__, map(itemgetter(0), self.texts)))
+        return tuple(_KIND_OF_SHAPE.get(c, TokenKind.PUNCTUATION) for c in _shape(self.texts))
 
     @property
     def starts(self) -> tuple[int, ...]:
@@ -87,18 +88,17 @@ class PartialParseError(Exception):
         self.methods = methods
 
 
-# Two groups per match: the skip (whitespace and comments) and the token.
-# Unterminated comments and literals run to the end of the text. The empty
-# last alternative matches at the end, so no match fails and each match
-# starts where the previous one ended; only the last one or two matches
-# have an empty token. WORD stands for the word branch.
+# One group, so ``re.split`` returns the whitespace before each token, the
+# token, and last the trailing whitespace. Comments are tokens, dropped
+# after the split. Unterminated comments, text blocks and literals run to
+# the end of the text. WORD stands for the word branch.
 _TOKEN_PATTERN = r"""
-    ( \s* (?: (?: //[^\n]* | /\*(?:.*?\*/|.*) ) \s* )* )
-    ( WORD
+    ( //[^\n]* | /\*(?:.*?\*/|.*)
+    | WORD
+    | \"\"\"(?:[^"\\]|\\.|"(?!\"\"))*(?:\"\"\"|\\?\Z)
     | "[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z) | '[^'\\]*(?:\\.[^'\\]*)*(?:'|\\?\Z)
     | \d[\w.]*
     | \S
-    | \Z
     )"""
 
 
@@ -108,6 +108,8 @@ def _compile_tokens(word: str) -> re.Pattern:
 
 _TOKEN_RE = _compile_tokens("[A-Za-z_$][A-Za-z0-9_$]*")
 _ASCII_RUNS = re.compile(r"[\x00-\x7f]+")
+# overlapping, so that `/* a *//* b */` yields both starts
+_COMMENT_START = re.compile(r"/(?=[/*])")
 
 
 def _token_re(text: str) -> re.Pattern:
@@ -127,28 +129,33 @@ def _token_re(text: str) -> re.Pattern:
     return _compile_tokens(rf"[A-Za-z_$]{rest}|[^\W\d{odd}]{rest}")
 
 
-class _KindOfFirst(dict):
-    """A token's kind by its first character, which decides it because the
-    branches of the token regex start with disjoint characters. Every ASCII
-    character is stored; a token starting with any other character is a
-    word if that is a letter, a number if it is a decimal digit, and else a
-    single punctuation character."""
+class _Shape(dict):
+    """A token's shape by the code of its first character, which decides
+    its kind because the token regex's branches start with disjoint
+    characters. Every ASCII code is stored; any other first character is
+    a word if it is a letter, a number if it is a decimal digit, and else
+    punctuation shaped ``#``, which no scan looks for."""
 
-    def __missing__(self, first: str) -> TokenKind:
+    def __missing__(self, code: int) -> str:
+        first = chr(code)
         if first.isalpha():
-            return TokenKind.WORD
-        return TokenKind.NUMBER if first.isdecimal() else TokenKind.PUNCTUATION
+            return "w"
+        return "0" if first.isdecimal() else "#"
 
 
-_KIND_OF_FIRST = _KindOfFirst({
-    **dict.fromkeys(map(chr, range(128)), TokenKind.PUNCTUATION),
-    **dict.fromkeys("0123456789", TokenKind.NUMBER),
-    **dict.fromkeys("\"'", TokenKind.STRING),
-    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$", TokenKind.WORD),
+_SHAPE = _Shape({
+    **{code: chr(code) for code in range(128)},
+    **dict.fromkeys(map(ord, "0123456789"), "0"),
+    **dict.fromkeys(map(ord, "\"'"), '"'),
+    **dict.fromkeys(map(ord, "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$"), "w"),
 })
-# module names for the members the scans test: a member read through the
-# enum class is several times slower on CPython 3.11
-_WORD, _PUNCTUATION = TokenKind.WORD, TokenKind.PUNCTUATION
+_KIND_OF_SHAPE = {"w": TokenKind.WORD, "0": TokenKind.NUMBER, '"': TokenKind.STRING}
+
+
+def _shape(texts: tuple[str, ...]) -> str:
+    """One shape character per token, by ``_SHAPE``."""
+    return "".join(map(itemgetter(0), texts)).translate(_SHAPE)
+
 
 _MODIFIERS = frozenset({
     "public", "private", "protected", "static", "final", "abstract",
@@ -168,110 +175,104 @@ _NOT_RETURN_TYPES = _MODIFIERS | _NOT_METHOD_NAMES | {"record"}
 _OPENER_OF = {")": "(", "}": "{"}
 _BRACKETS = frozenset("(){}")
 _TYPE_OPENER_OF = {">": "<", "]": "["}
-# punctuation that can appear in a type (`@` starts a type annotation); any
-# other punctuation, a literal or a number ends a type back-scan
-_TYPE_PUNCT = frozenset({".", ",", "?", "&", "<", ">", "[", "]", "@"})
+# shapes a type can hold: words and some punctuation (`@` starts a type
+# annotation); any other shape ends a type back-scan
+_TYPE_SHAPES = frozenset("w.,?&<>[]@")
+# a name and its '(' after a word, '>' or ']', the shapes a return type ends in
+_SIGNATURE_RE = re.compile(r"(?<=[w>\]])w\(")
 
 
 def tokenize(text: str) -> TokenStream:
-    """Lex Java-ish source. Comments are skipped; literals are single tokens.
+    """Lex Java-ish source. Comments are dropped; string and character
+    literals and text blocks are single tokens.
 
-    One ``findall`` yields a (skip, token) pair per token, where the skip
-    is the whitespace and comments before the token; the trailing pairs
-    with an empty token are dropped. The two columns are built from the
-    pairs by ``map`` and ``accumulate``, with no Python loop per token: a
-    token ends at the running sum of skip and token lengths. Its kind
-    follows from its first character: a quote is STRING, a letter, ``_``
-    or ``$`` is WORD, a decimal digit (``str.isdecimal``, which is what
-    ``\\d`` matches) is NUMBER, and anything else is PUNCTUATION.
+    One ``re.split`` with a one-group pattern returns the whitespace before
+    each token and the token in turn, so the tokens are every second part
+    and a token ends at the running sum of the part lengths. Comments are
+    tokens too; a '//' or '/*' that starts a token is found by bisection
+    and dropped from both columns. No Python code runs per token.
     """
-    rows = _token_re(text).findall(text)
-    while rows and not rows[-1][1]:
-        rows.pop()
-    texts = tuple(map(itemgetter(1), rows))
-    return TokenStream(texts, tuple(accumulate(map(add, map(len, map(itemgetter(0), rows)), map(len, texts)))))
+    parts = _token_re(text).split(text)
+    texts, ends = parts[1::2], tuple(islice(accumulate(map(len, parts)), 1, None, 2))
+    comments = []
+    for match in _COMMENT_START.finditer(text):
+        i = bisect_right(ends, match.start())  # the token that holds the '/'
+        if ends[i] - len(texts[i]) == match.start():
+            comments.append(i)
+    if not comments:
+        return TokenStream(tuple(texts), ends)
+    keep = [True] * len(texts)
+    for i in comments:
+        keep[i] = False
+    return TokenStream(tuple(compress(texts, keep)), tuple(compress(ends, keep)))
 
 
-def _pair_brackets(texts: tuple[str, ...]) -> list[int | None]:
+def _pair_brackets(shape: str) -> list[int | None]:
     """Index of the partner of every matched '(' ')' '{' '}', else None.
 
     One stack per bracket kind, so a ')' never closes a '{': each pair is
     the one a depth count over that kind alone finds.
     """
-    partner: list[int | None] = [None] * len(texts)
+    partner: list[int | None] = [None] * len(shape)
     stacks: dict[str, list[int]] = {"(": [], "{": []}
-    for i in compress(count(), map(_BRACKETS.__contains__, texts)):
-        text = texts[i]
-        if text in stacks:
-            stacks[text].append(i)
+    for i in compress(count(), map(_BRACKETS.__contains__, shape)):
+        c = shape[i]
+        if c in stacks:
+            stacks[c].append(i)
         else:
-            stack = stacks[_OPENER_OF[text]]
+            stack = stacks[_OPENER_OF[c]]
             if stack:
                 j = stack.pop()
                 partner[i], partner[j] = j, i
     return partner
 
 
-def _annotation_at(texts: tuple[str, ...], partner: list[int | None], close: int) -> int | None:
+def _annotation_at(shape: str, partner: list[int | None], close: int) -> int | None:
     """Index of the '@' of the annotation whose argument list ends at ``close``."""
     open_idx = partner[close]
-    if (
-        open_idx is not None
-        and open_idx >= 2
-        and texts[open_idx - 2] == "@"
-        and _KIND_OF_FIRST[texts[open_idx - 1][0]] is _WORD
-    ):
+    if open_idx is not None and open_idx >= 2 and shape[open_idx - 2 : open_idx] == "@w":
         return open_idx - 2
     return None
 
 
-def _type_open(texts: tuple[str, ...], partner: list[int | None], i: int) -> int | None:
+def _type_open(shape: str, partner: list[int | None], i: int) -> int | None:
     """Index of the '<' or '[' matching the '>' or ']' at ``i``, or None.
 
     The scan stops with None at the first token that cannot appear in a
     type, so a '>' of a lambda arrow or a comparison costs a few steps.
     """
-    close = texts[i]
+    close = shape[i]
     opener = _TYPE_OPENER_OF[close]
     depth = 0
     while i >= 0:
-        text = texts[i]
-        kind = _KIND_OF_FIRST[text[0]]
-        if kind is _PUNCTUATION:
-            if text == close:
-                depth += 1
-            elif text == opener:
-                depth -= 1
-                if depth == 0:
-                    return i
-            elif text == ")" and (at := _annotation_at(texts, partner, i)) is not None:
-                i = at
-            elif text not in _TYPE_PUNCT:
-                return None
-        elif kind is not _WORD:
+        c = shape[i]
+        if c == close:
+            depth += 1
+        elif c == opener:
+            depth -= 1
+            if depth == 0:
+                return i
+        elif c == ")" and (at := _annotation_at(shape, partner, i)) is not None:
+            i = at
+        elif c not in _TYPE_SHAPES:
             return None
         i -= 1
     return None
 
 
-def _scan_return_type_back(texts: tuple[str, ...], partner: list[int | None], i: int) -> int | None:
-    """Index of the first token of the return type ending at ``i``, or None."""
-    if i < 0:
+def _return_type_start(texts: tuple[str, ...], shape: str, partner: list[int | None], i: int) -> int | None:
+    """Index of the first token of the return type ending at the word,
+    '>' or ']' at ``i``, or None."""
+    if shape[i] == "w":
+        return None if texts[i] in _NOT_RETURN_TYPES else i
+    start = _type_open(shape, partner, i)
+    if start is None or start == 0 or shape[start - 1] != "w" or texts[start - 1] in _NOT_METHOD_NAMES:
         return None
-    if texts[i] in _TYPE_OPENER_OF:
-        start = _type_open(texts, partner, i)
-        if start is None or start == 0:
-            return None
-        word = texts[start - 1]
-        if _KIND_OF_FIRST[word[0]] is _WORD and word not in _NOT_METHOD_NAMES:
-            return start - 1
-        return None
-    if _KIND_OF_FIRST[texts[i][0]] is _WORD and texts[i] not in _NOT_RETURN_TYPES:
-        return i
-    return None
+    return start - 1
 
 
-def _collect_annotations(s: TokenStream, partner: list[int | None], before: int, text: str) -> tuple[str, ...]:
+def _collect_annotations(s: TokenStream, shape: str, partner: list[int | None], before: int,
+                         text: str) -> tuple[str, ...]:
     """Annotation texts preceding token index ``before``, across modifiers
     and a type-parameter list (`@Test public <T> void`). Each runs from
     its one-character '@' to the end of its last token."""
@@ -279,28 +280,28 @@ def _collect_annotations(s: TokenStream, partner: list[int | None], before: int,
     annotations: list[str] = []
     i = before
     while i >= 0:
-        tok = texts[i]
-        if tok in _MODIFIERS:
+        c = shape[i]
+        if texts[i] in _MODIFIERS:
             i -= 1
             continue
         # remainder of a dotted return type: java.util.List
-        if tok == "." and i >= 1 and _KIND_OF_FIRST[texts[i - 1][0]] is _WORD:
+        if c == "." and i >= 1 and shape[i - 1] == "w":
             i -= 2
             continue
-        if tok == ")":
-            at = _annotation_at(texts, partner, i)
+        if c == ")":
+            at = _annotation_at(shape, partner, i)
             if at is None:
                 break
             annotations.append(text[ends[at] - 1 : ends[i]])
             i = at - 1
             continue
-        if tok == ">":
-            start = _type_open(texts, partner, i)
+        if c == ">":
+            start = _type_open(shape, partner, i)
             if start is None:
                 break
             i = start - 1
             continue
-        if i >= 1 and texts[i - 1] == "@" and _KIND_OF_FIRST[tok[0]] is _WORD:
+        if c == "w" and i >= 1 and shape[i - 1] == "@":
             annotations.append(text[ends[i - 1] - 1 : ends[i]])
             i -= 2
             continue
@@ -309,14 +310,14 @@ def _collect_annotations(s: TokenStream, partner: list[int | None], before: int,
     return tuple(annotations)
 
 
-def _body_open(texts: tuple[str, ...], i: int) -> int | None:
+def _body_open(texts: tuple[str, ...], shape: str, i: int) -> int | None:
     """Index of the '{' at ``i`` or after a throws clause starting at ``i``."""
-    n = len(texts)
+    n = len(shape)
     if i < n and texts[i] == "throws":
         i += 1
-        while i < n and (texts[i] in (",", ".") or _KIND_OF_FIRST[texts[i][0]] is _WORD):
+        while i < n and shape[i] in ",.w":
             i += 1
-    return i if i < n and texts[i] == "{" else None
+    return i if i < n and shape[i] == "{" else None
 
 
 def extract_methods(src: SourceFile) -> list[TestMethod]:
@@ -329,19 +330,17 @@ def extract_methods(src: SourceFile) -> list[TestMethod]:
     """
     s = tokenize(src.text)
     texts, ends = s
-    partner = _pair_brackets(texts)
+    shape = _shape(texts)
+    partner = _pair_brackets(shape)
     methods: list[TestMethod] = []
-    # a declaration is a name token followed by a matched '('
-    for paren in compress(count(), map("(".__eq__, texts)):
-        i = paren - 1
-        if i < 0 or (name := texts[i]) in _NOT_METHOD_NAMES or _KIND_OF_FIRST[name[0]] is not _WORD:
+    for match in _SIGNATURE_RE.finditer(shape):
+        i = match.start()
+        if (name := texts[i]) in _NOT_METHOD_NAMES or (close := partner[i + 1]) is None:
             continue
-        if (close := partner[paren]) is None:
-            continue
-        type_start = _scan_return_type_back(texts, partner, i - 1)
+        type_start = _return_type_start(texts, shape, partner, i - 1)
         if type_start is None:
             continue
-        brace = _body_open(texts, close + 1)
+        brace = _body_open(texts, shape, close + 1)
         if brace is None:
             continue
         body_close = partner[brace]
@@ -354,7 +353,7 @@ def extract_methods(src: SourceFile) -> list[TestMethod]:
         methods.append(
             TestMethod(
                 name=name,
-                annotations=_collect_annotations(s, partner, type_start - 1, src.text),
+                annotations=_collect_annotations(s, shape, partner, type_start - 1, src.text),
                 file_tokens=s,
                 body_range=(brace + 1, body_close),
                 name_span=(ends[i] - len(name), ends[i]),
@@ -389,7 +388,8 @@ def _annotation_name(annotation: str) -> str:
 
 
 def is_test_method(m: TestMethod) -> bool:
-    """JUnit 4 style @Test annotation, or a JUnit 3 style test* name."""
+    """A ``@Test`` annotation (JUnit 4 or 5) or a JUnit 3 style test* name;
+    JUnit 5's ``@ParameterizedTest`` and the like do not count."""
     if any(_annotation_name(a) == "Test" for a in m.annotations):
         return True
     return m.name.lower().startswith("test")

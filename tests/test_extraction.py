@@ -214,6 +214,20 @@ class TestExtractMethods:
         assert "unbalanced" in str(perr)
         assert recover_methods(SourceFile("Ok.java", SIMPLE))[1] is None
 
+    def test_text_block_with_odd_quotes_is_one_token(self):
+        # lexed as ordinary strings, the odd '"' swallowed the rest of the
+        # file and the first method's body never closed
+        text = (
+            "import org.junit.Test;\nclass T {\n"
+            '    @Test public void testQuote() {\n        String s = """\n'
+            '            he said "hi\n            """;\n        use(s);\n    }\n'
+            "    @Test public void testAfter() { ok(); }\n}\n"
+        )
+        methods, err = recover_methods(SourceFile("T.java", text))
+        assert err is None
+        assert [m.name for m in methods] == ["testQuote", "testAfter"]
+        assert methods[0].body_tokens.texts[3] == '"""\n            he said "hi\n            """'
+
     def test_concatenation_equals_per_fixture_extraction(self):
         a = SourceFile("A.java", SIMPLE)
         b = SourceFile("B.java", TRICKY_STRING)

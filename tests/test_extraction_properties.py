@@ -1,12 +1,14 @@
 """Property tests for the tolerant extractor: the regex tokenizer against
-the character-at-a-time scanner it replaced, the extractor's invariants on
-random token soup, and linear running time on adversarial shapes."""
+the character-at-a-time scanner it replaced, the signature search against
+the extractor that tried every '(', the extractor's invariants on random
+token soup, and linear running time on adversarial shapes."""
 
 import re
 import time
 
 from hypothesis import given, settings, strategies as st
 
+from testlens import extraction
 from testlens.extraction import (
     PartialParseError,
     SourceFile,
@@ -43,6 +45,22 @@ def reference_tokenize(text: str) -> tuple[Row, ...]:
                 end = text.find("*/", i + 2)
                 i = n if end == -1 else end + 2
                 continue
+        if text.startswith('"""', i):
+            # a text block: it ends at the first unescaped '"""'
+            j = i + 3
+            while j < n:
+                if text[j] == "\\":
+                    j += 2
+                    continue
+                if text.startswith('"""', j):
+                    j += 3
+                    break
+                j += 1
+            else:
+                j = n
+            tokens.append((TokenKind.STRING, text[i:j], i, j))
+            i = j
+            continue
         if ch in "\"'":
             j = i + 1
             while j < n:
@@ -91,7 +109,8 @@ _JAVA_CHARS = ("aZ_$09.x \t\n\r/*\"'\\{}()<>@;,-=\u0663\u00e9\u00a0\u2028\x1c"
                "\u00b2\u2460\x0b\x0c\u3000\u01c5\u00bd\u216b\u4e00")
 _FRAGMENTS = [
     "/*", "*/", "//", "\n", '"', "'", "\\", '\\"', "\\'", "x", "Foo", "42", "4.2e3",
-    "{", "}", "(", ")", "<", ">", "@", " ", "->", '"a b"', "'c'",
+    "{", "}", "(", ")", "<", ">", "@", " ", "->", '"a b"', "'c'", '"""', '\\"""',
+    '"""\nhe said "hi\n"""',
 ]
 
 
@@ -111,7 +130,12 @@ def test_tokenizer_edge_cases_match_reference_scanner():
     for text in ["", "   ", "/", "a/", "/* open", "// open", '"open', "'open",
                  '"ends in backslash\\', "x '\\", '"\\\n"', "/*/ x */ y", "1.2.3abc",
                  # whitespace or a comment after the last token
-                 "x\n", "x \n", "x // c", "x /* c"]:
+                 "x\n", "x \n", "x // c", "x /* c",
+                 # text blocks, closed, open, with quotes and escapes inside
+                 '"""\na "b" ""c\n"""', '""""', '"""\\"""x', '"""x\\', '""" open "" ',
+                 # comments that touch, nest or sit in literals
+                 "/* a *//* b */ x", "// a // b\n/* c */", "a ///* b\n c", 's = "/*"; t // u',
+                 "x / *p /**/"]:
         assert rows(text) == reference_tokenize(text), text
 
 
@@ -191,6 +215,172 @@ def test_extractor_invariants_on_token_soup(words, sep):
         assert body.texts == stream.texts[lo:hi]
         assert body.starts == stream.starts[lo:hi]
         assert body.ends == stream.ends[lo:hi]
+
+
+def reference_kind(token: str) -> TokenKind:
+    """A token's kind by the first-character rule the kind table replaced."""
+    first = token[0]
+    if first in "\"'":
+        return TokenKind.STRING
+    if first.isalpha() or first in "_$":
+        return TokenKind.WORD
+    return TokenKind.NUMBER if first.isdecimal() else TokenKind.PUNCTUATION
+
+
+def _is_word(token: str) -> bool:
+    return reference_kind(token) is TokenKind.WORD
+
+
+def _reference_pairs(texts: tuple[str, ...]) -> list[int | None]:
+    partner: list[int | None] = [None] * len(texts)
+    stacks: dict[str, list[int]] = {"(": [], "{": []}
+    for i, text in enumerate(texts):
+        if text in stacks:
+            stacks[text].append(i)
+        elif text in (")", "}") and (stack := stacks["(" if text == ")" else "{"]):
+            j = stack.pop()
+            partner[i], partner[j] = j, i
+    return partner
+
+
+def _reference_annotation_at(texts, partner, close):
+    open_idx = partner[close]
+    if open_idx is not None and open_idx >= 2 and texts[open_idx - 2] == "@" \
+            and _is_word(texts[open_idx - 1]):
+        return open_idx - 2
+    return None
+
+
+def _reference_type_open(texts, partner, i):
+    close = texts[i]
+    opener = {">": "<", "]": "["}[close]
+    depth = 0
+    while i >= 0:
+        text = texts[i]
+        kind = reference_kind(text)
+        if kind is TokenKind.PUNCTUATION:
+            if text == close:
+                depth += 1
+            elif text == opener:
+                depth -= 1
+                if depth == 0:
+                    return i
+            elif text == ")" and (at := _reference_annotation_at(texts, partner, i)) is not None:
+                i = at
+            elif text not in {".", ",", "?", "&", "<", ">", "[", "]", "@"}:
+                return None
+        elif kind is not TokenKind.WORD:
+            return None
+        i -= 1
+    return None
+
+
+def _reference_return_type_start(texts, partner, i):
+    if i < 0:
+        return None
+    if texts[i] in (">", "]"):
+        start = _reference_type_open(texts, partner, i)
+        if start is None or start == 0:
+            return None
+        word = texts[start - 1]
+        return start - 1 if _is_word(word) and word not in extraction._NOT_METHOD_NAMES else None
+    return i if _is_word(texts[i]) and texts[i] not in extraction._NOT_RETURN_TYPES else None
+
+
+def _reference_annotations(texts, ends, partner, i, text):
+    annotations = []
+    while i >= 0:
+        tok = texts[i]
+        if tok in extraction._MODIFIERS:
+            i -= 1
+        elif tok == "." and i >= 1 and _is_word(texts[i - 1]):
+            i -= 2
+        elif tok == ")":
+            at = _reference_annotation_at(texts, partner, i)
+            if at is None:
+                break
+            annotations.append(text[ends[at] - 1 : ends[i]])
+            i = at - 1
+        elif tok == ">":
+            start = _reference_type_open(texts, partner, i)
+            if start is None:
+                break
+            i = start - 1
+        elif i >= 1 and texts[i - 1] == "@" and _is_word(tok):
+            annotations.append(text[ends[i - 1] - 1 : ends[i]])
+            i -= 2
+        else:
+            break
+    return tuple(reversed(annotations))
+
+
+def _reference_body_open(texts, i):
+    n = len(texts)
+    if i < n and texts[i] == "throws":
+        i += 1
+        while i < n and (texts[i] in (",", ".") or _is_word(texts[i])):
+            i += 1
+    return i if i < n and texts[i] == "{" else None
+
+
+def reference_extract(src: SourceFile) -> tuple[list[extraction.TestMethod], str | None]:
+    """The extractor that tried a signature at every '(' (and tested kinds
+    by first character), as methods and the partial-parse message."""
+    s = tokenize(src.text)
+    texts, ends = s
+    partner = _reference_pairs(texts)
+    methods: list[extraction.TestMethod] = []
+    for paren in [i for i, t in enumerate(texts) if t == "("]:
+        i = paren - 1
+        if i < 0 or (name := texts[i]) in extraction._NOT_METHOD_NAMES or not _is_word(name):
+            continue
+        if (close := partner[paren]) is None:
+            continue
+        type_start = _reference_return_type_start(texts, partner, i - 1)
+        brace = None if type_start is None else _reference_body_open(texts, close + 1)
+        if brace is None:
+            continue
+        if partner[brace] is None:
+            return methods, (f"{src.path}: unbalanced braces after method {name!r}; "
+                             f"recovered {len(methods)} method(s)")
+        methods.append(extraction.TestMethod(
+            name, _reference_annotations(texts, ends, partner, type_start - 1, src.text), s,
+            (brace + 1, partner[brace]), (ends[i] - len(name), ends[i]),
+            (ends[brace] - 1, ends[partner[brace]])))
+    return methods, None
+
+
+# fragments of Java whose shapes the signature search must tell apart from
+# declarations: lambdas, comparisons before calls, generic and array types,
+# calls after `new` and `return`, and annotations with arguments
+_JAVA_SOUP = [
+    "@Test", "@Test(timeout = 100)", '@SuppressWarnings({"a", "b"})', "@Nested", "@",
+    "public", "static", "final", "private", "void", "int", "int[]", "String[][]",
+    "List<String>", "Map<K, List<V>>", "<T extends Comparable<? super T>>", "java.util.List",
+    "testA", "name", "f", "x", "a", "record", "throws", "IOException,", "E", "new Foo(x)",
+    "return f(x);", "() -> f(x)", "s -> g(s, y)", "a > f(x)", "a < b", "xs[0]", "(", ")",
+    "{", "}", "[", "]", "<", ">", ";", ",", ".", "?", "&", "->", "=", "1", "'c'", '"s"',
+    '"""\n"q\n"""', "/* c */", "// c\n", "été", "½", "٣", "f(x)", "void testB()", "{ }",
+    "@Test public void testA() { f(x); }", "void helper() { return; }",
+    "<T> List<T> gen(T t) { return null; }", "int[] arr() { return a; }",
+    "<T extends A & B> void both() { }", "List<@NonNull(x) String> tagged() { }",
+    "throws java.io.IOException", "@1", "void thrower() throws java.io.IOException { }",
+    "@Test java.util.List<T> listed() { }", ") . void dotted() { }", "; <T> bare() { }",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_JAVA_SOUP), max_size=40), st.sampled_from([" ", "\n", ""]))
+def test_signature_search_matches_every_paren_reference(words, sep):
+    text = sep.join(words)
+    src = SourceFile("Soup.java", text)
+    try:
+        methods, message = extract_methods(src), None
+    except PartialParseError as err:
+        methods, message = err.methods, str(err)
+    assert (methods, message) == reference_extract(src)
+    stream = tokenize(text)
+    assert stream.kinds == tuple(map(reference_kind, stream.texts))
 
 
 _SHAPES = {

@@ -238,6 +238,16 @@ class TestRegressions:
     def test_json_file_error_names_the_file(self, argv, config, content, message):
         assert self.run_file(argv, content, config) == (EXIT_ERROR, message)
 
+    @pytest.mark.parametrize("content", [
+        "old_name,new_name\ntestA," + "b" * 200_000 + "\n",
+        "old_name,new_name," + "x" * 200_000 + "\ntestA,testB,c\n",
+    ], ids=["row", "header"])
+    def test_csv_field_over_the_size_limit(self, content):
+        # the csv module's field limit used to end the run with a traceback
+        code, err = self.run_file(["rename", "classify", "--input", "IN"], content)
+        assert (code, err) == (EXIT_ERROR, "error: IN: invalid CSV: field larger than "
+                                           "field limit (131072)\n")
+
     @pytest.mark.parametrize("field", ["old_name", "new_name"])
     def test_event_name_that_is_a_list_of_letters(self, field):
         # each item passed the per-character identifier check
