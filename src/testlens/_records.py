@@ -11,8 +11,6 @@ from collections.abc import Iterable, Iterator
 from . import _data, patterns, rename as rename_mod
 from ._jsonout import dump
 from .report import CountedRename
-from .splitter import split
-from .tagger import Lexicon, tag
 
 
 def read_events(path: str) -> list[rename_mod.RenameEvent]:
@@ -92,10 +90,10 @@ def read_classified(path: str) -> list:
     return rows
 
 
-def counted_renames(path: str, rows: list, lexicon: Lexicon) -> Iterator[CountedRename]:
+def counted_renames(path: str, rows: list) -> Iterator[CountedRename]:
     """Each record of ``rows``, read from ``path``, checked and counted as it is reached."""
     pattern_texts: dict[str, str] = {}
-    return _parsed(path, rows, lambda row: _counted_record(row, lexicon, pattern_texts))
+    return _parsed(path, rows, lambda row: _counted_record(row, pattern_texts))
 
 
 _PATTERN_KEYS = ("old_pattern", "new_pattern")
@@ -106,15 +104,13 @@ _ENUM_VALUES = {
 }
 
 
-def _counted_record(row: dict, lexicon: Lexicon,
-                    pattern_texts: dict[str, str]) -> CountedRename:
+def _counted_record(row: dict, pattern_texts: dict[str, str]) -> CountedRename:
     """One classified record as ``report`` counts it, its fields checked in
     the order, and with the errors, of building its ``RenameClassification``;
     ``pattern_texts`` caches the parse of each pattern string for the run."""
     old_name, new_name = row["old_name"], row["new_name"]
     rename_mod.validate_rename(old_name, new_name)
-    old_pattern, new_pattern = _record_patterns(row, (old_name, new_name), lexicon,
-                                                pattern_texts)
+    old_pattern, new_pattern = _record_patterns(row, pattern_texts)
     return CountedRename(
         old_pattern, new_pattern,
         _known(rename_mod.FormCategory, row["form"]),
@@ -138,16 +134,9 @@ def _term_pair(pair: dict) -> tuple[str, str]:
     return counted
 
 
-def _record_patterns(row: dict, names: tuple[str, str], lexicon: Lexicon,
-                     pattern_texts: dict[str, str]) -> list[str]:
+def _record_patterns(row: dict, pattern_texts: dict[str, str]) -> list[str]:
     """The record's two grammar patterns as written, spaced as ``pattern``
-    prints them; a record classified before they were written has both
-    names tagged with ``lexicon``."""
-    present = [key in row for key in _PATTERN_KEYS]
-    if not any(present):
-        return [str(patterns.pattern_of(tag(split(name), lexicon))) for name in names]
-    if not all(present):
-        raise ValueError("old_pattern and new_pattern must be given together")
+    prints them."""
     found = []
     for key in _PATTERN_KEYS:
         text = row[key]

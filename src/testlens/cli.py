@@ -105,9 +105,8 @@ def _iter_java_files(target: str) -> list[str]:
     if not os.path.isdir(target):
         raise CliError(f"no such file or directory: {target}")
     found = []
-    for root, dirs, files in os.walk(target):
-        dirs.sort()
-        for name in sorted(files):
+    for root, _, files in os.walk(target):
+        for name in files:
             if name.endswith(".java"):
                 found.append(os.path.join(root, name))
     return sorted(found)
@@ -289,13 +288,12 @@ def _parse_prefix_lens(raw: str) -> tuple[int, ...]:
 
 def _cmd_report(args, config: Config, out, err) -> int:
     rows = _records.read_classified(args.input)
-    lexicon = _load_lexicon(config)
     catalog = _load_catalog(config) if args.table == "catalog" else None
     prefix_lens = _parse_prefix_lens(args.prefix_len)
     if args.k < 1:
         raise CliError("--k must be >= 1")
     stats = report.CorpusStats()
-    for counted in _records.counted_renames(args.input, rows, lexicon):
+    for counted in _records.counted_renames(args.input, rows):
         report.accumulate(stats, counted)
     fmt = args.format or config.format or "md"
     out.write(report.render_table(stats, args.table, fmt, args.k, prefix_lens, catalog))

@@ -227,11 +227,19 @@ def _pair_brackets(shape: str) -> list[int | None]:
     return partner
 
 
+def _at_sign(shape: str, i: int) -> int | None:
+    """Index of the '@' of the annotation whose name, maybe dotted
+    (`@org.junit.Test`), ends at the word ``i``, or None."""
+    while i >= 2 and shape[i - 2 : i] == "w.":
+        i -= 2
+    return i - 1 if i >= 1 and shape[i - 1] == "@" else None
+
+
 def _annotation_at(shape: str, partner: list[int | None], close: int) -> int | None:
     """Index of the '@' of the annotation whose argument list ends at ``close``."""
     open_idx = partner[close]
-    if open_idx is not None and open_idx >= 2 and shape[open_idx - 2 : open_idx] == "@w":
-        return open_idx - 2
+    if open_idx is not None and open_idx >= 2 and shape[open_idx - 2 : open_idx] in ("@w", ".w"):
+        return _at_sign(shape, open_idx - 1)
     return None
 
 
@@ -301,9 +309,9 @@ def _collect_annotations(s: TokenStream, shape: str, partner: list[int | None], 
                 break
             i = start - 1
             continue
-        if c == "w" and i >= 1 and shape[i - 1] == "@":
-            annotations.append(text[ends[i - 1] - 1 : ends[i]])
-            i -= 2
+        if c == "w" and (at := _at_sign(shape, i)) is not None:
+            annotations.append(text[ends[at] - 1 : ends[i]])
+            i = at - 1
             continue
         break
     annotations.reverse()
@@ -383,8 +391,8 @@ def has_junit_import(src: SourceFile) -> bool:
 
 
 def _annotation_name(annotation: str) -> str:
-    body = annotation.lstrip("@")
-    return body.split("(", 1)[0].strip()
+    """The last segment of the name: ``Test`` of ``@org.junit.Test(timeout = 5)``."""
+    return annotation.split("(", 1)[0].rsplit(".", 1)[-1].lstrip("@").strip()
 
 
 def is_test_method(m: TestMethod) -> bool:

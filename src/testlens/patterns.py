@@ -29,24 +29,20 @@ class GrammarPattern(namedtuple("GrammarPattern", "tags")):
         return cls(tuple(parse_tag(part) for part in text.split()))
 
 
-class PatternTemplate(namedtuple(
-        "PatternTemplate", "tags leading_wildcard trailing_wildcard containment_mode")):
+class PatternTemplate(namedtuple("PatternTemplate", "tags leading_wildcard trailing_wildcard")):
     """Catalog template: concrete tags plus optional '+' wildcards.
 
-    ``containment_mode`` covers the +X+ templates that only require the
-    tags to occur contiguously somewhere in the pattern.
+    With both wildcards (+X+) the tags only need to occur contiguously
+    somewhere in the pattern.
     """
 
     __slots__ = ()
 
     def __new__(cls, tags: tuple[PosTag, ...], leading_wildcard: bool = False,
-                trailing_wildcard: bool = False,
-                containment_mode: bool = False) -> "PatternTemplate":
+                trailing_wildcard: bool = False) -> "PatternTemplate":
         if not tags:
             raise ValueError("pattern template needs at least one concrete tag")
-        if containment_mode and not (leading_wildcard and trailing_wildcard):
-            raise ValueError("containment templates imply wildcards on both sides")
-        return tuple.__new__(cls, (tags, leading_wildcard, trailing_wildcard, containment_mode))
+        return tuple.__new__(cls, (tags, leading_wildcard, trailing_wildcard))
 
     def __str__(self) -> str:
         core = " ".join(t.value for t in self.tags)
@@ -85,7 +81,6 @@ def prefix(p: GrammarPattern, k: int) -> GrammarPattern:
 def matches(template: PatternTemplate, p: GrammarPattern) -> bool:
     t = template.tags
     q = p.tags
-    # a containment template has both wildcards (checked on construction)
     if template.leading_wildcard and template.trailing_wildcard:
         return any(q[i : i + len(t)] == t for i in range(len(q) - len(t) + 1))
     if template.trailing_wildcard:
@@ -124,7 +119,11 @@ def _entry_from_dict(data) -> CatalogEntry:
         parsed = tuple(parse_tag(t) for t in tags)
     except ValueError as verr:
         raise ValueError(f"tags: {verr}") from None
-    template = PatternTemplate(parsed, *flags)
+    leading, trailing, containment = flags
+    template = PatternTemplate(parsed, leading, trailing)
+    # both wildcards already match by containment, so the key adds nothing
+    if containment and not (leading and trailing):
+        raise ValueError("containment templates imply wildcards on both sides")
     try:
         origin = CatalogOrigin(data.get("origin", "extended"))
     except ValueError as verr:

@@ -274,10 +274,7 @@ def render_table(
     """
     if table not in TABLE_KINDS:
         raise ValueError(f"unsupported table {table!r}; choose from {TABLE_KINDS}")
-    return _render(_sections(stats, table, k, prefix_lens, catalog), fmt)
-
-
-def _render(sections: list[_Section], fmt: str) -> str:
+    sections = _sections(stats, table, k, prefix_lens, catalog)
     if fmt == "md":
         return _render_md(sections)
     if fmt == "csv":
@@ -285,12 +282,3 @@ def _render(sections: list[_Section], fmt: str) -> str:
     if fmt == "json":
         return _render_json(sections)
     raise ValueError(f"unsupported format {fmt!r}; choose from {FORMATS}")
-
-
-def render(stats: CorpusStats, fmt: str = "md", k: int = 5,
-           catalog: list[CatalogEntry] | None = None) -> str:
-    """Render every table as one document."""
-    sections: list[_Section] = []
-    for table in TABLE_KINDS:
-        sections.extend(_sections(stats, table, k, PREFIX_LENGTHS, catalog))
-    return _render(sections, fmt)

@@ -55,22 +55,8 @@ class TermSequence(NamedTuple):
     raw: str
     terms: tuple[Term, ...]
 
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.terms]
-
     def normalized(self) -> list[str]:
         return [normalize(t.surface) for t in self.terms]
-
-    def reconstruct(self) -> str:
-        """Re-interleave term spans with the skipped separator characters."""
-        out: list[str] = []
-        pos = 0
-        for term in self.terms:
-            out.append(self.raw[pos:term.start])
-            out.append(term.surface)
-            pos = term.end
-        out.append(self.raw[pos:])
-        return "".join(out)
 
 
 def normalize(term: str) -> str:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import testlens
-from testlens import _data, _records, cli
+from testlens import _data, _records, cli, tagger
 from testlens.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, run
 from testlens.config import Config, ConfigError, parse_config_text
 from testlens.rename import RenameEvent, classify
@@ -535,22 +535,26 @@ class TestReportCommand:
                 assert code == EXIT_OK
                 assert record[pattern_key] == out.rstrip("\n")
 
-    def test_records_without_patterns_report_the_same(self, tmp_path):
-        records = self.classify_corpus()
-        with_keys = tmp_path / "with.json"
-        with_keys.write_text(json.dumps(records))
-        without_keys = tmp_path / "without.json"
-        without_keys.write_text(json.dumps([
-            {k: v for k, v in r.items() if k not in ("old_pattern", "new_pattern")}
-            for r in records
-        ]))
-        for table in ("full", "pairs", "prefix", "semantic", "terms", "forms", "catalog"):
-            for fmt in ("md", "csv", "json"):
-                argv = ["--table", table, "--format", fmt]
-                got = invoke(["report", "--input", str(with_keys)] + argv)
-                want = invoke(["report", "--input", str(without_keys)] + argv)
-                assert got[0] == EXIT_OK, (table, fmt)
-                assert got == want, (table, fmt)
+    def test_report_reads_no_lexicon_and_tags_nothing(self, tmp_path, monkeypatch):
+        """``report`` counts the patterns the records carry: a configured
+        lexicon that is missing is never read, and no name is tagged."""
+        classified = tmp_path / "classified.json"
+        classified.write_text(json.dumps(self.classify_corpus()))
+        runs = [["report", "--input", str(classified), "--table", table, "--format", fmt]
+                for table in TABLE_KINDS for fmt in FORMATS]
+        expected = [invoke(argv) for argv in runs]
+        (tmp_path / "testlens.toml").write_text(f'lexicon = "{tmp_path / "missing.json"}"\n')
+        monkeypatch.setenv("TESTLENS_CONFIG", str(tmp_path / "testlens.toml"))
+
+        def no_tag(*_):
+            raise AssertionError("report tagged a name")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "testlens" and getattr(module, "tag", None) is tagger.tag:
+                monkeypatch.setattr(module, "tag", no_tag)
+        for argv, want in zip(runs, expected):
+            assert want[0] == EXIT_OK and want[1], argv
+            assert invoke(argv) == want, argv
 
     def test_record_patterns_win_over_report_lexicon(self, tmp_path, monkeypatch):
         events = tmp_path / "events.csv"
@@ -559,26 +563,20 @@ class TestReportCommand:
         assert code == EXIT_OK
         [record] = json.loads(out)
         assert (record["old_pattern"], record["new_pattern"]) == ("V N", "N")
-        with_keys = tmp_path / "with.json"
-        with_keys.write_text(json.dumps([record]))
-        without_keys = tmp_path / "without.json"
-        without_keys.write_text(json.dumps([
-            {k: v for k, v in record.items() if k not in ("old_pattern", "new_pattern")}]))
+        classified = tmp_path / "classified.json"
+        classified.write_text(json.dumps([record]))
 
         lexicon = {key: [w for w in words if w != "verify"]
                    for key, words in _data.lexicon_dict().items()}
         (tmp_path / "lex.json").write_text(json.dumps(lexicon))
         (tmp_path / "testlens.toml").write_text(f'lexicon = "{tmp_path / "lex.json"}"\n')
         monkeypatch.setenv("TESTLENS_CONFIG", str(tmp_path / "testlens.toml"))
+        assert invoke(["pattern", "verifyValue"]) == (EXIT_OK, "NM N\n", "")
 
-        def pairs(path):
-            code, out, _ = invoke(["report", "--input", str(path), "--table", "pairs",
-                                   "--format", "json"])
-            assert code == EXIT_OK
-            return [row[:2] for row in json.loads(out)[0]["rows"][:-1]]
-
-        assert pairs(with_keys) == [["V N", "N"]]
-        assert pairs(without_keys) == [["NM N", "N"]]
+        code, out, _ = invoke(["report", "--input", str(classified), "--table", "pairs",
+                               "--format", "json"])
+        assert code == EXIT_OK
+        assert [row[:2] for row in json.loads(out)[0]["rows"][:-1]] == [["V N", "N"]]
 
     GOOD_RECORD = {"old_name": "testFoo", "new_name": "testBar", "form": "simple",
                    "semantics": "change", "pairs": [], "old_pattern": "V N",
@@ -605,8 +603,9 @@ class TestReportCommand:
         ({"old_pattern": "V N", "new_pattern": ""},
          "new_pattern: grammar pattern must contain at least one tag"),
         ({"old_pattern": "V XX", "new_pattern": "V N"}, "old_pattern: unknown POS tag 'XX'"),
-        ({"old_pattern": "V N"}, "old_pattern and new_pattern must be given together"),
-    ], ids=["number", "list", "null", "empty", "unknown-tag", "one-key"])
+        ({"old_pattern": "V N"}, "'new_pattern'"),
+        ({}, "'old_pattern'"),
+    ], ids=["number", "list", "null", "empty", "unknown-tag", "one-key", "no-key"])
     def test_malformed_pattern_is_record_error(self, tmp_path, patterns, message):
         bad = {k: v for k, v in self.GOOD_RECORD.items() if k not in PATTERN_KEYS}
         assert self.report_error(tmp_path, dict(bad, **patterns)) == message + "\n"
@@ -648,17 +647,15 @@ class TestReportCommand:
         assert code == EXIT_OK
         [record] = json.loads(out)
         assert (record["old_pattern"], record["new_pattern"]) == (None, "V N")
-        for doc in (record, {k: v for k, v in record.items()
-                             if k not in ("old_pattern", "new_pattern")}):
-            classified = tmp_path / "classified.json"
-            classified.write_text(json.dumps([doc]))
-            code, _, err = invoke(["report", "--input", str(classified)])
-            assert code == EXIT_ERROR
-            assert "record 0: " in err
+        classified = tmp_path / "classified.json"
+        classified.write_text(json.dumps([record]))
+        code, _, err = invoke(["report", "--input", str(classified)])
+        assert code == EXIT_ERROR
+        assert "record 0: " in err
 
 
 renames = st.lists(
-    st.tuples(st.sampled_from(CORPUS_NAMES), st.sampled_from(CORPUS_NAMES), st.booleans())
+    st.tuples(st.sampled_from(CORPUS_NAMES), st.sampled_from(CORPUS_NAMES))
     .filter(lambda r: r[0] != r[1]),
     min_size=1, max_size=12,
 )
@@ -669,21 +666,17 @@ renames = st.lists(
 def test_report_of_classified_json_equals_library_counts(renames):
     """``report`` on ``rename classify``'s JSON renders what ``render_table``
     renders from ``accumulate``d ``classify()`` results, for every table and
-    format, also where records are written without their pattern keys."""
+    format."""
     stats = CorpusStats()
-    for old_name, new_name, _ in renames:
+    for old_name, new_name in renames:
         accumulate(stats, classify(RenameEvent(old_name, new_name)))
     with tempfile.TemporaryDirectory() as tmp:
         events = Path(tmp) / "events.json"
-        events.write_text(json.dumps([{"old_name": o, "new_name": n} for o, n, _ in renames]))
+        events.write_text(json.dumps([{"old_name": o, "new_name": n} for o, n in renames]))
         code, out, _ = invoke(["rename", "classify", "--input", str(events)])
         assert code == EXIT_OK
-        records = [
-            record if keep else {k: v for k, v in record.items() if k not in PATTERN_KEYS}
-            for record, (_, _, keep) in zip(json.loads(out), renames)
-        ]
         classified = Path(tmp) / "classified.json"
-        classified.write_text(json.dumps(records))
+        classified.write_text(out)
         for table in TABLE_KINDS:
             for fmt in FORMATS:
                 got = invoke(["report", "--input", str(classified), "--table", table,
@@ -713,18 +706,14 @@ class TestCatalogErrors:
         config.write_text(f'catalog = "{catalog}"\n')
         monkeypatch.setenv("TESTLENS_CONFIG", str(config))
         classified = tmp_path / "classified.json"
-        classified.write_text(json.dumps([{
-            "old_name": "testFoo", "new_name": "testBar", "form": "simple",
-            "semantics": "change", "pairs": []}]))
+        classified.write_text(json.dumps([TestReportCommand.GOOD_RECORD]))
         for argv in (["pattern", "testFoo", "--catalog"],
                      ["report", "--input", str(classified), "--table", "catalog"]):
             assert invoke(argv) == (EXIT_ERROR, "", f"error: {message}\n"), argv
 
     def test_only_the_catalog_table_loads_the_catalog(self, tmp_path, monkeypatch):
         classified = tmp_path / "classified.json"
-        classified.write_text(json.dumps([{
-            "old_name": "testFoo", "new_name": "testBar", "form": "simple",
-            "semantics": "change", "pairs": []}]))
+        classified.write_text(json.dumps([TestReportCommand.GOOD_RECORD]))
         argv = ["report", "--input", str(classified)]
         expected = invoke([*argv, "--table", "full"])
         assert expected[0] == EXIT_OK and expected[1]

@@ -319,3 +319,17 @@ class TestIsTestMethod:
         text = "class T { @TestFactory public void makeCases() { x(); } }"
         m = extract_methods(SourceFile("a.java", text))[0]
         assert not is_test_method(m)
+
+    @pytest.mark.parametrize("annotation, is_test", [
+        ("@Test", True),
+        ("@org.junit.Test", True),
+        ("@org.junit.jupiter.api.Test", True),
+        ("@org.junit.Test(expected = IllegalStateException.class)", True),
+        ("@ org . junit . Test", True),
+        ("@org.junit.jupiter.api.TestFactory", False),
+    ], ids=["plain", "dotted", "jupiter", "dotted-arguments", "spaced", "dotted-factory"])
+    def test_fully_qualified_annotation(self, annotation, is_test):
+        text = f"class T {{ {annotation} public void checksParser() {{ x(); }} }}"
+        [m] = extract_methods(SourceFile("a.java", text))
+        assert m.annotations == (annotation,)
+        assert is_test_method(m) is is_test

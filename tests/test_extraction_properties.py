@@ -243,11 +243,17 @@ def _reference_pairs(texts: tuple[str, ...]) -> list[int | None]:
     return partner
 
 
+def _reference_at_sign(texts, i):
+    """The '@' before the annotation name, maybe dotted, that ends at the word ``i``."""
+    while i >= 2 and texts[i - 1] == "." and _is_word(texts[i - 2]):
+        i -= 2
+    return i - 1 if i >= 1 and texts[i - 1] == "@" else None
+
+
 def _reference_annotation_at(texts, partner, close):
     open_idx = partner[close]
-    if open_idx is not None and open_idx >= 2 and texts[open_idx - 2] == "@" \
-            and _is_word(texts[open_idx - 1]):
-        return open_idx - 2
+    if open_idx is not None and open_idx >= 1 and _is_word(texts[open_idx - 1]):
+        return _reference_at_sign(texts, open_idx - 1)
     return None
 
 
@@ -306,9 +312,9 @@ def _reference_annotations(texts, ends, partner, i, text):
             if start is None:
                 break
             i = start - 1
-        elif i >= 1 and texts[i - 1] == "@" and _is_word(tok):
-            annotations.append(text[ends[i - 1] - 1 : ends[i]])
-            i -= 2
+        elif _is_word(tok) and (at := _reference_at_sign(texts, i)) is not None:
+            annotations.append(text[ends[at] - 1 : ends[i]])
+            i = at - 1
         else:
             break
     return tuple(reversed(annotations))
@@ -352,9 +358,10 @@ def reference_extract(src: SourceFile) -> tuple[list[extraction.TestMethod], str
 
 # fragments of Java whose shapes the signature search must tell apart from
 # declarations: lambdas, comparisons before calls, generic and array types,
-# calls after `new` and `return`, and annotations with arguments
+# calls after `new` and `return`, and annotations with arguments or dotted names
 _JAVA_SOUP = [
     "@Test", "@Test(timeout = 100)", '@SuppressWarnings({"a", "b"})', "@Nested", "@",
+    "@org.junit.Test", "@org.junit.Test(timeout = 5)",
     "public", "static", "final", "private", "void", "int", "int[]", "String[][]",
     "List<String>", "Map<K, List<V>>", "<T extends Comparable<? super T>>", "java.util.List",
     "testA", "name", "f", "x", "a", "record", "throws", "IOException,", "E", "new Foo(x)",

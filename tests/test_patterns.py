@@ -78,8 +78,7 @@ class TestMatches:
         assert matches(t, gp("V V N P N"))
 
     def test_containment(self):
-        t = PatternTemplate((VM,), leading_wildcard=True, trailing_wildcard=True,
-                            containment_mode=True)
+        t = PatternTemplate((VM,), leading_wildcard=True, trailing_wildcard=True)
         assert matches(t, gp("V V VM V"))
         assert not matches(t, gp("V V"))
 
@@ -97,9 +96,13 @@ class TestMatches:
         assert matches(t, gp("V N"))
         assert not matches(t, gp("N V"))
 
-    def test_containment_requires_wildcards(self):
-        with pytest.raises(ValueError):
-            PatternTemplate((VM,), containment_mode=True)
+    def test_containment_requires_wildcards(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        for wildcards in ({}, {"leading_wildcard": True}, {"trailing_wildcard": True}):
+            path.write_text(json.dumps([{"name": "Not", "tags": ["VM"], "containment": True,
+                                         **wildcards}]))
+            with pytest.raises(ValueError, match="containment templates imply wildcards"):
+                load_catalog(str(path))
 
     def test_needs_concrete_tag(self):
         with pytest.raises(ValueError):
@@ -173,6 +176,9 @@ MALFORMED_CATALOGS = {
                                "catalog entry 1: leading_wildcard must be true or false"),
     "containment-as-null": ([{"name": "Not", "tags": ["VM"], "containment": None}],
                             "catalog entry 0: containment must be true or false"),
+    "contain-one-side": ([VALID_ENTRY, {"name": "Not", "tags": ["VM"], "containment": True,
+                                        "trailing_wildcard": True}],
+                         "catalog entry 1: containment templates imply wildcards on both sides"),
     "tags-as-string": ([{"name": "Verb Noun", "tags": "VN"}],
                        "catalog entry 0: tags must be an array of strings"),
     "tags-missing": ([{"name": "Verb"}], "catalog entry 0: tags must be an array of strings"),
@@ -198,7 +204,7 @@ class TestLoadCatalog:
         first, second = load_catalog(str(path))
         assert (first.name, first.template, first.origin) == (
             "Verb Start", PatternTemplate((V,), trailing_wildcard=True), CatalogOrigin.EXTENDED)
-        assert second.template == PatternTemplate((VM,), True, True, True)
+        assert second.template == PatternTemplate((VM,), True, True)
         assert second.origin is CatalogOrigin.WU_CLAUSE
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CATALOGS))

@@ -13,7 +13,6 @@ from testlens import _records
 from testlens.cli import EXIT_OK, run
 from testlens.rename import RenameEvent, classify
 from testlens.report import CorpusStats, accumulate
-from testlens.tagger import Lexicon
 
 DATA = Path(__file__).parent / "data"
 CORPUS = json.loads((DATA / "corpus_events.json").read_text())
@@ -43,6 +42,6 @@ def test_written_records_count_as_their_classifications(events):
         path.write_text(out.getvalue())
         rows = _records.read_classified(str(path))
     counted = CorpusStats()
-    for record in _records.counted_renames(str(path), rows, Lexicon.default()):
+    for record in _records.counted_renames(str(path), rows):
         accumulate(counted, record)
     assert counted == expected

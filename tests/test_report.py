@@ -16,9 +16,9 @@ from testlens.rename import RenameEvent, classify
 from testlens.report import (
     CorpusStats,
     PREFIX_LENGTHS,
+    TABLE_KINDS,
     accumulate,
     merge,
-    render,
     render_table,
     top_k,
 )
@@ -265,9 +265,16 @@ class TestRender:
 
     @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
     def test_golden_files(self, accumulated, fmt):
-        got = render(accumulated, fmt)
-        golden = (DATA / f"golden_report.{fmt}").read_text()
-        assert got == golden
+        """Every table kind in turn: md and csv concatenated, json as one
+        array of their sections."""
+        tables = [render_table(accumulated, table, fmt) for table in TABLE_KINDS]
+        if fmt == "json":
+            sections = [section for doc in tables for section in json.loads(doc)]
+            got = json.dumps(sections, indent=2) + "\n"
+        else:
+            got = "".join(tables)
+        assert got == (DATA / f"golden_report.{fmt}").read_text()
 
     def test_render_deterministic(self, accumulated):
-        assert render(accumulated, "md") == render(accumulated, "md")
+        for table in TABLE_KINDS:
+            assert render_table(accumulated, table) == render_table(accumulated, table)

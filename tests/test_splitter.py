@@ -77,43 +77,47 @@ def reference_split(name: str) -> TermSequence:
     return TermSequence(name, tuple(terms))
 
 
+def surfaces(name: str) -> list[str]:
+    return [t.surface for t in split(name).terms]
+
+
 class TestSplitFixtures:
     def test_camel_case(self):
-        assert split("testStringEncryption").surfaces() == ["test", "String", "Encryption"]
+        assert surfaces("testStringEncryption") == ["test", "String", "Encryption"]
 
     def test_single_term_identity(self):
-        assert split("x").surfaces() == ["x"]
+        assert surfaces("x") == ["x"]
 
     def test_digit_runs_and_separators(self):
-        assert split("test15_6_5").surfaces() == ["test", "15", "6", "5"]
+        assert surfaces("test15_6_5") == ["test", "15", "6", "5"]
 
     def test_preamble_acronym_with_lowercase_word(self):
-        assert split("IGNOREtestHttpsCheckOut").surfaces() == [
+        assert surfaces("IGNOREtestHttpsCheckOut") == [
             "IGNORE", "test", "Https", "Check", "Out",
         ]
 
     def test_acronym_run_last_capital_starts_next_term(self):
-        assert split("HTTPSServer").surfaces() == ["HTTPS", "Server"]
+        assert surfaces("HTTPSServer") == ["HTTPS", "Server"]
 
     def test_interior_acronym(self):
-        assert split("XMLHttpRequest").surfaces() == ["XML", "Http", "Request"]
+        assert surfaces("XMLHttpRequest") == ["XML", "Http", "Request"]
 
     def test_snake_case(self):
-        assert split("test_get_NotExisting").surfaces() == ["test", "get", "Not", "Existing"]
+        assert surfaces("test_get_NotExisting") == ["test", "get", "Not", "Existing"]
 
     def test_dollar_separator(self):
-        assert split("foo$bar").surfaces() == ["foo", "bar"]
+        assert surfaces("foo$bar") == ["foo", "bar"]
 
     def test_same_case_run_never_split(self):
         # no dictionary-based splitting of flat words
-        assert split("deleteindexNotExists").surfaces() == ["deleteindex", "Not", "Exists"]
+        assert surfaces("deleteindexNotExists") == ["deleteindex", "Not", "Exists"]
 
     def test_plural_acronym_stays_one_term(self):
-        assert split("testIDs").surfaces() == ["test", "IDs"]
+        assert surfaces("testIDs") == ["test", "IDs"]
 
     def test_separator_only_identifier_yields_no_terms(self):
-        assert split("_").surfaces() == []
-        assert split("$_$").surfaces() == []
+        assert surfaces("_") == []
+        assert surfaces("$_$") == []
 
     def test_spans_point_into_raw(self):
         seq = split("IGNOREtestHttpsCheckOut")
@@ -197,8 +201,14 @@ class TestValidateIdentifier:
 class TestSplitProperties:
     @given(identifiers)
     def test_reconstruction(self, name):
-        seq = split(name)
-        assert seq.reconstruct() == name
+        """The term spans, with the separators between them, rebuild the name."""
+        pieces, pos = [], 0
+        for term in split(name).terms:
+            assert set(name[pos:term.start]) <= set("_$")
+            pieces += [name[pos:term.start], term.surface]
+            pos = term.end
+        assert set(name[pos:]) <= set("_$")
+        assert "".join(pieces) + name[pos:] == name
 
     @given(identifiers)
     def test_spans_non_overlapping_and_increasing(self, name):
@@ -212,7 +222,7 @@ class TestSplitProperties:
 
     @given(identifiers)
     def test_digit_isolation(self, name):
-        for term in split(name).surfaces():
+        for term in surfaces(name):
             assert term.isdigit() or not any(ch.isdigit() for ch in term)
 
     @given(unicode_identifiers)
@@ -220,7 +230,7 @@ class TestSplitProperties:
         # lint's stem guard tests term.isdigit() alone and relies on this,
         # also for the normalized (lowercased) terms it actually reads
         seq = split(name)
-        for term in seq.surfaces() + seq.normalized():
+        for term in [t.surface for t in seq.terms] + seq.normalized():
             assert term.isdigit() or not any(ch.isdigit() for ch in term)
 
     @given(identifiers | unicode_identifiers | composed_identifiers)
@@ -230,8 +240,8 @@ class TestSplitProperties:
 
     @given(identifiers)
     def test_idempotence_per_term(self, name):
-        for term in split(name).surfaces():
-            assert split(term).surfaces() == [term]
+        for term in surfaces(name):
+            assert surfaces(term) == [term]
 
     @given(identifiers)
     def test_determinism(self, name):
@@ -239,4 +249,4 @@ class TestSplitProperties:
 
     @given(identifiers)
     def test_no_empty_terms(self, name):
-        assert all(t for t in split(name).surfaces())
+        assert all(t for t in surfaces(name))

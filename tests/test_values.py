@@ -132,7 +132,7 @@ class TestDefaults:
     def test_keyword_construction_fills_defaults(self):
         assert RenameEvent(old_name="testA", new_name="testB") == RenameEvent(
             "testA", "testB", None, None)
-        assert PatternTemplate(tags=(V,)) == PatternTemplate((V,), False, False, False)
+        assert PatternTemplate(tags=(V,)) == PatternTemplate((V,), False, False)
         assert CatalogEntry("Verb", PatternTemplate((V,))).origin is CatalogOrigin.EXTENDED
         assert Rule("R9", _always, _always, "m").severity == "warning"
         assert Config().threshold == 0.6 and Config().rules is None
@@ -150,8 +150,6 @@ class TestValidatingConstructors:
          "grammar pattern must contain at least one tag"),
         (lambda: PatternTemplate(()), ValueError,
          "pattern template needs at least one concrete tag"),
-        (lambda: PatternTemplate((V,), trailing_wildcard=True, containment_mode=True),
-         ValueError, "containment templates imply wildcards on both sides"),
         (lambda: RenameEvent("testA", "testA"), ValueError,
          "a rename requires the old and new names to differ"),
         (lambda: RenameEvent("", "testA"), InvalidIdentifierError, "identifier is empty"),
@@ -173,7 +171,7 @@ class TestValidatingConstructors:
          "digit tag mismatch on term '2'"),
         (lambda: TaggedName(split("testFoo"), (V, D)), ValueError,
          "digit tag mismatch on term 'Foo'"),
-    ], ids=["pattern-empty", "template-empty", "template-containment", "event-same",
+    ], ids=["pattern-empty", "template-empty", "event-same",
             "event-empty", "event-bad-char", "lexicon-case", "lexicon-empty-word",
             "lexicon-overlap", "lexicon-adverbs", "lexicon-determiners",
             "tagged-count", "tagged-digit", "tagged-non-digit"])
