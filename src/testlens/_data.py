@@ -26,7 +26,6 @@ def catalog_list() -> list:
     return json.loads(_read_text("catalog.json"))
 
 
-@lru_cache(maxsize=None)
 def relations_dict() -> dict:
     return json.loads(_read_text("relations.json"))
 
@@ -40,9 +39,15 @@ def read_file(path: str) -> str:
         raise OSError(f"cannot read {path}: {err}") from err
 
 
+def read_input(path: str) -> str:
+    """``read_file`` less one leading byte order mark: any input but a Java
+    source, whose spans count the mark."""
+    return read_file(path).removeprefix("\ufeff")
+
+
 def load_json(path: str, text: str | None = None):
     """The JSON in ``text``, else in ``path``; invalid or too deep is a ValueError naming it."""
     try:
-        return json.loads(read_file(path) if text is None else text)
+        return json.loads(read_input(path) if text is None else text)
     except (ValueError, RecursionError) as err:
         raise ValueError(f"{path}: invalid JSON: {err}") from err

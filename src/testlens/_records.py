@@ -15,7 +15,7 @@ from .report import CountedRename
 
 def read_events(path: str) -> list[rename_mod.RenameEvent]:
     """The rename events of the CSV or JSON file ``path``, all checked."""
-    text = _data.read_file(path)
+    text = _data.read_input(path)
     if text.lstrip().startswith(("[", "{")):
         rows = _data.load_json(path, text)
         if not isinstance(rows, list):

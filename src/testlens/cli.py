@@ -77,8 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--input", required=True, help="classified JSON file")
     p_report.add_argument("--table", choices=report.TABLE_KINDS, default="full")
     p_report.add_argument("--k", type=int, default=5)
-    p_report.add_argument("--prefix-len", default="2..5",
-                          help="prefix lengths, e.g. 3 or 2..5")
+    p_report.add_argument("--prefix-len", help="prefix lengths, e.g. 3 or 2..5")
     p_report.add_argument("--format", choices=report.FORMATS, default=None)
 
     return parser
@@ -99,13 +98,16 @@ def _load_catalog(config: Config):
     return patterns.load_catalog(config.catalog) if config.catalog else patterns.default_catalog()
 
 
-def _iter_java_files(target: str) -> list[str]:
+def _iter_java_files(target: str, errors: list[str]) -> list[str]:
+    """The Java files under ``target``; each directory that cannot be listed
+    is a message in ``errors``."""
     if os.path.isfile(target):
         return [target]
     if not os.path.isdir(target):
         raise CliError(f"no such file or directory: {target}")
     found = []
-    for root, _, files in os.walk(target):
+    for root, _, files in os.walk(
+            target, onerror=lambda err: errors.append(f"cannot read {err.filename}: {err}")):
         for name in files:
             if name.endswith(".java"):
                 found.append(os.path.join(root, name))
@@ -164,8 +166,8 @@ def _scan_files(paths: list[str], out_err: list[str]):
 
 def _cmd_scan(args, config: Config, out, err) -> int:
     """Write ``{"files": [...]}`` one file record at a time."""
-    paths = _iter_java_files(args.target)
     parse_errors: list[str] = []
+    paths = _iter_java_files(args.target, parse_errors)
     records = (
         {
             "is_test_file": is_test_file,
@@ -211,7 +213,7 @@ def _cmd_lint(args, config: Config, out, err) -> int:
     parse_errors: list[str] = []
     diagnostics: list[lint_mod.Diagnostic] = []
     for src, methods, flags, is_test_file, _ in _scan_files(
-            _iter_java_files(args.target), parse_errors):
+            _iter_java_files(args.target, parse_errors), parse_errors):
         if not is_test_file:
             continue
         for method, flag in zip(methods, flags):
@@ -261,10 +263,9 @@ def _cmd_rename_detect(args, config: Config, out, err) -> int:
 
 def _cmd_rename_classify(args, config: Config, out, err) -> int:
     events = _records.read_events(args.input)
-    provider = rename_mod.CuratedRelationProvider.default()
     lexicon = _load_lexicon(config)
     # one pass, so no classification outlives its output row
-    _records.write_classified((rename_mod.classify(e, provider, lexicon) for e in events),
+    _records.write_classified((rename_mod.classify(e, lexicon) for e in events),
                               args.format or config.format or "json", out)
     return EXIT_OK
 
@@ -289,7 +290,8 @@ def _parse_prefix_lens(raw: str) -> tuple[int, ...]:
 def _cmd_report(args, config: Config, out, err) -> int:
     rows = _records.read_classified(args.input)
     catalog = _load_catalog(config) if args.table == "catalog" else None
-    prefix_lens = _parse_prefix_lens(args.prefix_len)
+    prefix_lens = (report.PREFIX_LENGTHS if args.prefix_len is None
+                   else _parse_prefix_lens(args.prefix_len))
     if args.k < 1:
         raise CliError("--k must be >= 1")
     stats = report.CorpusStats()

@@ -103,4 +103,4 @@ def load_config(path: str | None = None) -> Config:
         path = os.environ.get(ENV_CONFIG)
     if not path:
         return Config()
-    return parse_config_text(_data.read_file(path))
+    return parse_config_text(_data.read_input(path))

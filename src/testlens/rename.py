@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple, Protocol
+from typing import NamedTuple
 
 from . import _data
 from .patterns import GrammarPattern
@@ -286,87 +286,51 @@ def stem(term: str) -> str:
 # Word relations
 
 
-class WordRelationProvider(Protocol):
-    """Lookup capability for lexical relations between lowercase words."""
-
-    def synonyms(self, word: str) -> frozenset[str]: ...
-
-    def antonyms(self, word: str) -> frozenset[str]: ...
-
-    def hypernyms(self, word: str) -> frozenset[str]: ...
-
-    def in_dictionary(self, word: str) -> bool: ...
+_INFLECTIONS = ("s", "es", "ed", "d", "ing", "er")
 
 
-class CuratedRelationProvider:
-    """Bundled provider backed by a small curated relation table.
+def _relations_from(data: dict, words: frozenset[str]) -> tuple[dict, frozenset[str], dict]:
+    """The relations of a ``relations.json``-shaped ``data``: a ``(removed,
+    added) -> TermRelation`` table, the spelling-fix dictionary (``words``
+    plus the single words ``data`` relates), and the phrases as term tuples
+    by first term, longest first.
 
-    Synonym and antonym pairs are stored symmetrically; hypernym lookups
-    return direct hypernyms only (callers take the transitive closure).
-    Dictionary membership checks the bundled word list with light
-    inflection stripping (-s/-es/-ed/-d/-ing/-er).
+    Synonyms and antonyms hold both ways; a word specializes each of its
+    hypernyms, direct or not. A pair related more than one way keeps the
+    first of synonym, antonym, specialization, generalization.
     """
-
-    _INFLECTIONS = ("s", "es", "ed", "d", "ing", "er")
-
-    def __init__(self, synonyms=(), antonyms=(), hypernyms=None, words=frozenset()):
-        self._syn: dict[str, set[str]] = {}
-        self._ant: dict[str, set[str]] = {}
-        self._hyper: dict[str, frozenset[str]] = {
-            k: frozenset(v) for k, v in (hypernyms or {}).items()
-        }
-        for a, b in synonyms:
-            self._syn.setdefault(a, set()).add(b)
-            self._syn.setdefault(b, set()).add(a)
-        for a, b in antonyms:
-            self._ant.setdefault(a, set()).add(b)
-            self._ant.setdefault(b, set()).add(a)
-        self._words = frozenset(words)
-
-    @classmethod
-    def default(cls) -> "CuratedRelationProvider":
-        return _default_provider()
-
-    def synonyms(self, word: str) -> frozenset[str]:
-        return frozenset(self._syn.get(word, ()))
-
-    def antonyms(self, word: str) -> frozenset[str]:
-        return frozenset(self._ant.get(word, ()))
-
-    def hypernyms(self, word: str) -> frozenset[str]:
-        return self._hyper.get(word, frozenset())
-
-    def in_dictionary(self, word: str) -> bool:
-        return inflected_match(word, self._words, self._INFLECTIONS)
-
-
-@lru_cache(maxsize=None)
-def _default_provider() -> CuratedRelationProvider:
-    data = _data.relations_dict()
-    vocab = set(_data.common_words())
-    for pair_list in (data["synonyms"], data["antonyms"]):
-        for a, b in pair_list:
+    pairs: dict = {}
+    vocab = set(words)
+    for key, relation in (("synonyms", _SYNONYM), ("antonyms", _ANTONYM)):
+        for a, b in data[key]:
+            pairs.setdefault((a, b), relation)
+            pairs.setdefault((b, a), relation)
             vocab.update(w for w in (a, b) if " " not in w)
-    for word, hypers in data["hypernyms"].items():
+    hypernyms = data["hypernyms"]
+    ancestry = []
+    for word, direct in hypernyms.items():
         vocab.add(word)
-        vocab.update(hypers)
-    return CuratedRelationProvider(
-        synonyms=[tuple(p) for p in data["synonyms"]],
-        antonyms=[tuple(p) for p in data["antonyms"]],
-        hypernyms=data["hypernyms"],
-        words=frozenset(vocab),
-    )
+        vocab.update(direct)
+        seen, frontier = set(), [word]
+        while frontier:
+            for hyper in hypernyms.get(frontier.pop(), ()):
+                if hyper not in seen:
+                    seen.add(hyper)
+                    frontier.append(hyper)
+        ancestry.extend((word, hyper) for hyper in seen)
+    for word, hyper in ancestry:
+        pairs.setdefault((hyper, word), _SPECIALIZATION)
+    for word, hyper in ancestry:
+        pairs.setdefault((word, hyper), _GENERALIZATION)
+    phrases: dict = {}
+    for phrase in sorted((tuple(p.split()) for p in data["phrases"]), key=len, reverse=True):
+        phrases.setdefault(phrase[0], []).append(phrase)
+    return pairs, frozenset(vocab), phrases
 
 
 @lru_cache(maxsize=None)
-def _phrases_by_first_term() -> dict[str, tuple[tuple[str, ...], ...]]:
-    """Known multi-term phrases as normalized term tuples, grouped by their
-    first term, longest first within each group."""
-    phrases = (tuple(p.split()) for p in _data.relations_dict()["phrases"])
-    groups: dict[str, list[tuple[str, ...]]] = {}
-    for phrase in sorted(phrases, key=len, reverse=True):
-        groups.setdefault(phrase[0], []).append(phrase)
-    return {first: tuple(group) for first, group in groups.items()}
+def _bundled_relations() -> tuple[dict, frozenset[str], dict]:
+    return _relations_from(_data.relations_dict(), _data.common_words())
 
 
 def _within_edits(a: str, b: str, k: int) -> bool:
@@ -393,19 +357,7 @@ def _within_edits(a: str, b: str, k: int) -> bool:
             or _within_edits(a, b[1:], k - 1))
 
 
-def _transitive_hypernyms(word: str, provider: WordRelationProvider) -> set[str]:
-    seen: set[str] = set()
-    frontier = [word]
-    while frontier:
-        current = frontier.pop()
-        for hyper in provider.hypernyms(current):
-            if hyper not in seen:
-                seen.add(hyper)
-                frontier.append(hyper)
-    return seen
-
-
-def relate(removed: str, added: str, provider: WordRelationProvider | None = None) -> TermRelation:
+def relate(removed: str, added: str) -> TermRelation:
     """Lexical relation between a removed term and its added counterpart.
 
     Categories are tried in fixed precedence: spelling fix, stem-based
@@ -414,15 +366,15 @@ def relate(removed: str, added: str, provider: WordRelationProvider | None = Non
     for term in (removed, added):
         if any(map(str.isdigit, term)):
             raise ValueError(f"relate requires digit-free terms: {term!r}")
-    if provider is None:
-        provider = CuratedRelationProvider.default()
+    pairs, words, _ = _bundled_relations()
     removed = removed.lower()
     added = added.lower()
 
     single_words = " " not in removed and " " not in added
     if single_words:
         if _within_edits(removed, added, 2):
-            if provider.in_dictionary(removed) != provider.in_dictionary(added):
+            if inflected_match(removed, words, _INFLECTIONS) \
+                    != inflected_match(added, words, _INFLECTIONS):
                 return _SPELLING_FIX
         if stem(removed) == stem(added):
             if added == removed + "s" or removed == added + "s":
@@ -431,16 +383,7 @@ def relate(removed: str, added: str, provider: WordRelationProvider | None = Non
                     or added == removed + "d" or removed == added + "d":
                 return _TENSE_CHANGE
             return _SAME_STEM
-
-    if added in provider.synonyms(removed):
-        return _SYNONYM
-    if added in provider.antonyms(removed):
-        return _ANTONYM
-    if removed in _transitive_hypernyms(added, provider):
-        return _SPECIALIZATION
-    if added in _transitive_hypernyms(removed, provider):
-        return _GENERALIZATION
-    return _UNRELATED
+    return pairs.get((removed, added), _UNRELATED)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +395,7 @@ def collapse_phrases(terms: list[str]) -> list[str]:
 
     At each position the longest known phrase starting there wins.
     """
-    by_first = _phrases_by_first_term()
+    _, _, by_first = _bundled_relations()
     out: list[str] = []
     i = 0
     while i < len(terms):
@@ -524,15 +467,15 @@ _PRESERVING_RELATIONS = frozenset({_SYNONYM, _SAME_STEM, _PLURALITY_CHANGE, _TEN
                                    _SPELLING_FIX})
 
 
-def _pair_relation(added: str, removed: str, provider: WordRelationProvider) -> TermRelation:
+def _pair_relation(added: str, removed: str) -> TermRelation:
     if any(map(str.isdigit, added)) or any(map(str.isdigit, removed)):
         return _UNRELATED
-    return relate(removed, added, provider)
+    return relate(removed, added)
 
 
-def _relations(d: _RenameDiff, provider: WordRelationProvider) -> dict:
+def _relations(d: _RenameDiff) -> dict:
     """``(added, removed) -> TermRelation`` for every distinct term pair of the event."""
-    return {(a, r): _pair_relation(a, r, provider) for a in d.added for r in d.removed}
+    return {(a, r): _pair_relation(a, r) for a in d.added for r in d.removed}
 
 
 def _preserving_swap(added: list[str], removed: list[str], relations: dict) -> bool:
@@ -625,35 +568,23 @@ def term_pairs(event: RenameEvent) -> list[tuple[str, str]]:
     return _pairs(_diff(event))
 
 
-def classify_semantics(
-    event: RenameEvent,
-    provider: WordRelationProvider | None = None,
-    lexicon: Lexicon | None = None,
-) -> SemanticCategory:
+def classify_semantics(event: RenameEvent, lexicon: Lexicon | None = None) -> SemanticCategory:
     """Meaning-level class of a rename."""
-    if provider is None:
-        provider = CuratedRelationProvider.default()
     d = _diff(event)
-    return _semantics(d, _form(d), _relations(d, provider),
+    return _semantics(d, _form(d), _relations(d),
                       _tags(d.old, lexicon), _tags(d.new, lexicon))
 
 
-def classify(
-    event: RenameEvent,
-    provider: WordRelationProvider | None = None,
-    lexicon: Lexicon | None = None,
-) -> RenameClassification:
+def classify(event: RenameEvent, lexicon: Lexicon | None = None) -> RenameClassification:
     """Full classification record for a rename event.
 
     Both names are split and tagged once and every distinct (added,
     removed) term relation is computed once; form, semantics, pairs and
     the two grammar patterns share them.
     """
-    if provider is None:
-        provider = CuratedRelationProvider.default()
     d = _diff(event)
     form = _form(d)
-    relations = _relations(d, provider)
+    relations = _relations(d)
     pairs = tuple((a, r, relations[a, r]) for a, r in _pairs(d))
     old_tags = _tags(d.old, lexicon)
     # tags depend only on the normalized terms, so a reformatted name shares them

@@ -241,6 +241,29 @@ class TestScanCommand:
         assert [d["rule"] for d in json.loads(out)] == ["R1"]
         assert err.startswith(f"cannot read {tmp_path / 'Bad.java'}: ")
 
+    def test_unreadable_directory_reported_and_skipped(self, tmp_path, monkeypatch):
+        # permission bits do not stop every user, so the listing fails by a patch
+        for sub in ("a", "locked"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "FailTest.java").write_text(R1_VIOLATION)
+        locked = str(tmp_path / "locked")
+        real_scandir = os.scandir
+
+        def scandir(path):
+            if os.fspath(path) == locked:
+                raise PermissionError(13, "Permission denied", locked)
+            return real_scandir(path)
+
+        monkeypatch.setattr(os, "scandir", scandir)
+        message = f"cannot read {locked}: [Errno 13] Permission denied: '{locked}'\n"
+        code, out, err = invoke(["scan", str(tmp_path)])
+        assert (code, err) == (EXIT_ERROR, message)
+        assert [f["path"] for f in json.loads(out)["files"]] == [
+            str(tmp_path / "a" / "FailTest.java")]
+        code, out, err = invoke(["lint", str(tmp_path), "--format", "json"])
+        assert (code, err) == (EXIT_ERROR, message)
+        assert [d["rule"] for d in json.loads(out)] == ["R1"]
+
 
 class TestLintCommand:
     def test_clean_exit_zero(self, tmp_path):
@@ -845,6 +868,16 @@ class TestConfig:
         code, out, _ = invoke(["report", "--input", str(classified), "--table", "forms"])
         assert code == EXIT_OK
         assert json.loads(out)[0]["rows"] == [["simple", "1", "100.00%"]]
+
+
+class TestReadmeLibraryUse:
+    def test_block_runs(self, capsys):
+        readme = (Path(testlens.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+        [block] = re.findall(r"## Library use\n\n```python\n(.*?)```", readme, re.DOTALL)
+        exec(compile(block, "README.md", "exec"), {})
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == ["V NM N", "simple preserve (('contains', 'has', "
+                             "<TermRelation.SYNONYM: 'synonym'>),)", "V V N V V N"]
 
 
 class TestDeterminism:

@@ -414,3 +414,95 @@ def test_extraction_time_is_linear_on_lambdas_and_comparisons():
     per_token = {name: _seconds_per_token(body) for name, body in _SHAPES.items()}
     for shape in ("lambda", "comparison"):
         assert per_token[shape] <= 3 * per_token["plain"], per_token
+
+
+# a small grammar of legal JUnit test classes: statements and fields whose
+# literals and comments hold braces, parentheses, quotes and fake
+# declarations; test annotations plain, dotted or with arguments beside
+# other annotations with arguments; lambdas, anonymous classes and nested
+# classes. Only the planted names may come out as test methods.
+_STATEMENTS = [
+    'String block = """\n    a " b "" { } ( ) @Test void testFake() {\n    """;',
+    "char open = '{';", "char quote = '\"';", "char tick = '\\'';", "char paren = '(';",
+    'assertEquals("}", parse("{ ) void testFake() {"));',
+    "// } @Test public void testFake() {\n",
+    "/* @Test public void testFake() { } */",
+    "Runnable r = () -> { helper(); };",
+    "items.forEach(s -> check(s, 1));",
+    "if (a > b(c)) { return; }",
+    "Object o = new Object() { @Override public String toString() { return \"}\"; } };",
+    "int[] xs = {1, 2};",
+    "java.util.List<String> names = new java.util.ArrayList<>();",
+]
+_FIELDS = [
+    'private static final String BRACE = "}";',
+    "private final char open = '{';",
+    'private static final String BLOCK = """\n    } ( "\n    """;',
+    "private int count;",
+    "private final Runnable task = new Runnable() { public void run() { count++; } };",
+]
+_TEST_ANNOTATIONS = ["@Test", "@org.junit.Test", "@Test(timeout = 100)",
+                     "@org.junit.Test(expected = IllegalStateException.class)",
+                     "@org.junit.jupiter.api.Test"]
+_OTHER_ANNOTATIONS = ['@SuppressWarnings({"unchecked", "rawtypes"})', '@DisplayName("a ) { b")',
+                      "@Timeout(value = 5, unit = TimeUnit.SECONDS)", "@Disabled", "@Override"]
+_MODIFIERS = ["", "public ", "public static ", "protected ", "private ", "public <T> "]
+_THROWS = ["", " throws Exception", " throws java.io.IOException, InterruptedException"]
+_WORDS = ["Parse", "Empty", "List", "Value", "Ok", "Name"]
+_HELPER_NAMES = ["helper", "setUp", "check", "build", "apply", "parseAll"]
+
+
+@st.composite
+def _method(draw, planted: list[str]) -> str:
+    """A test method, recording its name in ``planted``, or a helper."""
+    body = "\n        ".join(draw(st.lists(st.sampled_from(_STATEMENTS), max_size=4)))
+    others = draw(st.lists(st.sampled_from(_OTHER_ANNOTATIONS), max_size=2, unique=True))
+    signature = f"{draw(st.sampled_from(_MODIFIERS))}void"
+    kind = draw(st.sampled_from(["annotated", "junit3", "helper"]))
+    if kind == "helper":
+        name = draw(st.sampled_from(_HELPER_NAMES))
+    else:
+        words = "".join(draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3)))
+        prefix = "test" if kind == "junit3" else draw(st.sampled_from(["should", "it", "test"]))
+        name = prefix + words
+        planted.append(name)
+        if kind == "annotated":
+            others.insert(draw(st.integers(0, len(others))), draw(st.sampled_from(_TEST_ANNOTATIONS)))
+    lines = [*others, f"{signature} {name}(){draw(st.sampled_from(_THROWS))} {{", f"    {body}", "}"]
+    return "\n    ".join(lines)
+
+
+@st.composite
+def _members(draw, planted: list[str], depth: int) -> str:
+    members = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["method", "method", "field", "nested"] if depth else
+                                    ["method", "method", "field"]))
+        if kind == "method":
+            members.append(draw(_method(planted)))
+        elif kind == "field":
+            members.append(draw(st.sampled_from(_FIELDS)))
+        else:
+            header = draw(st.sampled_from(["static class Inner", "@Nested class Inner",
+                                           "private interface Helper"]))
+            inner = draw(_members(planted, depth - 1)) if "interface" not in header else ""
+            members.append(f"{header} {{\n{inner}\n}}")
+    return "\n\n    ".join(members)
+
+
+@st.composite
+def planted_test_classes(draw) -> tuple[str, list[str]]:
+    planted: list[str] = []
+    annotation = draw(st.sampled_from(["", "@RunWith(JUnit4.class)\n", '@DisplayName("x { y")\n']))
+    members = draw(_members(planted, depth=1))
+    text = (f"import org.junit.Test;\n\n{annotation}public class GeneratedTest {{\n"
+            f"    {members}\n}}\n")
+    return text, planted
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_test_classes())
+def test_exactly_the_planted_test_methods_are_found(generated):
+    text, planted = generated
+    methods = extract_methods(SourceFile("GeneratedTest.java", text))
+    assert [m.name for m in methods if extraction.is_test_method(m)] == planted

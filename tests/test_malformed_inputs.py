@@ -273,3 +273,27 @@ class TestRegressions:
                                   json.dumps([event]))
         assert (code, err) == (EXIT_ERROR, f"error: IN: record 0: {field} must be a string "
                                            f"or None, not {kind}\n")
+
+    @pytest.mark.parametrize("argv, config, content", [
+        (["rename", "classify", "--input", "IN"], None, "old_name,new_name\ntestA,testB\n"),
+        (["rename", "classify", "--input", "IN"], None, json.dumps(VALID_EVENTS)),
+        (["report", "--input", "IN"], None, json.dumps(VALID_RECORDS[:1])),
+        (["tag", "testFoo", "--lexicon", "IN"], None, json.dumps(_data.lexicon_dict())),
+        (["pattern", "testFoo", "--catalog"], 'catalog = "IN"', json.dumps(_data.catalog_list())),
+        (["tag", "testFoo"], '\ufefflexicon = "IN"', json.dumps(_data.lexicon_dict())),
+    ], ids=["events-csv", "events-json", "records", "lexicon", "catalog", "config"])
+    def test_leading_byte_order_mark_is_dropped(self, argv, config, content):
+        # each used to fail: a CSV header error, an unexpected BOM, an unknown config key
+        assert self.run_file(argv, "\ufeff" + content, config) == (EXIT_OK, "")
+
+    def test_java_source_keeps_its_byte_order_mark(self):
+        with tempfile.TemporaryDirectory() as workdir:
+            spans = []
+            for prefix in ("", "\ufeff"):
+                path = write(workdir, "CleanTest.java", (prefix + CLEAN_TEST).encode())
+                out = io.StringIO()
+                assert cli.run(["scan", path], out, io.StringIO()) == EXIT_OK
+                [method] = json.loads(out.getvalue())["files"][0]["methods"]
+                spans.append(method["name_span"])
+        plain, marked = spans
+        assert marked == [plain[0] + 1, plain[1] + 1]

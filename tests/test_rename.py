@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from testlens import _data, rename
 from testlens.rename import (
-    CuratedRelationProvider,
     FormCategory,
     RenameEvent,
     SemanticCategory,
     TermRelation,
     _porter_once,
+    _relations_from,
     _within_edits,
     classify,
     classify_form,
@@ -22,7 +22,7 @@ from testlens.rename import (
     term_pairs,
 )
 from testlens.splitter import split
-from testlens.tagger import tag
+from testlens.tagger import inflected_match, tag
 
 # Single-pass outputs of the classic suffix-stripping algorithm, frozen from
 # the published vocabulary/output samples and cross-checked against an
@@ -456,24 +456,111 @@ class TestClassificationProperties:
         assert classify_semantics(event) is SemanticCategory.PRESERVE
 
 
-class TestProvider:
+def _ancestors(word: str, hypernyms: dict) -> set[str]:
+    seen: set[str] = set()
+    frontier = [word]
+    while frontier:
+        for hyper in hypernyms.get(frontier.pop(), ()):
+            if hyper not in seen:
+                seen.add(hyper)
+                frontier.append(hyper)
+    return seen
+
+
+def _cascade_relation(removed: str, added: str, data: dict) -> TermRelation:
+    """Reference: the relations of ``data`` looked up per call, synonyms and
+    antonyms either way round, hypernyms walked transitively."""
+    for key, relation in (("synonyms", TermRelation.SYNONYM),
+                          ("antonyms", TermRelation.ANTONYM)):
+        if [removed, added] in data[key] or [added, removed] in data[key]:
+            return relation
+    if removed in _ancestors(added, data["hypernyms"]):
+        return TermRelation.SPECIALIZATION
+    if added in _ancestors(removed, data["hypernyms"]):
+        return TermRelation.GENERALIZATION
+    return TermRelation.UNRELATED
+
+
+def _relation_words(data: dict) -> set[str]:
+    """Every word and phrase ``data`` relates."""
+    words = {w for key in ("synonyms", "antonyms") for pair in data[key] for w in pair}
+    words.update(data["hypernyms"])
+    words.update(h for hypers in data["hypernyms"].values() for h in hypers)
+    return words
+
+
+_BUNDLED = _data.relations_dict()
+_DICTIONARY = _data.common_words() | {w for w in _relation_words(_BUNDLED) if " " not in w}
+
+
+def _cascade_relate(removed: str, added: str) -> TermRelation:
+    """Reference: ``relate`` as a cascade over the bundled relations."""
+    removed, added = removed.lower(), added.lower()
+    if " " not in removed and " " not in added:
+        inflections = ("s", "es", "ed", "d", "ing", "er")
+        if _within_edits(removed, added, 2) and (
+                inflected_match(removed, _DICTIONARY, inflections)
+                != inflected_match(added, _DICTIONARY, inflections)):
+            return TermRelation.SPELLING_FIX
+        if stem(removed) == stem(added):
+            if added == removed + "s" or removed == added + "s":
+                return TermRelation.PLURALITY_CHANGE
+            if added in (removed + "ed", removed + "d") or removed in (added + "ed", added + "d"):
+                return TermRelation.TENSE_CHANGE
+            return TermRelation.SAME_STEM
+    return _cascade_relation(removed, added, _BUNDLED)
+
+
+_TABLE_WORDS = ["a", "b", "c", "d", "e"]
+word_pairs = st.lists(st.lists(st.sampled_from(_TABLE_WORDS), min_size=2, max_size=2),
+                      max_size=4)
+relation_data = st.fixed_dictionaries({
+    "synonyms": word_pairs,
+    "antonyms": word_pairs,
+    "hypernyms": st.dictionaries(st.sampled_from(_TABLE_WORDS),
+                                 st.lists(st.sampled_from(_TABLE_WORDS), max_size=2), max_size=4),
+    "phrases": st.just([]),
+})
+
+
+class TestRelationTable:
     def test_dictionary_checks_inflections(self):
-        provider = CuratedRelationProvider.default()
-        assert provider.in_dictionary("invoked")
-        assert provider.in_dictionary("uploads")
-        assert not provider.in_dictionary("inkvoked")
+        # "invoked" and "uploads" are inflected dictionary words, "inkvoked" is none
+        assert relate("inkvoked", "invoked") is TermRelation.SPELLING_FIX
+        assert relate("uploads", "inkvoked") is TermRelation.UNRELATED
+        assert relate("upluads", "uploads") is TermRelation.SPELLING_FIX
 
     def test_symmetric_storage(self):
-        provider = CuratedRelationProvider(synonyms=[("a", "b")])
-        assert "a" in provider.synonyms("b")
-        assert "b" in provider.synonyms("a")
+        data = {"synonyms": [["a", "b"]], "antonyms": [], "hypernyms": {}, "phrases": []}
+        pairs, _, _ = _relations_from(data, frozenset())
+        assert pairs == {("a", "b"): TermRelation.SYNONYM, ("b", "a"): TermRelation.SYNONYM}
 
-    def test_transitive_hypernyms_via_relate(self):
-        provider = CuratedRelationProvider(
-            hypernyms={"beagle": ["dog"], "dog": ["animal"]},
-        )
-        assert relate("animal", "beagle", provider) is TermRelation.SPECIALIZATION
-        assert relate("beagle", "animal", provider) is TermRelation.GENERALIZATION
+    def test_transitive_hypernyms(self):
+        data = {"synonyms": [], "antonyms": [], "phrases": [],
+                "hypernyms": {"beagle": ["dog"], "dog": ["animal"]}}
+        pairs, words, _ = _relations_from(data, frozenset({"cat"}))
+        assert pairs[("animal", "beagle")] is TermRelation.SPECIALIZATION
+        assert pairs[("beagle", "animal")] is TermRelation.GENERALIZATION
+        assert pairs[("dog", "beagle")] is TermRelation.SPECIALIZATION
+        assert words == {"animal", "beagle", "cat", "dog"}
+
+    @given(relation_data)
+    @settings(max_examples=300)
+    def test_table_equals_cascade(self, data):
+        pairs, _, _ = _relations_from(data, frozenset())
+        for removed in _TABLE_WORDS:
+            for added in _TABLE_WORDS:
+                assert pairs.get((removed, added), TermRelation.UNRELATED) \
+                    is _cascade_relation(removed, added, data)
+
+    def test_relate_equals_cascade_on_every_vocabulary_pair(self):
+        outside = ["upload", "uploader", "uploads", "job", "jobs", "invoked", "inkvoked",
+                   "lists", "collections", "Box", "verifyed", "eigen"]
+        vocabulary = sorted(_relation_words(_BUNDLED)) + outside
+        for removed in vocabulary:
+            for added in vocabulary:
+                assert relate(removed, added) is _cascade_relate(removed, added), \
+                    (removed, added)
 
 
 class TestEachNameAnalyzedOnce:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from testlens import _data
-from testlens.rename import CuratedRelationProvider
+from testlens.rename import _INFLECTIONS as RELATION_INFLECTIONS
 from testlens.splitter import TermSequence, split
 from testlens.tagger import Lexicon, PosTag, TaggedName, inflected_match, noun_run_rewrite, tag
 
@@ -356,7 +356,7 @@ class TestTagEqualsReference:
 
     @given(word=inflected_words() | st.text("abcdes", max_size=6),
            suffixes=st.sampled_from([("s", "es", "ed", "d", "ing"), ("s", "es"),
-                                     CuratedRelationProvider._INFLECTIONS, ("ing", "g"), ()]))
+                                     RELATION_INFLECTIONS, ("ing", "g"), ()]))
     @settings(max_examples=400)
     def test_inflected_match_equals_all_suffix_loop(self, word, suffixes):
         for words in (Lexicon.default().verbs, Lexicon.default().known_nouns):
