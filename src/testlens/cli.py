@@ -160,7 +160,7 @@ def _scan_files(paths: list[str], out_err: list[str]):
         if perr is not None:
             out_err.append(str(perr))
         flags = [extraction.is_test_method(m) for m in methods]
-        is_test_file = extraction.has_junit_import(src) and any(flags)
+        is_test_file = any(flags) and extraction.has_junit_import(src)
         yield src, methods, flags, is_test_file, perr is not None
 
 
@@ -207,7 +207,7 @@ def _cmd_lint(args, config: Config, out, err) -> int:
         known = {r.id for r in rules}
         unknown = [r for r in enabled if r not in known]
         if unknown:
-            raise CliError(f"unknown rule id(s): {', '.join(unknown)}")
+            raise CliError(f"unknown rule id(s): {', '.join(map(repr, unknown))}")
         rules = tuple(r for r in rules if r.id in enabled)
 
     parse_errors: list[str] = []

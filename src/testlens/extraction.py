@@ -1,8 +1,9 @@
 """Tolerant extraction of test methods from Java-style source text.
 
-One ``re.split`` tokenizes the source into two parallel columns, token
-texts and end offsets (comments dropped; literals and text blocks kept
-as single tokens); a token's start is its end minus its length. One
+One ``re.findall`` cuts the source into chunks of a token and the
+whitespace before it, which give two parallel columns, token texts and
+end offsets (comments dropped; literals and text blocks kept as single
+tokens); a token's start is its end minus its length. One
 ``str.translate`` of the tokens' first characters, which decide their
 kinds, gives the file's shape: ``w`` per word, ``0`` per number, ``"``
 per literal and ASCII punctuation as itself. One stack pass pairs the
@@ -18,7 +19,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from bisect import bisect_right
-from itertools import accumulate, compress, count, islice
+from itertools import accumulate, compress, count
 from operator import itemgetter, sub
 from typing import NamedTuple
 
@@ -88,18 +89,20 @@ class PartialParseError(Exception):
         self.methods = methods
 
 
-# One group, so ``re.split`` returns the whitespace before each token, the
-# token, and last the trailing whitespace. Comments are tokens, dropped
-# after the split. Unterminated comments, text blocks and literals run to
-# the end of the text. WORD stands for the word branch.
+# Each match is one chunk: a token and the whitespace before it, or last
+# the trailing whitespace. The ``\s+\Z`` branch takes that in one match;
+# without it ``\s*`` would retry the trailing run from each of its
+# characters, in time quadratic in its length. Comments are tokens,
+# dropped after the match. Unterminated comments, text blocks and literals
+# run to the end of the text. WORD stands for the word branch.
 _TOKEN_PATTERN = r"""
-    ( //[^\n]* | /\*(?:.*?\*/|.*)
+    \s*(?: //[^\n]* | /\*(?:.*?\*/|.*)
     | WORD
     | \"\"\"(?:[^"\\]|\\.|"(?!\"\"))*(?:\"\"\"|\\?\Z)
     | "[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z) | '[^'\\]*(?:\\.[^'\\]*)*(?:'|\\?\Z)
     | \d[\w.]*
     | \S
-    )"""
+    ) | \s+\Z"""
 
 
 def _compile_tokens(word: str) -> re.Pattern:
@@ -186,21 +189,25 @@ def tokenize(text: str) -> TokenStream:
     """Lex Java-ish source. Comments are dropped; string and character
     literals and text blocks are single tokens.
 
-    One ``re.split`` with a one-group pattern returns the whitespace before
-    each token and the token in turn, so the tokens are every second part
-    and a token ends at the running sum of the part lengths. Comments are
-    tokens too; a '//' or '/*' that starts a token is found by bisection
-    and dropped from both columns. No Python code runs per token.
+    One ``re.findall`` returns each token with the whitespace before it,
+    so a token is its chunk with that whitespace stripped (``\\s`` and
+    ``str.isspace`` agree on every character) and ends at the running sum
+    of the chunk lengths; a last chunk of whitespace alone is dropped.
+    Comments are tokens too; a '//' or '/*' that starts a token is found
+    by bisection and dropped from both columns. No Python code runs per
+    token.
     """
-    parts = _token_re(text).split(text)
-    texts, ends = parts[1::2], tuple(islice(accumulate(map(len, parts)), 1, None, 2))
+    chunks = _token_re(text).findall(text)
+    if chunks and chunks[-1].isspace():
+        chunks.pop()
+    texts, ends = tuple(map(str.lstrip, chunks)), tuple(accumulate(map(len, chunks)))
     comments = []
     for match in _COMMENT_START.finditer(text):
         i = bisect_right(ends, match.start())  # the token that holds the '/'
         if ends[i] - len(texts[i]) == match.start():
             comments.append(i)
     if not comments:
-        return TokenStream(tuple(texts), ends)
+        return TokenStream(texts, ends)
     keep = [True] * len(texts)
     for i in comments:
         keep[i] = False
@@ -380,13 +387,23 @@ def recover_methods(src: SourceFile) -> tuple[list[TestMethod], PartialParseErro
         return err.methods, err
 
 
-_IMPORT_RE = re.compile(r"^\s*import\s+(?:static\s+)?([\w.]+(?:\.\*)?)\s*;", re.MULTILINE)
+# an import at a line start, from the last '\n' before it; a search for
+# that literal '\n' tries each line once, where a `^\s*` would rescan a
+# run of blank lines from each of its line starts
+_IMPORT_RE = re.compile(r"\n[^\S\n]*import\s+(?:static\s+)?([\w.]+(?:\.\*)?)\s*;")
+
+
+def _import_names(text: str) -> list[str]:
+    """The names of the imports that start a line after optional
+    whitespace, in text order; a newline put before the text makes its
+    first line start as the others do."""
+    return _IMPORT_RE.findall("\n" + text)
 
 
 def has_junit_import(src: SourceFile) -> bool:
     return any(
         name == "org.junit" or name.startswith(("org.junit.", "junit."))
-        for name in _IMPORT_RE.findall(src.text)
+        for name in _import_names(src.text)
     )
 
 

@@ -288,6 +288,16 @@ class TestLintCommand:
         code, _, err = invoke(["lint", str(tmp_path), "--rules", "R9"])
         assert code == EXIT_ERROR
 
+    def test_empty_rule_id_is_quoted(self, tmp_path, monkeypatch):
+        (tmp_path / "FailTest.java").write_text(R1_VIOLATION)
+        code, out, err = invoke(["lint", str(tmp_path), "--rules", "R1,,R9"])
+        assert (code, out, err) == (EXIT_ERROR, "", "error: unknown rule id(s): '', 'R9'\n")
+        config = tmp_path / "testlens.toml"
+        config.write_text('rules = ["R1", ""]\n')
+        monkeypatch.setenv("TESTLENS_CONFIG", str(config))
+        code, out, err = invoke(["lint", str(tmp_path)])
+        assert (code, out, err) == (EXIT_ERROR, "", "error: unknown rule id(s): ''\n")
+
     def test_json_format_on_stdout(self, tmp_path):
         (tmp_path / "FailTest.java").write_text(R1_VIOLATION)
         code, out, _ = invoke(["lint", str(tmp_path), "--format", "json"])

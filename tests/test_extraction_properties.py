@@ -1,11 +1,13 @@
 """Property tests for the tolerant extractor: the regex tokenizer against
 the character-at-a-time scanner it replaced, the signature search against
 the extractor that tried every '(', the extractor's invariants on random
-token soup, and linear running time on adversarial shapes."""
+token soup, linear running time on adversarial shapes, and the JUnit
+import search against the anchored regex it replaced."""
 
 import re
 import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from testlens import extraction
@@ -14,6 +16,7 @@ from testlens.extraction import (
     SourceFile,
     TokenKind,
     extract_methods,
+    has_junit_import,
     tokenize,
 )
 from testlens.splitter import InvalidIdentifierError, split
@@ -414,6 +417,67 @@ def test_extraction_time_is_linear_on_lambdas_and_comparisons():
     per_token = {name: _seconds_per_token(body) for name, body in _SHAPES.items()}
     for shape in ("lambda", "comparison"):
         assert per_token[shape] <= 3 * per_token["plain"], per_token
+
+
+def _junit_import(text: str) -> bool:
+    return has_junit_import(SourceFile("T.java", text))
+
+
+_PLAIN_FILE = "import org.junit.Test;\n\nclass T {\n" + (
+    '    @Test public void testParse() { assertEquals(1, parse("a")); }\n' * 8000)
+
+# a run of whitespace that a `\s*` before each token rescans from each of
+# its characters, a run of blank lines that a `^\s*` import regex rescans
+# from each line start, and one long line of imports that a backward
+# search for the line's start rescans from each import
+_WHITESPACE_AND_IMPORT_SHAPES = {
+    "trailing-spaces": (tokenize, "x" + " " * 100_000),
+    "trailing-tabs": (tokenize, "x" + "\t" * 100_000),
+    "trailing-newlines": (tokenize, "x" + "\n" * 100_000),
+    "whitespace-only": (tokenize, " " * 100_000),
+    "blank-lines": (_junit_import, "\n" * 20_000 + "x"),
+    "one-import-line": (_junit_import, "x " + "import a; " * 40_000),
+}
+
+
+def _seconds_per_char(fn, text: str) -> float:
+    best = float("inf")
+    for _ in range(5):
+        start = time.process_time()
+        fn(text)
+        best = min(best, time.process_time() - start)
+    return best / len(text)
+
+
+@pytest.mark.parametrize("shape", _WHITESPACE_AND_IMPORT_SHAPES)
+def test_time_is_linear_on_whitespace_runs_and_import_lines(shape):
+    """Against a plain file of the same length. The bound is loose, as a
+    blank line costs the import search what a whole plain line does, but
+    each quadratic pass named above exceeds it twentyfold or more."""
+    fn, text = _WHITESPACE_AND_IMPORT_SHAPES[shape]
+    plain = _PLAIN_FILE[:len(text)]
+    assert len(plain) == len(text)
+    assert _seconds_per_char(fn, text) <= 50 * _seconds_per_char(fn, plain)
+
+
+# the `^\s*` import regex `has_junit_import` used before, as the reference:
+# the names of the imports whose line holds only whitespace before them
+_REFERENCE_IMPORT_RE = re.compile(r"^\s*import\s+(?:static\s+)?([\w.]+(?:\.\*)?)\s*;", re.MULTILINE)
+_IMPORT_FRAGMENTS = ["import", "static", "org.junit", "junit.", "org.junitx", ";", ".*", "/*", "*/",
+                     '"""', "x", ".", "import org.junit.Test;", "import static junit.framework.Assert.*;"]
+# the gap before each fragment: '\r', '\u2028' and '\x1c' are whitespace
+# that does not end a line for the reference's `^`
+_IMPORT_GAPS = ["", " ", "\n", "\r", "\t", "\f", "\r\n", " \n\t", "\u2028", "\x1c"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_IMPORT_GAPS), st.sampled_from(_IMPORT_FRAGMENTS)),
+                max_size=30).map(lambda parts: "".join(gap + fragment for gap, fragment in parts)))
+def test_import_names_match_the_anchored_reference(text):
+    names = _REFERENCE_IMPORT_RE.findall(text)
+    assert extraction._import_names(text) == names
+    assert _junit_import(text) == any(
+        name == "org.junit" or name.startswith(("org.junit.", "junit.")) for name in names)
 
 
 # a small grammar of legal JUnit test classes: statements and fields whose
