@@ -20,11 +20,8 @@ from .rename import (
     SemanticCategory,
     TermRelation,
     classify,
-    classify_form,
-    classify_semantics,
     relate,
     stem,
-    term_pairs,
 )
 
 __all__ = [
@@ -43,8 +40,6 @@ __all__ = [
     "TermSequence",
     "catalog_match",
     "classify",
-    "classify_form",
-    "classify_semantics",
     "default_catalog",
     "normalize",
     "pattern_of",
@@ -53,5 +48,4 @@ __all__ = [
     "split",
     "stem",
     "tag",
-    "term_pairs",
 ]

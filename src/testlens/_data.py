@@ -16,12 +16,10 @@ def common_words() -> frozenset[str]:
     return frozenset(_read_text("words.txt").split())
 
 
-@lru_cache(maxsize=None)
 def lexicon_dict() -> dict:
     return json.loads(_read_text("lexicon.json"))
 
 
-@lru_cache(maxsize=None)
 def catalog_list() -> list:
     return json.loads(_read_text("catalog.json"))
 

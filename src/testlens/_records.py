@@ -42,7 +42,14 @@ def _parsed(path: str, rows: Iterable, parse) -> Iterator:
 
 def _event_of(row: dict) -> rename_mod.RenameEvent:
     return rename_mod.RenameEvent(row["old_name"], row["new_name"],
-                                  row.get("file") or None, row.get("commit") or None)
+                                  _none_if_empty(row.get("file")),
+                                  _none_if_empty(row.get("commit")))
+
+
+def _none_if_empty(value):
+    """None for an absent, null or empty field; any other value is kept for
+    ``RenameEvent`` to check."""
+    return None if value == "" else value
 
 
 def write_classified(results: Iterable[rename_mod.RenameClassification], fmt: str, out):
@@ -82,16 +89,12 @@ def _classification_doc(c: rename_mod.RenameClassification) -> dict:
     }
 
 
-def read_classified(path: str) -> list:
-    """The records of the classified JSON file ``path``, not yet checked."""
+def counted_renames(path: str) -> Iterator[CountedRename]:
+    """Each record of the classified JSON file ``path``, checked and counted
+    as it is reached; the file is read, and checked to be an array, at once."""
     rows = _data.load_json(path)
     if not isinstance(rows, list):
         raise ValueError(f"{path}: expected a JSON array of classifications")
-    return rows
-
-
-def counted_renames(path: str, rows: list) -> Iterator[CountedRename]:
-    """Each record of ``rows``, read from ``path``, checked and counted as it is reached."""
     pattern_texts: dict[str, str] = {}
     return _parsed(path, rows, lambda row: _counted_record(row, pattern_texts))
 

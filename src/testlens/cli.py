@@ -200,7 +200,7 @@ def _cmd_lint(args, config: Config, out, err) -> int:
         collection_vocabulary=config.collection_vocabulary,
         not_rule_boolean_asserts=config.not_rule_boolean_asserts,
     )
-    enabled = args.rules.split(",") if args.rules else (
+    enabled = args.rules.split(",") if args.rules is not None else (
         list(config.rules) if config.rules is not None else None
     )
     if enabled is not None:
@@ -288,14 +288,14 @@ def _parse_prefix_lens(raw: str) -> tuple[int, ...]:
 
 
 def _cmd_report(args, config: Config, out, err) -> int:
-    rows = _records.read_classified(args.input)
+    records = _records.counted_renames(args.input)  # reads the file now: its errors come first
     catalog = _load_catalog(config) if args.table == "catalog" else None
     prefix_lens = (report.PREFIX_LENGTHS if args.prefix_len is None
                    else _parse_prefix_lens(args.prefix_len))
     if args.k < 1:
         raise CliError("--k must be >= 1")
     stats = report.CorpusStats()
-    for counted in _records.counted_renames(args.input, rows):
+    for counted in records:
         report.accumulate(stats, counted)
     fmt = args.format or config.format or "md"
     out.write(report.render_table(stats, args.table, fmt, args.k, prefix_lens, catalog))

@@ -9,6 +9,7 @@ over file values.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from typing import NamedTuple
@@ -71,10 +72,14 @@ def _parse_value(raw: str, lineno: int):
                 raise ConfigError(f"line {lineno}: array items must be quoted strings")
             items.append(part[1:-1])
         return tuple(items)
-    try:
-        return float(raw) if "." in raw else int(raw)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: cannot parse value {raw!r}") from None
+    for number in (int, float):  # an int if int() takes it, else a finite float
+        try:
+            value = number(raw)
+        except ValueError:
+            continue
+        if math.isfinite(value):
+            return value
+    raise ConfigError(f"line {lineno}: cannot parse value {raw!r}")
 
 
 def parse_config_text(text: str) -> Config:
@@ -97,10 +102,9 @@ def parse_config_text(text: str) -> Config:
     return Config(**values)
 
 
-def load_config(path: str | None = None) -> Config:
-    """Config from an explicit path, else $TESTLENS_CONFIG, else defaults."""
-    if path is None:
-        path = os.environ.get(ENV_CONFIG)
+def load_config() -> Config:
+    """Config from $TESTLENS_CONFIG, else defaults."""
+    path = os.environ.get(ENV_CONFIG)
     if not path:
         return Config()
     return parse_config_text(_data.read_input(path))

@@ -4,51 +4,35 @@ One ``re.findall`` cuts the source into chunks of a token and the
 whitespace before it, which give two parallel columns, token texts and
 end offsets (comments dropped; literals and text blocks kept as single
 tokens); a token's start is its end minus its length. One
-``str.translate`` of the tokens' first characters, which decide their
-kinds, gives the file's shape: ``w`` per word, ``0`` per number, ``"``
-per literal and ASCII punctuation as itself. One stack pass pairs the
-parentheses and braces. One regex over the shape finds each word followed
-by '(' after a word, '>' or ']', where a return type can end; a signature
-heuristic checks each and marks its brace-balanced body. No compiler
-front-end is involved, so non-compiling snapshots still scan, in time
-linear in the token count.
+``str.translate`` of the tokens' first characters gives the file's
+shape: ``w`` per word, ``0`` per number, ``"`` per literal and ASCII
+punctuation as itself. One stack pass pairs the parentheses and braces.
+One regex over the shape finds each word followed by '(' after a word,
+'>' or ']', where a return type can end; a signature heuristic checks
+each and marks its brace-balanced body. No compiler front-end is
+involved, so non-compiling snapshots still scan, in time linear in the
+token count.
 """
 
 from __future__ import annotations
 
 import re
-from enum import Enum
 from bisect import bisect_right
 from itertools import accumulate, compress, count
-from operator import itemgetter, sub
+from operator import itemgetter
 from typing import NamedTuple
-
-
-class TokenKind(Enum):
-    WORD = "word"
-    PUNCTUATION = "punctuation"
-    STRING = "string-literal"
-    NUMBER = "number"
 
 
 class TokenStream(NamedTuple):
     """Tokens as two parallel columns: token ``i`` has text ``texts[i]``
-    and ends at source offset ``ends[i]``. ``kinds`` and ``starts`` are
-    derived on each read. ``len`` counts the tokens, not the columns."""
+    and ends at source offset ``ends[i]``, so it starts at ``ends[i] -
+    len(texts[i])``. ``len`` counts the tokens, not the columns."""
 
     texts: tuple[str, ...]
     ends: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.texts)
-
-    @property
-    def kinds(self) -> tuple[TokenKind, ...]:
-        return tuple(_KIND_OF_SHAPE.get(c, TokenKind.PUNCTUATION) for c in _shape(self.texts))
-
-    @property
-    def starts(self) -> tuple[int, ...]:
-        return tuple(map(sub, self.ends, map(len, self.texts)))
 
     @property
     def tokens(self) -> tuple[str, ...]:
@@ -133,8 +117,8 @@ def _token_re(text: str) -> re.Pattern:
 
 
 class _Shape(dict):
-    """A token's shape by the code of its first character, which decides
-    its kind because the token regex's branches start with disjoint
+    """A token's shape by the code of its first character, which is
+    enough because the token regex's branches start with disjoint
     characters. Every ASCII code is stored; any other first character is
     a word if it is a letter, a number if it is a decimal digit, and else
     punctuation shaped ``#``, which no scan looks for."""
@@ -152,7 +136,6 @@ _SHAPE = _Shape({
     **dict.fromkeys(map(ord, "\"'"), '"'),
     **dict.fromkeys(map(ord, "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$"), "w"),
 })
-_KIND_OF_SHAPE = {"w": TokenKind.WORD, "0": TokenKind.NUMBER, '"': TokenKind.STRING}
 
 
 def _shape(texts: tuple[str, ...]) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .extraction import TestMethod, TokenKind
+from .extraction import TestMethod, _shape
 from .rename import stem
 from .tagger import PosTag, TaggedName
 
@@ -28,7 +28,6 @@ class Rule(NamedTuple):
     trigger: Callable[[tuple[str, ...], tuple[PosTag, ...]], bool]
     expectation: Callable[[TestMethod, tuple[str, ...]], bool]
     message: str
-    severity: str = "warning"
 
 
 class Diagnostic(NamedTuple):
@@ -111,13 +110,13 @@ def _r4_trigger(terms: tuple[str, ...], tags: tuple[PosTag, ...]) -> bool:
 
 def _make_r4_expectation(
         vocabulary: tuple[str, ...]) -> Callable[[TestMethod, tuple[str, ...]], bool]:
-    vocab = frozenset(vocabulary)
+    # only a word token can match, and a token is a word by its first
+    # character alone: keep the entries that start as a word does
+    vocab = frozenset(v for v in vocabulary if v and _shape((v,)) == "w")
 
     def expectation(method: TestMethod, terms: tuple[str, ...]) -> bool:
-        body = method.body_tokens
-        return "[" in body.texts or any(
-            kind is TokenKind.WORD for kind, text in zip(body.kinds, body.texts) if text in vocab
-        )
+        texts = method.body_tokens.texts
+        return "[" in texts or not vocab.isdisjoint(texts)
 
     return expectation
 
@@ -194,7 +193,7 @@ def lint(
                     file=file,
                     name_span=method.name_span,
                     message=rule.message,
-                    severity=rule.severity,
+                    severity="warning",
                 )
             )
     return diagnostics

@@ -292,6 +292,9 @@ class TestLintCommand:
         (tmp_path / "FailTest.java").write_text(R1_VIOLATION)
         code, out, err = invoke(["lint", str(tmp_path), "--rules", "R1,,R9"])
         assert (code, out, err) == (EXIT_ERROR, "", "error: unknown rule id(s): '', 'R9'\n")
+        # an empty --rules names the rule '', where it once ran every rule
+        code, out, err = invoke(["lint", str(tmp_path), "--rules", ""])
+        assert (code, out, err) == (EXIT_ERROR, "", "error: unknown rule id(s): ''\n")
         config = tmp_path / "testlens.toml"
         config.write_text('rules = ["R1", ""]\n')
         monkeypatch.setenv("TESTLENS_CONFIG", str(config))
@@ -851,6 +854,18 @@ class TestConfig:
     def test_unclosed_quote_is_not_a_comment(self):
         with pytest.raises(ConfigError, match="cannot parse value"):
             parse_config_text('format = "json # x\n')
+
+    @pytest.mark.parametrize("raw, value", [
+        ("6e-1", 0.6), ("1E0", 1.0), ("2.5e+1", 25.0), ("0.75", 0.75), ("1", 1.0)])
+    def test_numbers_in_exponent_form(self, raw, value):
+        # an exponent without a '.' was once "cannot parse value"
+        assert parse_config_text(f"threshold = {raw}\n").threshold == value
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "Infinity", "1e999"])
+    def test_non_finite_numbers_rejected(self, raw):
+        with pytest.raises(ConfigError) as raised:
+            parse_config_text(f"threshold = {raw}\n")
+        assert str(raised.value) == f"line 1: cannot parse value {raw!r}"
 
 
     def readme_sample(self):

@@ -3,13 +3,13 @@ import pytest
 from testlens.extraction import (
     PartialParseError,
     SourceFile,
-    TokenKind,
     extract_methods,
     has_junit_import,
     is_test_method,
     recover_methods,
     tokenize,
 )
+from test_extraction_properties import TokenKind, kinds, starts
 
 SIMPLE = """\
 import org.junit.Test;
@@ -79,51 +79,50 @@ class TestTokenize:
     def test_comments_excluded(self):
         stream = tokenize("a // line\n/* block */ b")
         assert stream.texts == ("a", "b")
-        assert (stream.starts, stream.ends) == ((0, 22), (1, 23))
+        assert (starts(stream), stream.ends) == ((0, 22), (1, 23))
 
     def test_string_literal_single_token(self):
         stream = tokenize('call("a b { }");')
-        assert stream.kinds.count(TokenKind.STRING) == 1
-        literal = stream.kinds.index(TokenKind.STRING)
+        assert kinds(stream).count(TokenKind.STRING) == 1
+        literal = kinds(stream).index(TokenKind.STRING)
         assert stream.texts[literal] == '"a b { }"'
 
     def test_escaped_quote(self):
         stream = tokenize(r'"a\"b" x')
         assert stream.texts == (r'"a\"b"', "x")
-        assert stream.kinds == (TokenKind.STRING, TokenKind.WORD)
+        assert kinds(stream) == (TokenKind.STRING, TokenKind.WORD)
 
     def test_spans_strictly_increasing(self):
         stream = tokenize(SIMPLE)
-        assert len(stream) == len(stream.kinds) == len(stream.starts) == len(stream.ends)
-        for start, end in zip(stream.starts, stream.ends):
+        assert len(stream) == len(stream.texts) == len(stream.ends)
+        for start, end in zip(starts(stream), stream.ends):
             assert start < end
-        for end, next_start in zip(stream.ends, stream.starts[1:]):
+        for end, next_start in zip(stream.ends, starts(stream)[1:]):
             assert end <= next_start
 
     def test_numbers(self):
         stream = tokenize("int x = 42;")
-        kinds = dict(zip(stream.texts, stream.kinds))
-        assert kinds["42"] is TokenKind.NUMBER
+        assert dict(zip(stream.texts, kinds(stream)))["42"] is TokenKind.NUMBER
 
     def test_non_ascii_letters_make_words(self):
         stream = tokenize("testGrößeAfterClear(_é, $ü, ǅx2, x²)")
-        words = [t for k, t in zip(stream.kinds, stream.texts) if k is TokenKind.WORD]
+        words = [t for k, t in zip(kinds(stream), stream.texts) if k is TokenKind.WORD]
         assert words == ["testGrößeAfterClear", "_é", "$ü", "ǅx2", "x²"]
 
     def test_characters_no_identifier_holds_are_punctuation(self):
         # '½' is numeric but neither a letter nor a digit; '²' is a digit,
         # which cannot start a word; '٣' is a decimal digit and starts a number
         stream = tokenize("a½b ²c ٣x")
-        assert list(zip(stream.kinds, stream.texts)) == [
+        assert list(zip(kinds(stream), stream.texts)) == [
             (TokenKind.WORD, "a"), (TokenKind.PUNCTUATION, "½"), (TokenKind.WORD, "b"),
             (TokenKind.PUNCTUATION, "²"), (TokenKind.WORD, "c"), (TokenKind.NUMBER, "٣x")]
 
     def test_kinds_and_starts_are_derived_from_texts_and_ends(self):
         stream = tokenize("é = 'c' + 1;")
         assert stream._fields == ("texts", "ends")
-        assert stream.kinds == (TokenKind.WORD, TokenKind.PUNCTUATION, TokenKind.STRING,
-                                TokenKind.PUNCTUATION, TokenKind.NUMBER, TokenKind.PUNCTUATION)
-        assert stream.starts == (0, 2, 4, 8, 10, 11)
+        assert kinds(stream) == (TokenKind.WORD, TokenKind.PUNCTUATION, TokenKind.STRING,
+                                 TokenKind.PUNCTUATION, TokenKind.NUMBER, TokenKind.PUNCTUATION)
+        assert starts(stream) == (0, 2, 4, 8, 10, 11)
 
 
 class TestExtractMethods:
@@ -251,7 +250,7 @@ class TestExtractMethods:
         lo, hi = m.body_span
         body = m.body_tokens
         assert body.texts[0] == "Parser" and body.texts[-1] == ";"
-        for start, end in zip(body.starts, body.ends):
+        for start, end in zip(starts(body), body.ends):
             assert lo < start and end < hi
 
 

@@ -6,6 +6,7 @@ import search against the anchored regex it replaced."""
 
 import re
 import time
+from enum import Enum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,6 @@ from testlens import extraction
 from testlens.extraction import (
     PartialParseError,
     SourceFile,
-    TokenKind,
     extract_methods,
     has_junit_import,
     tokenize,
@@ -22,6 +22,42 @@ from testlens.extraction import (
 from testlens.splitter import InvalidIdentifierError, split
 
 _NUMBER_RE = re.compile(r"\d[\w.]*")
+
+
+class TokenKind(Enum):
+    WORD = "word"
+    PUNCTUATION = "punctuation"
+    STRING = "string-literal"
+    NUMBER = "number"
+
+
+def reference_kind(token: str) -> TokenKind:
+    """A token's kind by the first-character rule the lexer's branches follow."""
+    first = token[0]
+    if first in "\"'":
+        return TokenKind.STRING
+    if first.isalpha() or first in "_$":
+        return TokenKind.WORD
+    return TokenKind.NUMBER if first.isdecimal() else TokenKind.PUNCTUATION
+
+
+def kinds(stream) -> tuple[TokenKind, ...]:
+    return tuple(map(reference_kind, stream.texts))
+
+
+def starts(stream) -> tuple[int, ...]:
+    return tuple(end - len(text) for text, end in zip(stream.texts, stream.ends))
+
+
+_SHAPE_OF_KIND = {TokenKind.WORD: "w", TokenKind.NUMBER: "0", TokenKind.STRING: '"'}
+
+
+def reference_shape(token: str) -> str:
+    """The shape character the signature search reads for ``token``."""
+    kind = reference_kind(token)
+    if kind is TokenKind.PUNCTUATION:
+        return token if token.isascii() else "#"
+    return _SHAPE_OF_KIND[kind]
 
 
 Row = tuple[TokenKind, str, int, int]  # kind, text, start, end
@@ -99,7 +135,7 @@ def reference_tokenize(text: str) -> tuple[Row, ...]:
 
 def rows(text: str) -> tuple[Row, ...]:
     stream = tokenize(text)
-    return tuple(zip(stream.kinds, stream.texts, stream.starts, stream.ends))
+    return tuple(zip(kinds(stream), stream.texts, starts(stream), stream.ends))
 
 
 # characters that open or close every lexical state, plus non-ASCII
@@ -146,11 +182,11 @@ def test_tokenizer_edge_cases_match_reference_scanner():
 @given(_java_text)
 def test_columns_are_parallel_and_slice_the_text(text):
     stream = tokenize(text)
-    n = len(stream)
-    assert len(stream.kinds) == len(stream.texts) == len(stream.starts) == len(stream.ends) == n
+    assert len(stream.texts) == len(stream.ends) == len(stream)
     assert stream.tokens == stream.texts
-    for i in range(n):
-        assert text[stream.starts[i]:stream.ends[i]] == stream.texts[i]
+    for start, token, end in zip(starts(stream), stream.texts, stream.ends):
+        assert text[start:end] == token
+    assert extraction._shape(stream.texts) == "".join(map(reference_shape, stream.texts))
 
 
 def _split_accepts(name: str) -> bool:
@@ -165,7 +201,7 @@ def _split_accepts(name: str) -> bool:
 @given(_java_text | st.text(max_size=40))
 def test_every_word_is_an_identifier_split_accepts(text):
     stream = tokenize(text)
-    for kind, word in zip(stream.kinds, stream.texts):
+    for kind, word in zip(kinds(stream), stream.texts):
         if kind is TokenKind.WORD:
             assert _split_accepts(word), word
 
@@ -212,22 +248,10 @@ def test_extractor_invariants_on_token_soup(words, sep):
         assert 0 <= start < end <= len(text)
         assert text[start] == "{" and text[end - 1] == "}"
         # the body is the file's token columns strictly between its braces
-        lo, hi = stream.starts.index(start) + 1, stream.ends.index(end)
+        lo, hi = starts(stream).index(start) + 1, stream.ends.index(end)
         body = m.body_tokens
-        assert body.kinds == stream.kinds[lo:hi]
         assert body.texts == stream.texts[lo:hi]
-        assert body.starts == stream.starts[lo:hi]
         assert body.ends == stream.ends[lo:hi]
-
-
-def reference_kind(token: str) -> TokenKind:
-    """A token's kind by the first-character rule the kind table replaced."""
-    first = token[0]
-    if first in "\"'":
-        return TokenKind.STRING
-    if first.isalpha() or first in "_$":
-        return TokenKind.WORD
-    return TokenKind.NUMBER if first.isdecimal() else TokenKind.PUNCTUATION
 
 
 def _is_word(token: str) -> bool:
@@ -389,8 +413,6 @@ def test_signature_search_matches_every_paren_reference(words, sep):
     except PartialParseError as err:
         methods, message = err.methods, str(err)
     assert (methods, message) == reference_extract(src)
-    stream = tokenize(text)
-    assert stream.kinds == tuple(map(reference_kind, stream.texts))
 
 
 _SHAPES = {

@@ -1,3 +1,6 @@
+from itertools import product
+
+from test_extraction_properties import TokenKind, reference_kind
 from testlens.extraction import SourceFile, extract_methods
 from testlens.lint import DEFAULT_COLLECTION_VOCABULARY, default_rules, lint
 from testlens.splitter import split
@@ -6,13 +9,17 @@ from testlens.tagger import tag
 RULES = default_rules()
 
 
-def run_lint(method_source: str, rules=RULES):
+def extract_one(method_source: str):
     src = SourceFile("Fixture.java", f"class Fixture {{\n{method_source}\n}}\n")
     methods = extract_methods(src)
     assert len(methods) == 1, methods
-    method = methods[0]
+    return methods[0]
+
+
+def run_lint(method_source: str, rules=RULES):
+    method = extract_one(method_source)
     tagged = tag(split(method.name))
-    return lint(method, tagged, rules, file=src.path)
+    return lint(method, tagged, rules, file="Fixture.java")
 
 
 class TestR1Fail:
@@ -152,6 +159,27 @@ class TestR4Collection:
             }
         """)
         assert [d.rule_id for d in diags] == ["R4"]
+
+    def test_expectation_matches_the_token_kind_reference(self):
+        # the reference reads each body token's kind, as R4 once did; the rule
+        # keeps only the vocabulary entries that lex as words
+        def reference(vocabulary, texts):
+            return "[" in texts or any(reference_kind(t) is TokenKind.WORD
+                                       for t in texts if t in vocabulary)
+
+        vocabularies = [("",), ('"Bag"',), ("1List",), ("[",), ("Größe",), ("½x",),
+                        ("", '"Bag"', "1List", "[", "Größe", "½x", "List")]
+        bodies = ['log("Bag", \'[\', "");', "int n = 1List + 0x1F;", "x = ½x;",
+                  "Größe g = new Größe();", "int[] a = {};", "List<Größe> xs;", "",
+                  "a½x = 2;"]
+        seen = set()
+        for vocabulary, body in product(vocabularies, bodies):
+            method = extract_one(f"void testAllItems() {{ {body} }}")
+            r4 = default_rules(collection_vocabulary=vocabulary)[3]
+            want = reference(vocabulary, method.body_tokens.texts)
+            assert r4.expectation(method, ("all", "items")) is want, (vocabulary, body)
+            seen.add(want)
+        assert seen == {True, False}
 
 
 class TestR5Exception:

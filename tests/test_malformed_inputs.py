@@ -265,14 +265,29 @@ class TestRegressions:
     @pytest.mark.parametrize("fmt", ["json", "csv", "md"])
     @pytest.mark.parametrize("field, value, kind", [
         ("file", 1.5, "float"), ("file", [1], "list"), ("commit", {"a": 1}, "dict"),
+        ("file", 0, "int"), ("file", False, "bool"), ("file", [], "list"), ("commit", {}, "dict"),
     ])
     def test_event_file_and_commit_must_be_strings(self, fmt, field, value, kind):
-        # a float file used to raise from the JSON writer; a dict was written as its repr
+        # a float file used to raise from the JSON writer; a dict was written as its
+        # repr; a falsy value such as 0 or [] was read as no file or commit
         event = {"old_name": "testA", "new_name": "testB", field: value}
         code, err = self.run_file(["rename", "classify", "--input", "IN", "--format", fmt],
                                   json.dumps([event]))
         assert (code, err) == (EXIT_ERROR, f"error: IN: record 0: {field} must be a string "
                                            f"or None, not {kind}\n")
+
+    def test_absent_null_or_empty_file_and_commit_are_none(self):
+        events = [{"old_name": "testA", "new_name": "testB"},
+                  {"old_name": "testA", "new_name": "testB", "file": None, "commit": None},
+                  {"old_name": "testA", "new_name": "testB", "file": "", "commit": ""}]
+        with tempfile.TemporaryDirectory() as workdir:
+            path = os.path.join(workdir, "events.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(events, fh)
+            out, err = io.StringIO(), io.StringIO()
+            code = cli.run(["rename", "classify", "--input", path], out, err)
+        assert (code, err.getvalue()) == (EXIT_OK, "")
+        assert [(r["file"], r["commit"]) for r in json.loads(out.getvalue())] == [("", "")] * 3
 
     @pytest.mark.parametrize("argv, config, content", [
         (["rename", "classify", "--input", "IN"], None, "old_name,new_name\ntestA,testB\n"),

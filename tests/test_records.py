@@ -40,8 +40,8 @@ def test_written_records_count_as_their_classifications(events):
         code = run(["rename", "classify", "--input", str(path), "--format", "json"], out, err)
         assert (code, err.getvalue()) == (EXIT_OK, "")
         path.write_text(out.getvalue())
-        rows = _records.read_classified(str(path))
+        records = _records.counted_renames(str(path))  # reads the file now
     counted = CorpusStats()
-    for record in _records.counted_renames(str(path), rows):
+    for record in records:
         accumulate(counted, record)
     assert counted == expected

@@ -134,7 +134,6 @@ class TestDefaults:
             "testA", "testB", None, None)
         assert PatternTemplate(tags=(V,)) == PatternTemplate((V,), False, False)
         assert CatalogEntry("Verb", PatternTemplate((V,))).origin is CatalogOrigin.EXTENDED
-        assert Rule("R9", _always, _always, "m").severity == "warning"
         assert Config().threshold == 0.6 and Config().rules is None
 
     def test_token_stream_length_counts_tokens(self):
