@@ -9,7 +9,7 @@ import json
 from collections.abc import Iterable, Iterator
 
 from . import _data, patterns, rename as rename_mod
-from ._jsonout import dump
+from ._jsonout import SLOT, STR, Encoded, dump, list_of, template
 from .report import CountedRename
 
 
@@ -55,7 +55,7 @@ def _none_if_empty(value):
 def write_classified(results: Iterable[rename_mod.RenameClassification], fmt: str, out):
     """Write each of ``results`` to ``out`` as a json, csv or md record as it comes."""
     if fmt == "json":
-        dump(map(_classification_doc, results), out.write)
+        dump(map(_classified_json, results), out.write)
     elif fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["old_name", "new_name", "file", "commit", "form", "semantics", "pairs"])
@@ -75,18 +75,23 @@ def write_classified(results: Iterable[rename_mod.RenameClassification], fmt: st
         raise ValueError(f"unsupported classify format {fmt!r}")
 
 
-def _classification_doc(c: rename_mod.RenameClassification) -> dict:
-    return {
-        "commit": c.event.commit or "",
-        "file": c.event.file or "",
-        "form": c.form.value,
-        "new_name": c.event.new_name,
-        "new_pattern": None if c.new_pattern is None else str(c.new_pattern),
-        "old_name": c.event.old_name,
-        "old_pattern": None if c.old_pattern is None else str(c.old_pattern),
-        "pairs": [{"added": a, "relation": rel.value, "removed": r} for a, r, rel in c.pairs],
-        "semantics": c.semantics.value,
-    }
+# the layout of a classified record, an item of the array ``write_classified`` writes
+_CLASSIFIED = template({"commit": SLOT, "file": SLOT, "form": SLOT, "new_name": SLOT,
+                        "new_pattern": SLOT, "old_name": SLOT, "old_pattern": SLOT,
+                        "pairs": SLOT, "semantics": SLOT}, " " * 2)
+_PAIRS = list_of(" " * 4)
+_PAIR = template({"added": SLOT, "relation": SLOT, "removed": SLOT}, " " * 6)
+
+
+def _classified_json(c: rename_mod.RenameClassification) -> Encoded:
+    e = c.event
+    return Encoded(_CLASSIFIED % (
+        STR(e.commit or ""), STR(e.file or ""), STR(c.form.value), STR(e.new_name),
+        "null" if c.new_pattern is None else STR(str(c.new_pattern)),
+        STR(e.old_name),
+        "null" if c.old_pattern is None else STR(str(c.old_pattern)),
+        _PAIRS([_PAIR % (STR(a), STR(rel.value), STR(r)) for a, r, rel in c.pairs]),
+        STR(c.semantics.value)))
 
 
 def counted_renames(path: str) -> Iterator[CountedRename]:

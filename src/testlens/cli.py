@@ -12,10 +12,11 @@ import contextlib
 import functools
 import os
 import sys
+from itertools import starmap
 
 from . import (_data, _records, extraction, lint as lint_mod, patterns, rename as rename_mod,
                renamedetect, report)
-from ._jsonout import dump
+from ._jsonout import BOOL, SLOT, STR, Encoded, dump, list_of, template
 from .config import Config, load_config
 from .splitter import split
 from .tagger import Lexicon, tag
@@ -164,34 +165,45 @@ def _scan_files(paths: list[str], out_err: list[str]):
         yield src, methods, flags, is_test_file, perr is not None
 
 
+# the layout of ``scan``'s file records, nested in ``{"files": [...]}``
+_SCAN_FILE = template({"is_test_file": SLOT, "methods": SLOT, "partial": SLOT, "path": SLOT},
+                      " " * 4)
+_SCAN_METHODS = list_of(" " * 6)
+_SCAN_METHOD = template({"annotations": SLOT, "body_span": [SLOT, SLOT], "is_test_method": SLOT,
+                         "name": SLOT, "name_span": [SLOT, SLOT]}, " " * 8)
+_SCAN_ANNOTATIONS = list_of(" " * 10)
+
+
+def _scan_json(src: extraction.SourceFile, methods: list[extraction.TestMethod],
+               flags: list[bool], is_test_file: bool, partial: bool) -> Encoded:
+    return Encoded(_SCAN_FILE % (
+        BOOL[is_test_file],
+        _SCAN_METHODS([_SCAN_METHOD % (_SCAN_ANNOTATIONS([*map(STR, m.annotations)]),
+                                       *m.body_span, BOOL[flag], STR(m.name), *m.name_span)
+                       for m, flag in zip(methods, flags)]),
+        BOOL[partial], STR(src.path)))
+
+
 def _cmd_scan(args, config: Config, out, err) -> int:
     """Write ``{"files": [...]}`` one file record at a time."""
     parse_errors: list[str] = []
     paths = _iter_java_files(args.target, parse_errors)
-    records = (
-        {
-            "is_test_file": is_test_file,
-            "methods": [
-                {
-                    "annotations": m.annotations,
-                    "body_span": m.body_span,
-                    "is_test_method": flag,
-                    "name": m.name,
-                    "name_span": m.name_span,
-                }
-                for m, flag in zip(methods, flags)
-            ],
-            "partial": partial,
-            "path": src.path,
-        }
-        for src, methods, flags, is_test_file, partial in _scan_files(paths, parse_errors)
-    )
-    dump({"files": records}, out.write)
+    dump({"files": starmap(_scan_json, _scan_files(paths, parse_errors))}, out.write)
     if parse_errors:
         for message in parse_errors:
             err.write(message + "\n")
         return EXIT_ERROR
     return EXIT_OK
+
+
+# an item of the array ``lint --format json`` writes
+_DIAGNOSTIC = template({"file": SLOT, "message": SLOT, "method": SLOT, "name_span": [SLOT, SLOT],
+                        "rule": SLOT, "severity": SLOT}, " " * 2)
+
+
+def _diagnostic_json(d: lint_mod.Diagnostic) -> Encoded:
+    return Encoded(_DIAGNOSTIC % (STR(d.file), STR(d.message), STR(d.method_name), *d.name_span,
+                                  STR(d.rule_id), STR(d.severity)))
 
 
 def _cmd_lint(args, config: Config, out, err) -> int:
@@ -228,9 +240,7 @@ def _cmd_lint(args, config: Config, out, err) -> int:
 
     fmt = args.format or config.format or "text"
     if fmt == "json":
-        dump([{"file": d.file, "message": d.message, "method": d.method_name,
-               "name_span": d.name_span, "rule": d.rule_id, "severity": d.severity}
-              for d in diagnostics], out.write)
+        dump(map(_diagnostic_json, diagnostics), out.write)
     elif fmt == "text":
         for d in diagnostics:
             err.write(
@@ -246,6 +256,15 @@ def _cmd_lint(args, config: Config, out, err) -> int:
     return EXIT_FINDINGS if diagnostics else EXIT_OK
 
 
+# an item of the array ``rename detect`` writes
+_DETECTED = template({"commit": SLOT, "file": SLOT, "new_name": SLOT, "old_name": SLOT}, " " * 2)
+
+
+def _detected_json(e: rename_mod.RenameEvent) -> Encoded:
+    return Encoded(_DETECTED % (STR(e.commit or ""), STR(e.file or ""), STR(e.new_name),
+                                STR(e.old_name)))
+
+
 def _cmd_rename_detect(args, config: Config, out, err) -> int:
     threshold = args.threshold if args.threshold is not None else config.threshold
     pair = renamedetect.FileVersionPair(
@@ -254,8 +273,7 @@ def _cmd_rename_detect(args, config: Config, out, err) -> int:
     )
     parse_errors: list[str] = []
     events = renamedetect.detect_renames(pair, threshold, parse_errors)
-    dump([{"commit": e.commit or "", "file": e.file or "",
-           "new_name": e.new_name, "old_name": e.old_name} for e in events], out.write)
+    dump(map(_detected_json, events), out.write)
     for message in parse_errors:
         err.write(message + "\n")
     return EXIT_ERROR if parse_errors else EXIT_OK

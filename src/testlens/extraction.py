@@ -197,8 +197,9 @@ def tokenize(text: str) -> TokenStream:
     return TokenStream(tuple(compress(texts, keep)), tuple(compress(ends, keep)))
 
 
-def _pair_brackets(shape: str) -> list[int | None]:
-    """Index of the partner of every matched '(' ')' '{' '}', else None.
+def _pair_brackets(shape: str) -> tuple[list[int | None], list[int]]:
+    """Index of the partner of every matched '(' ')' '{' '}', else None;
+    and the indexes of the '{' that are still open at the end.
 
     One stack per bracket kind, so a ')' never closes a '{': each pair is
     the one a depth count over that kind alone finds.
@@ -214,7 +215,7 @@ def _pair_brackets(shape: str) -> list[int | None]:
             if stack:
                 j = stack.pop()
                 partner[i], partner[j] = j, i
-    return partner
+    return partner, stacks["{"]
 
 
 def _at_sign(shape: str, i: int) -> int | None:
@@ -323,13 +324,14 @@ def extract_methods(src: SourceFile) -> list[TestMethod]:
 
     Methods inside nested or anonymous classes are extracted too and
     attributed to the file. Raises PartialParseError when a method body
-    never closes before end of input; the exception lists every method
-    recovered before the failure. Runs in time linear in the token count.
+    never closes before end of input, with every method recovered before
+    that body, or when any other '{' never closes, with every method found.
+    Runs in time linear in the token count.
     """
     s = tokenize(src.text)
     texts, ends = s
     shape = _shape(texts)
-    partner = _pair_brackets(shape)
+    partner, open_braces = _pair_brackets(shape)
     methods: list[TestMethod] = []
     for match in _SIGNATURE_RE.finditer(shape):
         i = match.start()
@@ -357,6 +359,11 @@ def extract_methods(src: SourceFile) -> list[TestMethod]:
                 name_span=(ends[i] - len(name), ends[i]),
                 body_span=(ends[brace] - 1, ends[body_close]),
             )
+        )
+    if open_braces:
+        raise PartialParseError(
+            f"{src.path}: unbalanced braces at end of input; recovered {len(methods)} method(s)",
+            methods,
         )
     return methods
 

@@ -134,25 +134,29 @@ def _assertion_token(texts: tuple[str, ...], i: int) -> bool:
 
 
 def _r5_expectation(method: TestMethod, terms: tuple[str, ...]) -> bool:
+    """An assertion strictly inside a catch block: the block that opens at
+    the first '{' after a `catch` and closes at that brace's partner, or
+    runs to the end of the body if it never closes. One pass pairs the
+    braces on a stack of flags, one per open '{' that starts a catch
+    block, so a token is inside while any flag on the stack is set."""
     if any("expected" in annotation for annotation in method.annotations):
         return True
     texts = method.body_tokens.texts
-    for i, text in enumerate(texts):
-        if text != "catch":
-            continue
-        j = i + 1
-        while j < len(texts) and texts[j] != "{":
-            j += 1
-        depth = 0
-        for k in range(j, len(texts)):
-            if texts[k] == "{":
-                depth += 1
-            elif texts[k] == "}":
-                depth -= 1
-                if depth == 0:
-                    break
-            elif depth > 0 and _assertion_token(texts, k):
-                return True
+    if "catch" not in texts:
+        return False
+    opens_catch_block, open_catch_blocks, stack = False, 0, []
+    for k, text in enumerate(texts):
+        if text == "{":
+            stack.append(opens_catch_block)
+            open_catch_blocks += opens_catch_block
+            opens_catch_block = False
+        elif text == "}":
+            if stack:
+                open_catch_blocks -= stack.pop()
+        elif text == "catch":
+            opens_catch_block = True
+        elif open_catch_blocks and _assertion_token(texts, k):
+            return True
     return False
 
 

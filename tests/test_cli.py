@@ -190,6 +190,30 @@ class TestScanCommand:
         (tmp_path / "notes.txt").write_text("class NotJava {}\n")
         assert invoke(["scan", str(tmp_path)]) == (EXIT_OK, '{\n  "files": []\n}\n', "")
 
+    def test_each_file_record_is_one_write_before_the_next_read(self, monkeypatch):
+        log = []
+        read_file = _data.read_file
+
+        def logged_read(path):
+            log.append(("read", path))
+            return read_file(path)
+
+        class Out:
+            def write(self, piece):
+                log.append(("write", piece))
+
+        monkeypatch.setattr(_data, "read_file", logged_read)
+        monkeypatch.chdir(DATA)
+        assert run(["scan", "scan_tree"], Out(), io.StringIO()) == EXIT_ERROR
+        kinds = [kind for kind, _ in log]
+        assert kinds == ["write"] + ["read", "write"] * 4 + ["write", "write"]
+        for (_, path), (_, piece) in zip(log[1:-2:2], log[2:-2:2]):
+            # the opening '[' or the ',' before the record, then the whole record
+            assert piece[0] in "[,", piece
+            assert json.loads(piece[1:])["path"] == path
+        assert "".join(piece for kind, piece in log if kind == "write").encode() == (
+            DATA / "golden_scan.json").read_bytes()
+
     def test_golden_tree(self, monkeypatch):
         # nested directory, a file without methods, a generic test method,
         # escaped and non-ASCII annotation text, and a partial parse
@@ -228,6 +252,19 @@ class TestScanCommand:
         code, out, err = invoke(["scan", str(target)])
         assert code == EXIT_ERROR
         assert "unbalanced" in err
+
+    def test_brace_left_open_mid_file_is_partial(self, tmp_path):
+        # testA misses its last '}', so the '{' left open is the class's
+        target = tmp_path / "MidTest.java"
+        target.write_text("import org.junit.Test;\nclass T {\n"
+                          "    @Test public void testA() { if (x) { y(); }\n"
+                          "    @Test public void testB() { z(); }\n}\n")
+        code, out, err = invoke(["scan", str(target)])
+        assert code == EXIT_ERROR
+        [record] = json.loads(out)["files"]
+        assert record["partial"] is True
+        assert [m["name"] for m in record["methods"]] == ["testA", "testB"]
+        assert err == f"{target}: unbalanced braces at end of input; recovered 2 method(s)\n"
 
     def test_unreadable_file_reported_and_skipped(self, tmp_path):
         (tmp_path / "Bad.java").write_bytes(b"class X { \xff\xfe }")

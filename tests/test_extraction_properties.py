@@ -358,7 +358,8 @@ def _reference_body_open(texts, i):
 
 def reference_extract(src: SourceFile) -> tuple[list[extraction.TestMethod], str | None]:
     """The extractor that tried a signature at every '(' (and tested kinds
-    by first character), as methods and the partial-parse message."""
+    by first character), as methods and the partial-parse message; any
+    '{' left open at the end makes the parse partial."""
     s = tokenize(src.text)
     texts, ends = s
     partner = _reference_pairs(texts)
@@ -380,6 +381,9 @@ def reference_extract(src: SourceFile) -> tuple[list[extraction.TestMethod], str
             name, _reference_annotations(texts, ends, partner, type_start - 1, src.text), s,
             (brace + 1, partner[brace]), (ends[i] - len(name), ends[i]),
             (ends[brace] - 1, ends[partner[brace]])))
+    if any(t == "{" and partner[i] is None for i, t in enumerate(texts)):
+        return methods, (f"{src.path}: unbalanced braces at end of input; "
+                         f"recovered {len(methods)} method(s)")
     return methods, None
 
 
@@ -592,3 +596,26 @@ def test_exactly_the_planted_test_methods_are_found(generated):
     text, planted = generated
     methods = extract_methods(SourceFile("GeneratedTest.java", text))
     assert [m.name for m in methods if extraction.is_test_method(m)] == planted
+
+
+def _method_fields(m: extraction.TestMethod) -> tuple:
+    return m.name, m.annotations, m.name_span, m.body_span
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_test_classes(), st.data())
+def test_a_dropped_closing_brace_makes_the_file_partial(generated, data):
+    """Any '}' dropped leaves a '{' open, so the file is partial. The '{'
+    left open is the outermost one open at the drop, a class's, so no
+    method body is cut short and each method that ends before the dropped
+    brace is found exactly."""
+    text, _ = generated
+    intact = set(map(_method_fields, extract_methods(SourceFile("GeneratedTest.java", text))))
+    stream = tokenize(text)
+    closers = [end - 1 for t, end in zip(stream.texts, stream.ends) if t == "}"]
+    dropped = data.draw(st.sampled_from(closers))
+    methods, err = extraction.recover_methods(
+        SourceFile("GeneratedTest.java", text[:dropped] + text[dropped + 1:]))
+    assert err is not None
+    assert {_method_fields(m) for m in methods if m.body_span[1] <= dropped} == {
+        fields for fields in intact if fields[3][1] <= dropped}

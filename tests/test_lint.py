@@ -1,6 +1,10 @@
-from itertools import product
+from itertools import accumulate, product
 
-from test_extraction_properties import TokenKind, reference_kind
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from test_extraction_properties import TokenKind, _seconds_per_char, reference_kind
+from testlens import extraction
 from testlens.extraction import SourceFile, extract_methods
 from testlens.lint import DEFAULT_COLLECTION_VOCABULARY, default_rules, lint
 from testlens.splitter import split
@@ -227,6 +231,77 @@ class TestR5Exception:
             }
         """)
         assert [d.rule_id for d in diags] == ["R5"]
+
+
+def reference_r5(method, terms) -> bool:
+    """R5 as it scanned forward from each `catch` to the next '{' and then
+    through that block, in time quadratic in the number of `catch`es."""
+    if any("expected" in annotation for annotation in method.annotations):
+        return True
+    texts = method.body_tokens.texts
+    for i, text in enumerate(texts):
+        if text != "catch":
+            continue
+        j = i + 1
+        while j < len(texts) and texts[j] != "{":
+            j += 1
+        depth = 0
+        for k in range(j, len(texts)):
+            if texts[k] == "{":
+                depth += 1
+            elif texts[k] == "}":
+                depth -= 1
+                if depth == 0:
+                    break
+            elif depth > 0 and (texts[k].startswith(("assert", "Assert"))
+                                or texts[k] == "fail" and texts[k + 1:k + 2] == ("(",)):
+                return True
+    return False
+
+
+R5 = next(r for r in RULES if r.id == "R5")
+_R5_TERMS = ("throws", "exception")
+_R5_TOKENS = ["catch", "catch", "{", "{", "}", "}", "(", ")", ";", "x", "fail", "assertTrue",
+              "Assert", "asserted", '"assert"']
+_R5_ANNOTATIONS = [(), ("@Test",), ("@Test(expected = E.class)",)]
+
+
+def _method_of(texts, body_range, annotations=()):
+    stream = extraction.TokenStream(tuple(texts), tuple(accumulate(map(len, texts))))
+    return extraction.TestMethod("throwsException", annotations, stream, body_range, (0, 1), (0, 1))
+
+
+class TestR5Reference:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(_R5_TOKENS), max_size=40), st.data())
+    def test_matches_the_quadratic_reference(self, texts, data):
+        # the file's tokens around the body hold braces and catches too
+        lo = data.draw(st.integers(0, len(texts)))
+        hi = data.draw(st.integers(lo, len(texts)))
+        method = _method_of(texts, (lo, hi), data.draw(st.sampled_from(_R5_ANNOTATIONS)))
+        assert R5.expectation(method, _R5_TERMS) is reference_r5(method, _R5_TERMS)
+
+    # catches whose '{' comes only at the end or never, and catch blocks
+    # nested 2000 deep: the old scan went from each `catch` to the end
+    _SHAPES = {
+        "brace-less catches": "catch (E e) x; " * 2000,
+        "brace-less catches, one block": "catch (E e) x; " * 2000 + "{ y(); }",
+        "nested catch blocks": "try { x(); } catch (E e) { " * 2000 + "}" * 2000,
+    }
+
+    @staticmethod
+    def _seconds_per_char(body: str) -> float:
+        texts = extraction.tokenize(body).texts
+        method = _method_of(texts, (0, len(texts)))
+        assert R5.expectation(method, _R5_TERMS) is False
+        return _seconds_per_char(lambda _: R5.expectation(method, _R5_TERMS), body)
+
+    @pytest.mark.parametrize("shape", _SHAPES)
+    def test_time_is_linear(self, shape):
+        """Per character, against catch blocks that each close, with the
+        bound of the extraction's linear-time tests."""
+        plain = "try { x(); } catch (E e) { y(); } " * 1000
+        assert self._seconds_per_char(self._SHAPES[shape]) <= 50 * self._seconds_per_char(plain)
 
 
 class TestLintMechanics:
