@@ -1,14 +1,19 @@
-"""The JSON layout of every command's output. ``split --json`` and
-``report --format json`` write their small documents with ``dump``; the
-record streams of ``scan``, ``lint --format json``, ``rename detect`` and
-``rename classify`` fill each record into a ``%`` format string that
-``template`` derives from ``dump``, and ``dump`` writes the array around.
+"""The JSON layout of every command's output: the one of
+``json.dumps(value, indent=2)``. ``split --json`` and ``report --format
+json`` write their small documents with ``json.dumps`` itself. The
+commands that stream records (``scan``, ``lint --format json``, ``rename
+detect`` and ``rename classify``) take their layouts from it once, at
+import: ``template`` gives each record kind a ``%`` format string,
+``list_of`` lays out a record's variable-length lists, and
+``list_writer`` writes the array of records one record at a time. Per
+record, ``json.dumps`` would run Python per leaf, since ``indent`` selects
+its pure-Python encoder, and leave a reference cycle behind.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable
 
 STR = json.encoder.encode_basestring_ascii
 BOOL = ("false", "true")
@@ -16,69 +21,40 @@ BOOL = ("false", "true")
 SLOT = "\0"
 
 
-class Encoded(str):
-    """Text that is already JSON: ``dump`` writes it as it is."""
-
-
-_LEAF = {str: STR, int: int.__repr__, bool: BOOL.__getitem__, type(None): lambda _: "null",
-         Encoded: str}
-
-
-def dump(value, write: Callable[[str], object], indent: str = "") -> None:
-    """Write ``value``, a dict, list, tuple or iterator, through ``write``
-    in pieces, as ``json.dumps(value, indent=2)`` writes it nested at
-    ``indent``; a whole document (no ``indent``) ends with a newline. Dict
-    keys keep the order the caller built them in. Leaves are of the exact
-    types str, int, bool, None or ``Encoded``; any other value must be
-    iterable.
-
-    An iterator is written one item at a time, so a stream of records is
-    never held whole; any other item is one piece, so that a stream that
-    keeps what it is given (``io.StringIO`` does) holds one string per
-    record, not one per leaf. Unlike the pure-Python encoder that
-    ``indent`` selects in ``json.dumps``, this escapes strings in C and
-    leaves no reference cycle behind. It still runs Python per leaf, so
-    the commands that stream records pass each one as ``Encoded`` text
-    filled from a ``template``; only ``split --json`` and ``report
-    --format json`` give it their whole documents."""
-    inner = indent + "  "
-    is_dict = isinstance(value, dict)
-    opening, closing = "{}" if is_dict else "[]"
-    separator = opening + "\n" + inner
-    for item in value.items() if is_dict else value:
-        head = separator
-        if is_dict:
-            key, item = item
-            head += STR(key) + ": "
-        separator = ",\n" + inner
-        leaf = _LEAF.get(type(item))
-        if leaf is not None:
-            write(head + leaf(item))
-        elif isinstance(item, Iterator):
-            write(head)
-            dump(item, write, inner)
-        else:
-            parts = [head]
-            dump(item, parts.append, inner)
-            write("".join(parts))
-    end = opening + closing if separator[0] == opening else "\n" + indent + closing
-    write(end if indent else end + "\n")
-
-
 def template(skeleton, indent: str) -> str:
-    """The ``%`` format string that lays out a record shaped like
-    ``skeleton`` nested at ``indent`` as ``dump`` does, with one ``%s``
-    per ``SLOT`` leaf in layout order. Fill each slot with JSON text:
-    ``STR`` of a string, ``BOOL`` of a bool, an int as it is, or the
-    ``list_of`` a variable-length list."""
-    parts: list[str] = []
-    dump(skeleton, parts.append, indent)
-    return "".join(parts).replace("%", "%%").replace(STR(SLOT), "%s")
+    """The ``%`` format string that lays out a value shaped like
+    ``skeleton`` nested at ``indent``, with one ``%s`` per ``SLOT`` leaf in
+    layout order. Fill each slot with JSON text: ``STR`` of a string,
+    ``BOOL`` of a bool, an int as it is, or the ``list_of`` a
+    variable-length list."""
+    laid_out = json.dumps(skeleton, indent=2).replace("%", "%%").replace("\n", "\n" + indent)
+    return laid_out.replace(STR(SLOT), "%s")
 
 
 def list_of(indent: str) -> Callable[[list[str]], str]:
     """The function that lays out a list (or tuple) of JSON texts nested
-    at ``indent`` as ``dump`` does."""
+    at ``indent``."""
     opening, separator, closing = template([SLOT, SLOT], indent).split("%s")
-    empty = template([], indent)
-    return lambda texts: opening + separator.join(texts) + closing if texts else empty
+    return lambda texts: opening + separator.join(texts) + closing if texts else "[]"
+
+
+def list_writer(indent: str, end: str) -> Callable[[Iterable[str], Callable[[str], object]], None]:
+    """The function that writes the list of its JSON texts nested at
+    ``indent``, then ``end``, through its ``write``: one ``write`` per text,
+    made before the next text is pulled, so that a stream of records is
+    never held whole, and one for the closing."""
+    opening, separator, closing = template([SLOT, SLOT], indent).split("%s")
+    empty, closing = "[]" + end, closing + end
+
+    def write_list(texts: Iterable[str], write: Callable[[str], object]) -> None:
+        before = opening
+        for text in texts:
+            write(before + text)
+            before = separator
+        write(closing if before == separator else empty)
+
+    return write_list
+
+
+# a whole document that is an array of records
+write_array = list_writer("", "\n")

@@ -9,7 +9,7 @@ import json
 from collections.abc import Iterable, Iterator
 
 from . import _data, patterns, rename as rename_mod
-from ._jsonout import SLOT, STR, Encoded, dump, list_of, template
+from ._jsonout import SLOT, STR, list_of, template, write_array
 from .report import CountedRename
 
 
@@ -55,7 +55,7 @@ def _none_if_empty(value):
 def write_classified(results: Iterable[rename_mod.RenameClassification], fmt: str, out):
     """Write each of ``results`` to ``out`` as a json, csv or md record as it comes."""
     if fmt == "json":
-        dump(map(_classified_json, results), out.write)
+        write_array(map(_classified_json, results), out.write)
     elif fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["old_name", "new_name", "file", "commit", "form", "semantics", "pairs"])
@@ -83,15 +83,15 @@ _PAIRS = list_of(" " * 4)
 _PAIR = template({"added": SLOT, "relation": SLOT, "removed": SLOT}, " " * 6)
 
 
-def _classified_json(c: rename_mod.RenameClassification) -> Encoded:
+def _classified_json(c: rename_mod.RenameClassification) -> str:
     e = c.event
-    return Encoded(_CLASSIFIED % (
+    return _CLASSIFIED % (
         STR(e.commit or ""), STR(e.file or ""), STR(c.form.value), STR(e.new_name),
         "null" if c.new_pattern is None else STR(str(c.new_pattern)),
         STR(e.old_name),
         "null" if c.old_pattern is None else STR(str(c.old_pattern)),
         _PAIRS([_PAIR % (STR(a), STR(rel.value), STR(r)) for a, r, rel in c.pairs]),
-        STR(c.semantics.value)))
+        STR(c.semantics.value))
 
 
 def counted_renames(path: str) -> Iterator[CountedRename]:

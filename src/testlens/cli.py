@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import json
 import os
 import sys
 from itertools import starmap
 
 from . import (_data, _records, extraction, lint as lint_mod, patterns, rename as rename_mod,
                renamedetect, report)
-from ._jsonout import BOOL, SLOT, STR, Encoded, dump, list_of, template
+from ._jsonout import BOOL, SLOT, STR, list_of, list_writer, template, write_array
 from .config import Config, load_config
 from .splitter import split
 from .tagger import Lexicon, tag
@@ -42,24 +43,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_split = sub.add_parser("split", help="split an identifier into terms")
     p_split.add_argument("name")
     p_split.add_argument("--json", action="store_true", help="emit terms with spans")
+    p_split.set_defaults(handler=_cmd_split)
 
     p_tag = sub.add_parser("tag", help="POS-tag an identifier")
     p_tag.add_argument("name")
     p_tag.add_argument("--lexicon", help="override lexicon JSON file")
+    p_tag.set_defaults(handler=_cmd_tag)
 
     p_pattern = sub.add_parser("pattern", help="grammar pattern of an identifier")
     p_pattern.add_argument("name")
     p_pattern.add_argument("--prefix", type=int, metavar="K", help="emit the K-prefix instead")
     p_pattern.add_argument("--catalog", action="store_true",
                            help="also list matching naming templates")
+    p_pattern.set_defaults(handler=_cmd_pattern)
 
     p_scan = sub.add_parser("scan", help="scan files for test methods")
     p_scan.add_argument("target", help="file or directory")
+    p_scan.set_defaults(handler=_cmd_scan)
 
     p_lint = sub.add_parser("lint", help="lint test names against bodies")
     p_lint.add_argument("target", help="file or directory")
     p_lint.add_argument("--rules", help="comma-separated rule ids (default: all)")
     p_lint.add_argument("--format", choices=("text", "json"), default=None)
+    p_lint.set_defaults(handler=_cmd_lint)
 
     p_rename = sub.add_parser("rename", help="rename detection and classification")
     rename_sub = p_rename.add_subparsers(dest="rename_command", required=True)
@@ -68,11 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--before", required=True)
     p_detect.add_argument("--after", required=True)
     p_detect.add_argument("--threshold", type=float, default=None)
+    p_detect.set_defaults(handler=_cmd_rename_detect)
 
     p_classify = rename_sub.add_parser("classify", help="classify rename events")
     p_classify.add_argument("--input", required=True,
                             help="CSV (old_name,new_name,file,commit) or JSON array")
     p_classify.add_argument("--format", choices=("json", "csv", "md"), default=None)
+    p_classify.set_defaults(handler=_cmd_rename_classify)
 
     p_report = sub.add_parser("report", help="aggregate classified renames into tables")
     p_report.add_argument("--input", required=True, help="classified JSON file")
@@ -80,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--k", type=int, default=5)
     p_report.add_argument("--prefix-len", help="prefix lengths, e.g. 3 or 2..5")
     p_report.add_argument("--format", choices=report.FORMATS, default=None)
+    p_report.set_defaults(handler=_cmd_report)
 
     return parser
 
@@ -118,8 +127,8 @@ def _iter_java_files(target: str, errors: list[str]) -> list[str]:
 def _cmd_split(args, config: Config, out, err) -> int:
     seq = split(args.name)
     if args.json:
-        dump([{"surface": t.surface, "start": t.start, "end": t.end} for t in seq.terms],
-             out.write)
+        out.write(json.dumps([{"surface": t.surface, "start": t.start, "end": t.end}
+                              for t in seq.terms], indent=2) + "\n")
     else:
         for term in seq.terms:
             out.write(term.surface + "\n")
@@ -165,7 +174,9 @@ def _scan_files(paths: list[str], out_err: list[str]):
         yield src, methods, flags, is_test_file, perr is not None
 
 
-# the layout of ``scan``'s file records, nested in ``{"files": [...]}``
+# the layout of ``scan``'s document, ``{"files": [...]}``, and of its file records
+_FILES_HEAD, _FILES_TAIL = template({"files": SLOT}, "").split("%s")
+_write_files = list_writer("  ", "")
 _SCAN_FILE = template({"is_test_file": SLOT, "methods": SLOT, "partial": SLOT, "path": SLOT},
                       " " * 4)
 _SCAN_METHODS = list_of(" " * 6)
@@ -175,20 +186,22 @@ _SCAN_ANNOTATIONS = list_of(" " * 10)
 
 
 def _scan_json(src: extraction.SourceFile, methods: list[extraction.TestMethod],
-               flags: list[bool], is_test_file: bool, partial: bool) -> Encoded:
-    return Encoded(_SCAN_FILE % (
+               flags: list[bool], is_test_file: bool, partial: bool) -> str:
+    return _SCAN_FILE % (
         BOOL[is_test_file],
         _SCAN_METHODS([_SCAN_METHOD % (_SCAN_ANNOTATIONS([*map(STR, m.annotations)]),
                                        *m.body_span, BOOL[flag], STR(m.name), *m.name_span)
                        for m, flag in zip(methods, flags)]),
-        BOOL[partial], STR(src.path)))
+        BOOL[partial], STR(src.path))
 
 
 def _cmd_scan(args, config: Config, out, err) -> int:
     """Write ``{"files": [...]}`` one file record at a time."""
     parse_errors: list[str] = []
     paths = _iter_java_files(args.target, parse_errors)
-    dump({"files": starmap(_scan_json, _scan_files(paths, parse_errors))}, out.write)
+    out.write(_FILES_HEAD)
+    _write_files(starmap(_scan_json, _scan_files(paths, parse_errors)), out.write)
+    out.write(_FILES_TAIL + "\n")
     if parse_errors:
         for message in parse_errors:
             err.write(message + "\n")
@@ -201,9 +214,9 @@ _DIAGNOSTIC = template({"file": SLOT, "message": SLOT, "method": SLOT, "name_spa
                         "rule": SLOT, "severity": SLOT}, " " * 2)
 
 
-def _diagnostic_json(d: lint_mod.Diagnostic) -> Encoded:
-    return Encoded(_DIAGNOSTIC % (STR(d.file), STR(d.message), STR(d.method_name), *d.name_span,
-                                  STR(d.rule_id), STR(d.severity)))
+def _diagnostic_json(d: lint_mod.Diagnostic) -> str:
+    return _DIAGNOSTIC % (STR(d.file), STR(d.message), STR(d.method_name), *d.name_span,
+                          STR(d.rule_id), STR(d.severity))
 
 
 def _cmd_lint(args, config: Config, out, err) -> int:
@@ -240,7 +253,7 @@ def _cmd_lint(args, config: Config, out, err) -> int:
 
     fmt = args.format or config.format or "text"
     if fmt == "json":
-        dump(map(_diagnostic_json, diagnostics), out.write)
+        write_array(map(_diagnostic_json, diagnostics), out.write)
     elif fmt == "text":
         for d in diagnostics:
             err.write(
@@ -260,9 +273,8 @@ def _cmd_lint(args, config: Config, out, err) -> int:
 _DETECTED = template({"commit": SLOT, "file": SLOT, "new_name": SLOT, "old_name": SLOT}, " " * 2)
 
 
-def _detected_json(e: rename_mod.RenameEvent) -> Encoded:
-    return Encoded(_DETECTED % (STR(e.commit or ""), STR(e.file or ""), STR(e.new_name),
-                                STR(e.old_name)))
+def _detected_json(e: rename_mod.RenameEvent) -> str:
+    return _DETECTED % (STR(e.commit or ""), STR(e.file or ""), STR(e.new_name), STR(e.old_name))
 
 
 def _cmd_rename_detect(args, config: Config, out, err) -> int:
@@ -273,7 +285,7 @@ def _cmd_rename_detect(args, config: Config, out, err) -> int:
     )
     parse_errors: list[str] = []
     events = renamedetect.detect_renames(pair, threshold, parse_errors)
-    dump(map(_detected_json, events), out.write)
+    write_array(map(_detected_json, events), out.write)
     for message in parse_errors:
         err.write(message + "\n")
     return EXIT_ERROR if parse_errors else EXIT_OK
@@ -320,16 +332,6 @@ def _cmd_report(args, config: Config, out, err) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "split": _cmd_split,
-    "tag": _cmd_tag,
-    "pattern": _cmd_pattern,
-    "scan": _cmd_scan,
-    "lint": _cmd_lint,
-    "report": _cmd_report,
-}
-
-
 def run(argv: list[str], out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -339,13 +341,7 @@ def run(argv: list[str], out=None, err=None) -> int:
     except SystemExit as exit_err:
         return EXIT_ERROR if exit_err.code not in (0, None) else EXIT_OK
     try:
-        config = load_config()
-        if args.command == "rename":
-            handler = (_cmd_rename_detect if args.rename_command == "detect"
-                       else _cmd_rename_classify)
-        else:
-            handler = _COMMANDS[args.command]
-        return handler(args, config, out, err)
+        return args.handler(args, load_config(), out, err)
     except BrokenPipeError:
         # the reader closed the output early: it wants no more, not an error line
         return EXIT_ERROR

@@ -271,10 +271,12 @@ def _return_type_start(texts: tuple[str, ...], shape: str, partner: list[int | N
 
 
 def _collect_annotations(s: TokenStream, shape: str, partner: list[int | None], before: int,
-                         text: str) -> tuple[str, ...]:
+                         text: str) -> tuple[tuple[str, ...], int]:
     """Annotation texts preceding token index ``before``, across modifiers
-    and a type-parameter list (`@Test public <T> void`). Each runs from
-    its one-character '@' to the end of its last token."""
+    and a type-parameter list (`@Test public <T> void`), and the index of
+    the first token so crossed, where the declaration starts. Each
+    annotation runs from its one-character '@' to the end of its last
+    token."""
     texts, ends = s
     annotations: list[str] = []
     i = before
@@ -306,7 +308,7 @@ def _collect_annotations(s: TokenStream, shape: str, partner: list[int | None], 
             continue
         break
     annotations.reverse()
-    return tuple(annotations)
+    return tuple(annotations), i + 1
 
 
 def _body_open(texts: tuple[str, ...], shape: str, i: int) -> int | None:
@@ -333,6 +335,9 @@ def extract_methods(src: SourceFile) -> list[TestMethod]:
     shape = _shape(texts)
     partner, open_braces = _pair_brackets(shape)
     methods: list[TestMethod] = []
+    # the first token of each method's declaration, by the index of its name
+    starts: dict[int, int] = {}
+    where = "at end of input"
     for match in _SIGNATURE_RE.finditer(shape):
         i = match.start()
         if (name := texts[i]) in _NOT_METHOD_NAMES or (close := partner[i + 1]) is None:
@@ -345,15 +350,14 @@ def extract_methods(src: SourceFile) -> list[TestMethod]:
             continue
         body_close = partner[brace]
         if body_close is None:
-            raise PartialParseError(
-                f"{src.path}: unbalanced braces after method {name!r}; "
-                f"recovered {len(methods)} method(s)",
-                methods,
-            )
+            where = f"after method {name!r}"
+            break
+        annotations, start = _collect_annotations(s, shape, partner, type_start - 1, src.text)
+        starts[i] = start
         methods.append(
             TestMethod(
                 name=name,
-                annotations=_collect_annotations(s, shape, partner, type_start - 1, src.text),
+                annotations=annotations,
                 file_tokens=s,
                 body_range=(brace + 1, body_close),
                 name_span=(ends[i] - len(name), ends[i]),
@@ -361,11 +365,33 @@ def extract_methods(src: SourceFile) -> list[TestMethod]:
             )
         )
     if open_braces:
+        _end_runaway_bodies(ends, shape, methods, starts)
         raise PartialParseError(
-            f"{src.path}: unbalanced braces at end of input; recovered {len(methods)} method(s)",
-            methods,
-        )
+            f"{src.path}: unbalanced braces {where}; recovered {len(methods)} method(s)", methods)
     return methods
+
+
+def _end_runaway_bodies(ends: tuple[int, ...], shape: str, methods: list[TestMethod],
+                        starts: dict[int, int]) -> None:
+    """End each body in ``methods`` that holds a method declared directly
+    in it, one whose name has the body's '{' as the innermost '{' open,
+    just before the first such declaration. With a '{' left open at the
+    end, a method that misses its own '}' takes the one meant for what
+    holds it, and so runs over the methods declared after it; a method of
+    a class declared in a body is not one of them."""
+    body_of = {m.body_range[0] - 1: k for k, m in enumerate(methods)}
+    stack: list[int] = []
+    for i in sorted([*starts, *compress(count(), map("{}".__contains__, shape))]):
+        if shape[i] == "{":
+            stack.append(i)
+        elif shape[i] == "}":
+            if stack:
+                stack.pop()
+        elif stack and (outer := body_of.pop(stack[-1], None)) is not None:
+            m = methods[outer]
+            end = max(starts[i], m.body_range[0])
+            methods[outer] = m._replace(body_range=(m.body_range[0], end),
+                                        body_span=(m.body_span[0], ends[end - 1]))
 
 
 def recover_methods(src: SourceFile) -> tuple[list[TestMethod], PartialParseError | None]:

@@ -9,11 +9,11 @@ pattern / count / percentage rows in markdown, CSV, or JSON.
 from __future__ import annotations
 
 import csv
+import json
 from collections import Counter
 from io import StringIO
 from typing import NamedTuple
 
-from ._jsonout import dump
 from .patterns import CatalogEntry, GrammarPattern, default_catalog, matches, prefix
 from .rename import RenameClassification
 
@@ -254,10 +254,8 @@ def _render_csv(sections: list[_Section]) -> str:
 
 
 def _render_json(sections: list[_Section]) -> str:
-    pieces: list[str] = []
-    dump([{"columns": section.columns, "rows": section.rows, "title": section.title}
-          for section in sections], pieces.append)
-    return "".join(pieces)
+    return json.dumps([{"columns": section.columns, "rows": section.rows, "title": section.title}
+                       for section in sections], indent=2) + "\n"
 
 
 def render_table(

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -974,6 +975,25 @@ class TestGoldenJson:
         got_code, out, got_err = invoke(argv)
         assert (got_code, got_err) == (code, err)
         assert out.encode() == (DATA / golden).read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "scan_tree"],
+        ["lint", "scan_tree", "--format", "json"],
+        ["rename", "detect", "--before", "rename_pair/Before.java",
+         "--after", "rename_pair/After.java"],
+        ["rename", "classify", "--input", "corpus_events.json", "--format", "json"],
+    ], ids=["scan", "lint", "detect", "classify"])
+    def test_record_streams_leave_no_reference_cycles(self, monkeypatch, argv):
+        # a cycle per record is garbage that piles up until the collector runs
+        monkeypatch.chdir(DATA)
+        invoke(argv)  # fill caches
+        gc.collect()
+        gc.disable()
+        try:
+            invoke(argv)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestInProcessReuse:

@@ -213,6 +213,19 @@ class TestExtractMethods:
         assert "unbalanced" in str(perr)
         assert recover_methods(SourceFile("Ok.java", SIMPLE))[1] is None
 
+    def test_method_missing_its_brace_ends_before_the_next_method(self):
+        # testA's '{' pairs with the '}' meant for the class, so its body
+        # ran over testB's
+        text = "class T { void testA() { if (x) { y(); } void testB() { z(); } }"
+        methods, err = recover_methods(SourceFile("T.java", text))
+        assert str(err) == "T.java: unbalanced braces at end of input; recovered 2 method(s)"
+        a, b = methods
+        assert a.body_span[1] <= b.body_span[0]
+        assert a.body_tokens.ends[-1] <= text.index("void testB")
+        assert a.body_tokens.texts == ("if", "(", "x", ")", "{", "y", "(", ")", ";", "}")
+        assert text[slice(*a.body_span)] == "{ if (x) { y(); }"
+        assert text[slice(*b.body_span)] == "{ z(); }"
+
     def test_text_block_with_odd_quotes_is_one_token(self):
         # lexed as ordinary strings, the odd '"' swallowed the rest of the
         # file and the first method's body never closed

@@ -7,6 +7,7 @@ import search against the anchored regex it replaced."""
 import re
 import time
 from enum import Enum
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from testlens import extraction
 from testlens.extraction import (
     PartialParseError,
     SourceFile,
+    TokenStream,
     extract_methods,
     has_junit_import,
     tokenize,
@@ -321,6 +323,7 @@ def _reference_return_type_start(texts, partner, i):
 
 
 def _reference_annotations(texts, ends, partner, i, text):
+    """The annotations before token ``i`` and the index where the declaration starts."""
     annotations = []
     while i >= 0:
         tok = texts[i]
@@ -344,7 +347,7 @@ def _reference_annotations(texts, ends, partner, i, text):
             i = at - 1
         else:
             break
-    return tuple(reversed(annotations))
+    return tuple(reversed(annotations)), i + 1
 
 
 def _reference_body_open(texts, i):
@@ -359,11 +362,15 @@ def _reference_body_open(texts, i):
 def reference_extract(src: SourceFile) -> tuple[list[extraction.TestMethod], str | None]:
     """The extractor that tried a signature at every '(' (and tested kinds
     by first character), as methods and the partial-parse message; any
-    '{' left open at the end makes the parse partial."""
+    '{' left open at the end makes the parse partial, and then a method
+    body ends before the first method whose innermost open '{' at its
+    name is that body's."""
     s = tokenize(src.text)
     texts, ends = s
     partner = _reference_pairs(texts)
     methods: list[extraction.TestMethod] = []
+    declarations = []  # per method, the indexes of its name and of its first token
+    where = "at end of input"
     for paren in [i for i, t in enumerate(texts) if t == "("]:
         i = paren - 1
         if i < 0 or (name := texts[i]) in extraction._NOT_METHOD_NAMES or not _is_word(name):
@@ -375,16 +382,26 @@ def reference_extract(src: SourceFile) -> tuple[list[extraction.TestMethod], str
         if brace is None:
             continue
         if partner[brace] is None:
-            return methods, (f"{src.path}: unbalanced braces after method {name!r}; "
-                             f"recovered {len(methods)} method(s)")
+            where = f"after method {name!r}"
+            break
+        annotations, start = _reference_annotations(texts, ends, partner, type_start - 1, src.text)
+        declarations.append((i, start))
         methods.append(extraction.TestMethod(
-            name, _reference_annotations(texts, ends, partner, type_start - 1, src.text), s,
-            (brace + 1, partner[brace]), (ends[i] - len(name), ends[i]),
+            name, annotations, s, (brace + 1, partner[brace]), (ends[i] - len(name), ends[i]),
             (ends[brace] - 1, ends[partner[brace]])))
-    if any(t == "{" and partner[i] is None for i, t in enumerate(texts)):
-        return methods, (f"{src.path}: unbalanced braces at end of input; "
-                         f"recovered {len(methods)} method(s)")
-    return methods, None
+    if not any(t == "{" and partner[i] is None for i, t in enumerate(texts)):
+        return methods, None
+    body_ends: dict[int, int] = {}
+    for name, start in declarations:
+        innermost = max((j for j in range(name) if texts[j] == "{"
+                         and (partner[j] is None or partner[j] > name)), default=None)
+        for k, m in enumerate(methods):
+            if m.body_range[0] - 1 == innermost:
+                body_ends.setdefault(k, max(start, m.body_range[0]))
+    for k, end in body_ends.items():
+        methods[k] = methods[k]._replace(body_range=(methods[k].body_range[0], end),
+                                         body_span=(methods[k].body_span[0], ends[end - 1]))
+    return methods, f"{src.path}: unbalanced braces {where}; recovered {len(methods)} method(s)"
 
 
 # fragments of Java whose shapes the signature search must tell apart from
@@ -602,20 +619,52 @@ def _method_fields(m: extraction.TestMethod) -> tuple:
     return m.name, m.annotations, m.name_span, m.body_span
 
 
+def _innermost_open_braces(stream: TokenStream) -> dict[int, int | None]:
+    """Each token's end offset, mapped to the index of the innermost '{'
+    still open after that token."""
+    stack: list[int] = []
+    innermost: dict[int, int | None] = {}
+    for i, (text, end) in enumerate(zip(stream.texts, stream.ends)):
+        if text == "{":
+            stack.append(i)
+        elif text == "}" and stack:
+            stack.pop()
+        innermost[end] = stack[-1] if stack else None
+    return innermost
+
+
 @settings(max_examples=200, deadline=None)
 @given(planted_test_classes(), st.data())
 def test_a_dropped_closing_brace_makes_the_file_partial(generated, data):
     """Any '}' dropped leaves a '{' open, so the file is partial. The '{'
     left open is the outermost one open at the drop, a class's, so no
-    method body is cut short and each method that ends before the dropped
-    brace is found exactly."""
+    method body is cut short: every method is found, and each that ends
+    before the dropped brace or is declared after it is found exactly. A
+    method whose body held the dropped brace runs on, but ends before the
+    next method declared in its class."""
     text, _ = generated
-    intact = set(map(_method_fields, extract_methods(SourceFile("GeneratedTest.java", text))))
+    intact = extract_methods(SourceFile("GeneratedTest.java", text))
     stream = tokenize(text)
     closers = [end - 1 for t, end in zip(stream.texts, stream.ends) if t == "}"]
     dropped = data.draw(st.sampled_from(closers))
     methods, err = extraction.recover_methods(
         SourceFile("GeneratedTest.java", text[:dropped] + text[dropped + 1:]))
     assert err is not None
-    assert {_method_fields(m) for m in methods if m.body_span[1] <= dropped} == {
-        fields for fields in intact if fields[3][1] <= dropped}
+
+    def moved(offset: int) -> int:
+        return offset - (offset > dropped)
+
+    recovered = {m.name_span[0]: m for m in methods}
+    assert len(recovered) == len(intact)
+    pairs = [(m, recovered[moved(m.name_span[0])]) for m in intact]
+    for m, found in pairs:
+        # a declaration starts at its first annotation, which can hold braces
+        declared = (text.rfind(m.annotations[0], 0, m.name_span[0]) if m.annotations
+                    else m.name_span[0])
+        if m.body_span[1] <= dropped or declared > dropped:
+            assert _method_fields(found) == (m.name, m.annotations, tuple(map(moved, m.name_span)),
+                                             tuple(map(moved, m.body_span)))
+    innermost = _innermost_open_braces(stream)
+    for (m, found), (later, later_found) in combinations(pairs, 2):
+        if innermost[m.name_span[1]] == innermost[later.name_span[1]]:
+            assert found.body_span[1] <= later_found.name_span[0], (m.name, later.name)

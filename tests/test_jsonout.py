@@ -1,10 +1,10 @@
 import io
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from testlens import _records, cli, extraction
-from testlens._jsonout import dump
+from testlens._jsonout import write_array
 from testlens.lint import Diagnostic
 from testlens.patterns import GrammarPattern
 from testlens.rename import (FormCategory, RenameClassification, RenameEvent, SemanticCategory,
@@ -14,60 +14,59 @@ from testlens.tagger import PosTag
 # the leaves and containers of the commands' JSON documents
 json_values = st.recursive(
     st.text() | st.booleans() | st.integers() | st.none(),
-    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
-                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                  max_size=4),
     max_leaves=12,
 )
-json_documents = st.lists(json_values, max_size=4) | st.dictionaries(
-    st.text(max_size=6), json_values, max_size=4)
 
 
-def _lazy(value):
-    """``value`` with every list replaced by an iterator over its items."""
-    if isinstance(value, dict):
-        return {key: _lazy(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return iter([_lazy(item) for item in value])
-    return value
+def nested(value, indent: str) -> str:
+    """``value`` as JSON text nested at ``indent``."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
-def encoded(value, indent: str = "") -> str:
+def written(records) -> str:
+    """The array document ``write_array`` writes of ``records``."""
     pieces: list[str] = []
-    dump(value, pieces.append, indent)
+    write_array(iter(records), pieces.append)
     return "".join(pieces)
 
 
-class TestDump:
-    @given(json_documents, st.sampled_from(["", "  ", "    "]))
-    @settings(max_examples=300)
-    def test_record_layout_equals_json_dumps(self, value, indent):
-        want = json.dumps(value, indent=2).replace("\n", "\n" + indent)
-        if not indent:
-            want += "\n"
-        assert encoded(value, indent) == want
+def scan_document(records) -> str:
+    """``scan``'s document of the file records ``records``."""
+    pieces = [cli._FILES_HEAD]
+    cli._write_files(iter(records), pieces.append)
+    return "".join(pieces) + cli._FILES_TAIL + "\n"
 
-    @given(json_documents)
+
+class TestListWriter:
+    @given(st.lists(json_values, max_size=4))
+    @example([])
     @settings(max_examples=200)
-    def test_iterator_writes_the_bytes_of_its_list(self, value):
-        assert encoded(_lazy(value)) == encoded(value)
+    def test_array_document_equals_json_dumps(self, values):
+        assert written([nested(v, "  ") for v in values]) == json.dumps(values, indent=2) + "\n"
 
-    def test_iterator_is_pulled_one_item_at_a_time(self):
+    @given(st.lists(json_values, max_size=4))
+    @example([])
+    @settings(max_examples=200)
+    def test_files_document_equals_json_dumps(self, values):
+        assert scan_document([nested(v, " " * 4) for v in values]) == (
+            json.dumps({"files": values}, indent=2) + "\n")
+
+    def test_each_record_is_one_write_before_the_next_is_pulled(self):
         pulled, writes = [], []
 
         def records():
             for i in range(3):
                 pulled.append(i)
-                yield {"i": i}
+                yield nested({"i": i}, "  ")
 
-        dump({"files": records()}, lambda piece: writes.append((piece, len(pulled))))
-        # each record is one piece, written before the next record is pulled
+        write_array(records(), lambda piece: writes.append((piece, len(pulled))))
         assert writes == [
-            ('{\n  "files": ', 0),
-            ('[\n    {\n      "i": 0\n    }', 1),
-            (',\n    {\n      "i": 1\n    }', 2),
-            (',\n    {\n      "i": 2\n    }', 3),
-            ("\n  ]", 3),
-            ("\n}\n", 3),
+            ('[\n  {\n    "i": 0\n  }', 1),
+            (',\n  {\n    "i": 1\n  }', 2),
+            (',\n  {\n    "i": 2\n  }', 3),
+            ("\n]\n", 3),
         ]
 
 
@@ -78,12 +77,6 @@ spans = st.tuples(st.integers(0, 10**9), st.integers(0, 10**9))
 identifiers = st.text(st.sampled_from("aZ_$é9"), min_size=1, max_size=4)
 events = st.tuples(identifiers, identifiers, st.none() | texts, st.none() | texts).filter(
     lambda fields: fields[0] != fields[1]).map(lambda fields: RenameEvent(*fields))
-
-
-def written(value) -> str:
-    pieces: list[str] = []
-    dump(value, pieces.append)
-    return "".join(pieces)
 
 
 class TestRecordTemplates:
@@ -111,7 +104,7 @@ class TestRecordTemplates:
                              "is_test_method": flag, "name": name, "name_span": name_span}
                             for name, annotations, name_span, body_span, flag in methods],
                 "partial": partial, "path": path})
-        assert written({"files": iter(records)}) == json.dumps({"files": want}, indent=2) + "\n"
+        assert scan_document(records) == json.dumps({"files": want}, indent=2) + "\n"
 
     @given(st.lists(st.tuples(texts, texts, texts, spans, texts, texts), max_size=3))
     @settings(max_examples=200)
