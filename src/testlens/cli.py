@@ -234,6 +234,7 @@ def _cmd_lint(args, config: Config, out, err) -> int:
         if unknown:
             raise CliError(f"unknown rule id(s): {', '.join(map(repr, unknown))}")
         rules = tuple(r for r in rules if r.id in enabled)
+    cued = lint_mod.cue_filter(rules)
 
     parse_errors: list[str] = []
     diagnostics: list[lint_mod.Diagnostic] = []
@@ -242,7 +243,7 @@ def _cmd_lint(args, config: Config, out, err) -> int:
         if not is_test_file:
             continue
         for method, flag in zip(methods, flags):
-            if not flag:
+            if not flag or not cued(method.name):
                 continue
             seq = split(method.name)
             if not seq.terms:

@@ -78,10 +78,12 @@ class PartialParseError(Exception):
 # without it ``\s*`` would retry the trailing run from each of its
 # characters, in time quadratic in its length. Comments are tokens,
 # dropped after the match. Unterminated comments, text blocks and literals
-# run to the end of the text. WORD stands for the word branch.
+# run to the end of the text. WORD stands for the word branch; it comes
+# first because most tokens are words, and the branches before ``\S``
+# start with disjoint characters, so their order changes no match.
 _TOKEN_PATTERN = r"""
-    \s*(?: //[^\n]* | /\*(?:.*?\*/|.*)
-    | WORD
+    \s*(?: WORD
+    | //[^\n]* | /\*(?:.*?\*/|.*)
     | \"\"\"(?:[^"\\]|\\.|"(?!\"\"))*(?:\"\"\"|\\?\Z)
     | "[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z) | '[^'\\]*(?:\\.[^'\\]*)*(?:'|\\?\Z)
     | \d[\w.]*
@@ -354,34 +356,37 @@ def extract_methods(src: SourceFile) -> list[TestMethod]:
             break
         annotations, start = _collect_annotations(s, shape, partner, type_start - 1, src.text)
         starts[i] = start
-        methods.append(
-            TestMethod(
-                name=name,
-                annotations=annotations,
-                file_tokens=s,
-                body_range=(brace + 1, body_close),
-                name_span=(ends[i] - len(name), ends[i]),
-                body_span=(ends[brace] - 1, ends[body_close]),
-            )
-        )
+        # by position: keywords cost about a microsecond more per method
+        methods.append(TestMethod(name, annotations, s, (brace + 1, body_close),
+                                  (ends[i] - len(name), ends[i]),
+                                  (ends[brace] - 1, ends[body_close])))
     if open_braces:
-        _end_runaway_bodies(ends, shape, methods, starts)
+        _end_runaway_bodies(s, shape, partner, methods, starts, src.text)
         raise PartialParseError(
             f"{src.path}: unbalanced braces {where}; recovered {len(methods)} method(s)", methods)
     return methods
 
 
-def _end_runaway_bodies(ends: tuple[int, ...], shape: str, methods: list[TestMethod],
-                        starts: dict[int, int]) -> None:
-    """End each body in ``methods`` that holds a method declared directly
-    in it, one whose name has the body's '{' as the innermost '{' open,
-    just before the first such declaration. With a '{' left open at the
-    end, a method that misses its own '}' takes the one meant for what
-    holds it, and so runs over the methods declared after it; a method of
-    a class declared in a body is not one of them."""
+# modifiers no local class or local variable may carry (JLS 14.3, 14.4), so
+# one directly in a method body starts a member of the class around it
+_MEMBER_MODIFIERS = frozenset({"public", "protected", "private", "static"})
+
+
+def _end_runaway_bodies(s: TokenStream, shape: str, partner: list[int | None],
+                        methods: list[TestMethod], starts: dict[int, int], text: str) -> None:
+    """End each body in ``methods`` that holds a declaration directly in
+    it, one whose name or member modifier has the body's '{' as the
+    innermost '{' open, just before the first such declaration: a method,
+    or a member that a ``_MEMBER_MODIFIERS`` word starts, from its first
+    annotation or modifier. With a '{' left open at the end, a method that
+    misses its own '}' takes the one meant for what holds it, and so runs
+    over the members declared after it; a method of a class declared in
+    a body, anonymous or local, is not one of them."""
+    texts, ends = s
     body_of = {m.body_range[0] - 1: k for k, m in enumerate(methods)}
     stack: list[int] = []
-    for i in sorted([*starts, *compress(count(), map("{}".__contains__, shape))]):
+    for i in sorted({*starts, *compress(count(), map(_MEMBER_MODIFIERS.__contains__, texts)),
+                     *compress(count(), map("{}".__contains__, shape))}):
         if shape[i] == "{":
             stack.append(i)
         elif shape[i] == "}":
@@ -389,7 +394,8 @@ def _end_runaway_bodies(ends: tuple[int, ...], shape: str, methods: list[TestMet
                 stack.pop()
         elif stack and (outer := body_of.pop(stack[-1], None)) is not None:
             m = methods[outer]
-            end = max(starts[i], m.body_range[0])
+            start = starts[i] if i in starts else _collect_annotations(s, shape, partner, i, text)[1]
+            end = max(start, m.body_range[0])
             methods[outer] = m._replace(body_range=(m.body_range[0], end),
                                         body_span=(m.body_span[0], ends[end - 1]))
 

@@ -8,6 +8,7 @@ have a body that shows it.
 
 from __future__ import annotations
 
+import re
 from typing import Callable, NamedTuple
 
 from .extraction import TestMethod, _shape
@@ -22,12 +23,15 @@ _FAIL_FORMS = frozenset({"fail", "fails", "failure", "failing"})
 class Rule(NamedTuple):
     """A lint rule. A trigger sees only the name: its normalized terms and
     their tags. An expectation sees the method body, plus the normalized
-    terms, so it can mirror the exact terms that fired."""
+    terms, so it can mirror the exact terms that fired. ``cues`` are
+    lowercase strings, one of which the lowercased method name holds
+    whenever the trigger fires; None means the rule may fire on any name."""
 
     id: str
     trigger: Callable[[tuple[str, ...], tuple[PosTag, ...]], bool]
     expectation: Callable[[TestMethod, tuple[str, ...]], bool]
     message: str
+    cues: tuple[str, ...] | None = None
 
 
 class Diagnostic(NamedTuple):
@@ -164,19 +168,37 @@ def default_rules(
     collection_vocabulary: tuple[str, ...] = DEFAULT_COLLECTION_VOCABULARY,
     not_rule_boolean_asserts: bool = False,
 ) -> tuple[Rule, ...]:
-    """The five bundled rules, R1 through R5."""
+    """The five bundled rules, R1 through R5. Each cue is a word that a
+    term must hold for the trigger to fire, and a term's lowercased text is
+    a slice of the lowercased name; a term that stems to "fail" or "except"
+    holds the word, since the stemmer rewrites only what follows it."""
     return (
         Rule("R1", _r1_trigger, _r1_expectation,
-             "name mentions failing but the body never calls fail()"),
+             "name mentions failing but the body never calls fail()", ("fail",)),
         Rule("R2", _r2_trigger, _r2_expectation,
-             "name mentions true/false but the matching boolean assert is missing"),
+             "name mentions true/false but the matching boolean assert is missing",
+             ("true", "false")),
         Rule("R3", _r3_trigger, _make_r3_expectation(not_rule_boolean_asserts),
-             "name contains adverbial 'not' but the body has no null-based assert"),
+             "name contains adverbial 'not' but the body has no null-based assert", ("not",)),
         Rule("R4", _r4_trigger, _make_r4_expectation(tuple(collection_vocabulary)),
-             "name quantifies over all items but the body references no collection"),
+             "name quantifies over all items but the body references no collection",
+             ("all", "least")),
         Rule("R5", _r5_trigger, _r5_expectation,
-             "name mentions an exception but the body neither expects nor catches one"),
+             "name mentions an exception but the body neither expects nor catches one",
+             ("except",)),
     )
+
+
+def cue_filter(rules: tuple[Rule, ...]) -> Callable[[str], bool]:
+    """A test of a method name that is False only when no rule of ``rules``
+    can fire on it: its lowercased text holds no cue of any of them."""
+    if any(rule.cues is None for rule in rules):
+        return lambda name: True
+    cues = sorted({cue for rule in rules for cue in rule.cues})
+    if not cues:
+        return lambda name: False
+    search = re.compile("|".join(map(re.escape, cues))).search
+    return lambda name: search(name.lower()) is not None
 
 
 def lint(

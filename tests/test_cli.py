@@ -353,6 +353,85 @@ class TestLintCommand:
         assert code == EXIT_OK
 
 
+# test names holding a cue of a bundled rule, by rule, and names holding none
+CUED_NAMES = {
+    "R1": ["testFailsOnEmpty", "testFAILURE", "unfailingParse_2", "failed$Case"],
+    "R2": ["testReturnsTrue", "shouldBeFALSE", "testTruely", "isFalsey"],
+    "R3": ["testNotNull", "itIsNOTEmpty", "testNothingLeft", "cannotParse", "testNoteTaking"],
+    "R4": ["testAllItems", "atLeastOnce", "testAllOfThem", "testSmallest", "testBALL"],
+    "R5": ["testThrowsException", "testEXCEPT", "exceptionsAreKept", "testExceptional"],
+}
+PLAIN_NAMES = ["testParser", "shouldParseNames", "itWorks", "testReturnsOne",
+               "test_empty_list", "testFaIry", "testTru", "testLeas"]
+_BODIES = ["assertEquals(1, parse());", "Assert.fail(\"x\");", "assertTrue(ok());",
+           "assertFalse(bad());", "assertNull(v);", "List<String> xs = all();",
+           "try { run(); } catch (E e) { assertEquals(1, e.code()); }"]
+
+
+def _write_cue_tree(root: Path) -> list[str]:
+    """Test files whose test methods take every name above, with varied
+    bodies, plus cued names that are no tests: a helper in a test file and
+    a method of a file without a JUnit import. Returns the test names."""
+    names = [*PLAIN_NAMES, *(name for group in CUED_NAMES.values() for name in group)]
+    for k in range(0, len(names), 5):
+        methods = "".join(f"    @Test public void {name}() {{ {_BODIES[(k + j) % len(_BODIES)]} }}\n"
+                          for j, name in enumerate(names[k:k + 5]))
+        (root / f"Cue{k}Test.java").write_text(
+            f"import org.junit.Test;\nclass Cue{k}Test {{\n{methods}"
+            "    void failHelper() { x(); }\n}\n")
+    (root / "Util.java").write_text("class Util { @Test void testFails() { x(); } }\n")
+    return names
+
+
+class TestLintCues:
+    def _count_split_and_tag(self, monkeypatch) -> list[str]:
+        calls = []
+        for name in ("split", "tag"):
+            def counted(*args, _name=name, _real=getattr(cli, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(cli, name, counted)
+        return calls
+
+    def test_only_cued_test_names_are_split_and_tagged(self, tmp_path, monkeypatch):
+        names = _write_cue_tree(tmp_path)
+        cued = sum(map(len, CUED_NAMES.values()))
+        assert 0 < cued < len(names)
+        calls = self._count_split_and_tag(monkeypatch)
+        code, _, _ = invoke(["lint", str(tmp_path)])
+        assert code == EXIT_FINDINGS
+        assert (calls.count("split"), calls.count("tag")) == (cued, cued)
+
+    @pytest.mark.parametrize("rule", sorted(CUED_NAMES))
+    def test_rules_narrow_the_cues(self, tmp_path, monkeypatch, rule):
+        _write_cue_tree(tmp_path)
+        calls = self._count_split_and_tag(monkeypatch)
+        invoke(["lint", str(tmp_path), "--rules", rule])
+        assert calls.count("split") == len(CUED_NAMES[rule])
+        config = tmp_path / "testlens.toml"
+        config.write_text(f'rules = ["{rule}"]\n')
+        monkeypatch.setenv("TESTLENS_CONFIG", str(config))
+        calls.clear()
+        invoke(["lint", str(tmp_path)])
+        assert calls.count("tag") == len(CUED_NAMES[rule])
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("rules", [[], *(["--rules", r] for r in sorted(CUED_NAMES))],
+                             ids=["all", *sorted(CUED_NAMES)])
+    @pytest.mark.parametrize("tree", ["cue_tree", "scan_tree"])
+    def test_output_matches_linting_every_name(self, tmp_path, monkeypatch, tree, rules, fmt):
+        if tree == "cue_tree":
+            _write_cue_tree(tmp_path)
+            target = str(tmp_path)
+        else:
+            target = str(DATA / "scan_tree")
+        argv = ["lint", target, "--format", fmt, *rules]
+        got = invoke(argv)
+        # the reference hands every test name to split, tag and lint.lint
+        monkeypatch.setattr(cli.lint_mod, "cue_filter", lambda rules: lambda name: True)
+        assert got == invoke(argv)
+
+
 class TestRenameCommands:
     BEFORE = """\
 import org.junit.Test;

@@ -226,6 +226,35 @@ class TestExtractMethods:
         assert text[slice(*a.body_span)] == "{ if (x) { y(); }"
         assert text[slice(*b.body_span)] == "{ z(); }"
 
+    @pytest.mark.parametrize("member", [
+        "static class Inner { void testK() { k(); } } int f;",
+        "private int f; void testK() { k(); }",
+        '@SuppressWarnings({"a"}) protected static final int F = 1; void testK() { k(); }',
+        "public void testK() { k(); }",
+        "static { k(); } void testK() { k(); }",
+    ], ids=["nested-class", "field", "annotated-field", "public-method", "static-block"])
+    def test_method_missing_its_brace_ends_before_the_next_member(self, member):
+        # no local class or variable may be public, protected, private or
+        # static, so the first such word directly in testA's body starts a
+        # member of T, from its first annotation
+        text = f"class T {{ void testA() {{ if (x) {{ y(); }} {member} }}"
+        methods, _ = recover_methods(SourceFile("T.java", text))
+        a, k = methods
+        assert (a.name, k.name) == ("testA", "testK")
+        assert text[slice(*a.body_span)] == "{ if (x) { y(); }"
+        assert a.body_tokens.texts == ("if", "(", "x", ")", "{", "y", "(", ")", ";", "}")
+        assert text[slice(*k.body_span)] == "{ k(); }"
+
+    @pytest.mark.parametrize("local", [
+        "Runnable r = new Runnable() { public void run() {} };",
+        "final class L { void g() {} }",
+    ], ids=["anonymous-class", "local-class"])
+    def test_members_of_a_class_in_a_runaway_body_do_not_end_it(self, local):
+        text = f"class T {{ void testA() {{ if (x) {{ y(); }} {local} int f; }}"
+        methods, _ = recover_methods(SourceFile("T.java", text))
+        assert methods[0].name == "testA"
+        assert text[slice(*methods[0].body_span)] == text[text.index("{ if"):]
+
     def test_text_block_with_odd_quotes_is_one_token(self):
         # lexed as ordinary strings, the odd '"' swallowed the rest of the
         # file and the first method's body never closed

@@ -140,6 +140,18 @@ def rows(text: str) -> tuple[Row, ...]:
     return tuple(zip(kinds(stream), stream.texts, starts(stream), stream.ends))
 
 
+# the token regex with the word branch after the comment branches: the
+# order of the branches must change no match
+_REFERENCE_TOKEN_RE = re.compile(r"""
+    \s*(?: //[^\n]* | /\*(?:.*?\*/|.*)
+    | [A-Za-z_$][A-Za-z0-9_$]*
+    | \"\"\"(?:[^"\\]|\\.|"(?!\"\"))*(?:\"\"\"|\\?\Z)
+    | "[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z) | '[^'\\]*(?:\\.[^'\\]*)*(?:'|\\?\Z)
+    | \d[\w.]*
+    | \S
+    ) | \s+\Z""", re.DOTALL | re.VERBOSE)
+
+
 # characters that open or close every lexical state, plus non-ASCII
 # digits, letters, numerics and whitespace: '\u00b2' and '\u2460' are
 # digits but not decimal, so they continue a word but do not start one;
@@ -165,6 +177,8 @@ _java_text = st.one_of(
 @given(_java_text)
 def test_tokenizer_matches_reference_scanner(text):
     assert rows(text) == reference_tokenize(text)
+    if text.isascii():
+        assert extraction._TOKEN_RE.findall(text) == _REFERENCE_TOKEN_RE.findall(text)
 
 
 def test_tokenizer_edge_cases_match_reference_scanner():
@@ -239,6 +253,7 @@ _SOUP = [
 @given(st.lists(st.sampled_from(_SOUP), max_size=60), st.sampled_from([" ", "", "\n"]))
 def test_extractor_invariants_on_token_soup(words, sep):
     text = sep.join(words)
+    assert extraction._TOKEN_RE.findall(text) == _REFERENCE_TOKEN_RE.findall(text)
     try:
         methods = extract_methods(SourceFile("Soup.java", text))
     except PartialParseError as err:
@@ -363,8 +378,8 @@ def reference_extract(src: SourceFile) -> tuple[list[extraction.TestMethod], str
     """The extractor that tried a signature at every '(' (and tested kinds
     by first character), as methods and the partial-parse message; any
     '{' left open at the end makes the parse partial, and then a method
-    body ends before the first method whose innermost open '{' at its
-    name is that body's."""
+    body ends before the first method, or member modifier, whose innermost
+    open '{' at its name, or at that modifier, is that body's."""
     s = tokenize(src.text)
     texts, ends = s
     partner = _reference_pairs(texts)
@@ -391,8 +406,12 @@ def reference_extract(src: SourceFile) -> tuple[list[extraction.TestMethod], str
             (ends[brace] - 1, ends[partner[brace]])))
     if not any(t == "{" and partner[i] is None for i, t in enumerate(texts)):
         return methods, None
+    named = {name for name, _ in declarations}
+    declarations += [(k, _reference_annotations(texts, ends, partner, k, src.text)[1])
+                     for k, t in enumerate(texts)
+                     if t in ("public", "protected", "private", "static") and k not in named]
     body_ends: dict[int, int] = {}
-    for name, start in declarations:
+    for name, start in sorted(declarations):
         innermost = max((j for j in range(name) if texts[j] == "{"
                          and (partner[j] is None or partner[j] > name)), default=None)
         for k, m in enumerate(methods):

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_extraction_properties import TokenKind, _seconds_per_char, reference_kind
-from testlens import extraction
+from testlens import extraction, rename
 from testlens.extraction import SourceFile, extract_methods
-from testlens.lint import DEFAULT_COLLECTION_VOCABULARY, default_rules, lint
+from testlens.lint import DEFAULT_COLLECTION_VOCABULARY, Rule, cue_filter, default_rules, lint
+from testlens.rename import stem
 from testlens.splitter import split
-from testlens.tagger import tag
+from testlens.tagger import Lexicon, tag
 
 RULES = default_rules()
 
@@ -361,3 +362,84 @@ class TestLintMechanics:
         assert set(DEFAULT_COLLECTION_VOCABULARY) == {
             "List", "Map", "Set", "Collection", "Iterable",
         }
+
+
+# name fragments: the bundled lexicon's words, each cue and words that hold
+# it, and the separators and digits split cuts at
+_LEXICON_WORDS = sorted(set().union(*Lexicon.default()))
+_CUE_RELATIVES = ["fail", "fails", "failure", "failing", "failed", "true", "false", "not",
+                  "all", "at", "least", "of", "except", "exception", "exceptions", "excepted",
+                  "Nothing", "allOf", "atLeast", "TRUE", "Falsey", "notAll", "unfailing"]
+_SEPARATORS_AND_DIGITS = list("0123456789_$")
+
+
+@st.composite
+def _random_case(draw, word: str) -> str:
+    upper = draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
+    return "".join(c.upper() if up else c.lower() for c, up in zip(word, upper))
+
+
+_names = st.lists(
+    st.sampled_from(_LEXICON_WORDS + _CUE_RELATIVES + _SEPARATORS_AND_DIGITS).flatmap(_random_case),
+    min_size=1, max_size=6,
+).map("".join)
+
+
+class TestCues:
+    def test_bundled_cues(self):
+        assert {r.id: r.cues for r in RULES} == {
+            "R1": ("fail",), "R2": ("true", "false"), "R3": ("not",),
+            "R4": ("all", "least"), "R5": ("except",),
+        }
+
+    @settings(max_examples=500, deadline=None)
+    @given(_names)
+    def test_a_rule_fires_only_on_a_name_holding_one_of_its_cues(self, name):
+        seq = split(name)
+        if not seq.terms:
+            return
+        tagged = tag(seq)
+        terms = tuple(tagged.terms.normalized())
+        for rule in RULES:
+            if rule.trigger(terms, tagged.tags):
+                assert any(cue in name.lower() for cue in rule.cues), (rule.id, name)
+                assert cue_filter((rule,))(name)
+
+    def test_stemming_to_fail_or_except_keeps_the_word(self):
+        """Every one-edit variant and truncation of "fail" and "except"
+        with one suffix of the stemmer's rule tables, and the two words
+        with two: whatever stems to "fail" or "except" holds it."""
+        suffixes = {"", "s", "es", "sses", "ies", "ed", "eed", "ing", "y", "e"}
+        for table in (rename._STEP2, rename._STEP3):
+            suffixes.update(*(pair for rules in table.values() for pair in rules))
+        suffixes.update(*rename._STEP4.values())
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        for word in ("fail", "except"):
+            variants = {word[:i] + c + word[j:] for i in range(len(word) + 1)
+                        for j in (i, i + 1) if j <= len(word) for c in ["", *letters]}
+            variants.update(word[:i] for i in range(1, len(word)))
+            words = {v + s for v in variants for s in suffixes}
+            words.update(word + s + t for s in suffixes for t in suffixes)
+            words.discard("")
+            for w in words:
+                if stem(w) in ("fail", "except"):
+                    assert stem(w) in w, w
+
+    def test_filter_takes_the_cues_of_the_rules_given(self):
+        only_r2 = cue_filter(tuple(r for r in RULES if r.id == "R2"))
+        assert only_r2("testReturnsFALSE") and only_r2("trueOrNot")
+        assert not only_r2("testFailsNotAll")
+        every = cue_filter(RULES)
+        assert every("testFailure") and every("atLeastOnce") and every("test_EXCEPTION")
+        assert not every("testParser")
+
+    def test_a_rule_without_cues_may_fire_on_any_name(self):
+        r1 = RULES[0]
+        legacy = Rule(r1.id, r1.trigger, r1.expectation, r1.message)
+        assert legacy.cues is None
+        assert cue_filter((legacy,))("testParser")
+        assert cue_filter((*RULES, legacy))("testParser")
+
+    def test_no_rules_or_no_cues_pass_no_name(self):
+        assert not cue_filter(())("testFailure")
+        assert not cue_filter((RULES[0]._replace(cues=()),))("testFailure")
