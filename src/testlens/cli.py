@@ -319,15 +319,13 @@ def _parse_prefix_lens(raw: str) -> tuple[int, ...]:
 
 
 def _cmd_report(args, config: Config, out, err) -> int:
-    records = _records.counted_renames(args.input)  # reads the file now: its errors come first
+    rows = _records.load_classified(args.input)  # reads the file now: its errors come first
     catalog = _load_catalog(config) if args.table == "catalog" else None
     prefix_lens = (report.PREFIX_LENGTHS if args.prefix_len is None
                    else _parse_prefix_lens(args.prefix_len))
     if args.k < 1:
         raise CliError("--k must be >= 1")
-    stats = report.CorpusStats()
-    for counted in records:
-        report.accumulate(stats, counted)
+    stats = _records.count_renames(args.input, rows)
     fmt = args.format or config.format or "md"
     out.write(report.render_table(stats, args.table, fmt, args.k, prefix_lens, catalog))
     return EXIT_OK

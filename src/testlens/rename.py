@@ -10,7 +10,7 @@ spelling fix, or unrelated).
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
@@ -419,8 +419,8 @@ class _RenameDiff(NamedTuple):
     new_terms: list[str]
     old_collapsed: list[str]  # normalized, phrases collapsed
     new_collapsed: list[str]
-    added: Counter  # new_collapsed - old_collapsed
-    removed: Counter  # old_collapsed - new_collapsed
+    added: dict[str, int]  # new_collapsed - old_collapsed, as multisets
+    removed: dict[str, int]  # old_collapsed - new_collapsed
 
 
 def _diff(event: RenameEvent) -> _RenameDiff:
@@ -431,10 +431,29 @@ def _diff(event: RenameEvent) -> _RenameDiff:
     new_terms = new.normalized()
     old_collapsed = collapse_phrases(old_terms)
     new_collapsed = collapse_phrases(new_terms)
-    old_counts = Counter(old_collapsed)
-    new_counts = Counter(new_collapsed)
+    old_counts = _counts(old_collapsed)
+    new_counts = _counts(new_collapsed)
     return _RenameDiff(old, new, old_terms, new_terms, old_collapsed, new_collapsed,
-                       new_counts - old_counts, old_counts - new_counts)
+                       _minus(new_counts, old_counts), _minus(old_counts, new_counts))
+
+
+def _counts(terms: list[str]) -> dict[str, int]:
+    """Occurrences per term, in first-occurrence order; for a few terms a
+    plain loop beats building a ``Counter``."""
+    counts: dict[str, int] = {}
+    for term in terms:
+        counts[term] = counts.get(term, 0) + 1
+    return counts
+
+
+def _minus(counts: dict[str, int], other: dict[str, int]) -> dict[str, int]:
+    """The multiset difference ``counts - other``, as ``Counter`` subtracts."""
+    return {term: n - other.get(term, 0) for term, n in counts.items() if n > other.get(term, 0)}
+
+
+def _elements(counts: dict[str, int]) -> list[str]:
+    """Each term of a multiset as often as it counts, as ``Counter.elements`` lists them."""
+    return [term for term, n in counts.items() for _ in range(n)]
 
 
 def _form(d: _RenameDiff) -> FormCategory:
@@ -453,7 +472,7 @@ def _pairs(d: _RenameDiff) -> list[tuple[str, str]]:
     return [(a, r) for a in added for r in removed]
 
 
-def _in_name_order(name_terms: list[str], counts: Counter) -> list[str]:
+def _in_name_order(name_terms: list[str], counts: dict[str, int]) -> list[str]:
     remaining = dict(counts)
     ordered: list[str] = []
     for term in name_terms:
@@ -513,9 +532,10 @@ def _changed_before_head(
     if not nouns or name_terms[nouns[-1]] not in other_terms:
         return False
     head = nouns[-1]
-    counts = Counter(name_terms)
-    other_counts = Counter(other_terms)
-    return all(i < head for i, term in enumerate(name_terms) if counts[term] > other_counts[term])
+    counts = _counts(name_terms)
+    other_counts = _counts(other_terms)
+    return all(i < head for i, term in enumerate(name_terms)
+               if counts[term] > other_counts.get(term, 0))
 
 
 def _semantics(
@@ -536,7 +556,7 @@ def _semantics(
         if _changed_before_head(d.old_terms, old_tags, d.new_terms):
             return _BROADEN
         return _REMOVE
-    if _preserving_swap(list(d.added.elements()), list(d.removed.elements()), relations):
+    if _preserving_swap(_elements(d.added), _elements(d.removed), relations):
         return _PRESERVE
 
     found = set(relations.values())

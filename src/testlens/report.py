@@ -1,9 +1,11 @@
 """Corpus statistics over classified renames, with mergeable counters.
 
-Stats are two counters that accumulate per event and merge pointwise, so
-shards built in any order or grouping produce identical totals. Every
-table is a marginal of them, derived at render time and emitted as
-pattern / count / percentage rows in markdown, CSV, or JSON.
+Stats are two counters that merge pointwise, so shards built in any
+order or grouping produce identical totals. ``accumulate`` adds one
+``RenameClassification``; the ``report`` command fills them from its
+JSON records directly (``_records.count_renames``). Every table is a
+marginal of them, derived at render time and emitted as pattern / count
+/ percentage rows in markdown, CSV, or JSON.
 """
 
 from __future__ import annotations
@@ -51,19 +53,8 @@ class CorpusStats:
         return sum(self.events.values())
 
 
-class CountedRename(NamedTuple):
-    """What one classified rename adds to the counters: its ``events``
-    key (the first four fields) and its ``(added, removed)`` term pairs."""
-
-    old_pattern: str
-    new_pattern: str
-    form: str
-    semantics: str
-    term_pairs: tuple[tuple[str, str], ...]
-
-
-def _counted(classification: RenameClassification) -> CountedRename:
-    """The counted form of a classification.
+def accumulate(stats: CorpusStats, classification: RenameClassification) -> CorpusStats:
+    """Fold one classified event into ``stats`` (mutated and returned).
 
     Raises ValueError when a name has no grammar pattern (it is made only
     of separators).
@@ -71,22 +62,9 @@ def _counted(classification: RenameClassification) -> CountedRename:
     old_pattern, new_pattern = classification.old_pattern, classification.new_pattern
     if old_pattern is None or new_pattern is None:
         raise ValueError("a name without terms has no grammar pattern to count")
-    return CountedRename(str(old_pattern), str(new_pattern), classification.form.value,
-                         classification.semantics.value,
-                         tuple((added, removed) for added, removed, _ in classification.pairs))
-
-
-def accumulate(stats: CorpusStats,
-               classification: RenameClassification | CountedRename) -> CorpusStats:
-    """Fold one classified event into ``stats`` (mutated and returned).
-
-    Raises ValueError when a name has no grammar pattern (it is made only
-    of separators).
-    """
-    if not isinstance(classification, CountedRename):
-        classification = _counted(classification)
-    stats.events[classification[:4]] += 1
-    stats.term_pairs.update(classification.term_pairs)
+    stats.events[str(old_pattern), str(new_pattern), classification.form.value,
+                 classification.semantics.value] += 1
+    stats.term_pairs.update((added, removed) for added, removed, _ in classification.pairs)
     return stats
 
 

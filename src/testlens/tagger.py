@@ -6,6 +6,10 @@ verb modifier/adverb (VM), pronoun (PR), digit (D). Tagging is a
 deterministic rule cascade over layered lexicons plus positional
 heuristics, followed by a rewrite that turns every noun of a noun run
 except the head into a modifier.
+
+A term's cascade tag depends only on its lowercase word, the lexicon,
+and whether the tag before it is P or DT, so ``tag`` looks up both
+choices of each word in a bounded memo keyed by word and lexicon.
 """
 
 from __future__ import annotations
@@ -188,22 +192,25 @@ def tag(terms: TermSequence, lexicon: Lexicon | None = None) -> TaggedName:
         raise ValueError("cannot tag an empty term sequence")
     if lexicon is None:
         lexicon = Lexicon.default()
-    closed = _closed_class_tags(lexicon)
-    verbs, nouns = lexicon.verbs, lexicon.known_nouns
     raw_tags: list[PosTag] = []
     prior = None
     for term in terms.terms:
-        word = term.surface.lower()
-        pos = _D if word.isdigit() else closed.get(word)
-        if pos is None:
-            if inflected_match(word, verbs, _VERB_SUFFIXES) and not (
-                    (prior is _P or prior is _DT)
-                    and inflected_match(word, nouns, _NOUN_SUFFIXES)):
-                pos = _V
-            elif len(word) >= 3 and word.endswith("s") and not word.endswith(("ss", "us", "is")):
-                pos = _NPL
-            else:
-                pos = _N
-        raw_tags.append(pos)
-        prior = pos
+        prior = _word_tags(term.surface.lower(), lexicon)[prior is _P or prior is _DT]
+        raw_tags.append(prior)
     return TaggedName(terms, tuple(noun_run_rewrite(raw_tags)))
+
+
+@lru_cache(maxsize=4096)
+def _word_tags(word: str, lexicon: Lexicon) -> tuple[PosTag, PosTag]:
+    """The tag of the lowercase ``word`` after any tag but P or DT, and
+    right after P or DT: the only context the cascade reads."""
+    pos = _D if word.isdigit() else _closed_class_tags(lexicon).get(word)
+    if pos is not None:
+        return pos, pos
+    if len(word) >= 3 and word.endswith("s") and not word.endswith(("ss", "us", "is")):
+        noun = _NPL
+    else:
+        noun = _N
+    if inflected_match(word, lexicon.verbs, _VERB_SUFFIXES):
+        return _V, noun if inflected_match(word, lexicon.known_nouns, _NOUN_SUFFIXES) else _V
+    return noun, noun

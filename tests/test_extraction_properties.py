@@ -10,7 +10,7 @@ from enum import Enum
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from testlens import extraction
 from testlens.extraction import (
@@ -249,26 +249,55 @@ _SOUP = [
 ]
 
 
+def _innermost_open_before(texts: tuple[str, ...]) -> list[int | None]:
+    """Per token, the index of the innermost '{' still open before it."""
+    stack: list[int] = []
+    innermost: list[int | None] = []
+    for i, text in enumerate(texts):
+        innermost.append(stack[-1] if stack else None)
+        if text == "{":
+            stack.append(i)
+        elif text == "}" and stack:
+            stack.pop()
+    return innermost
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.sampled_from(_SOUP), max_size=60), st.sampled_from([" ", "", "\n"]))
+@example("{ void a ( ) { void b ( ) { } }".split(" "), " ")
 def test_extractor_invariants_on_token_soup(words, sep):
+    """Each body of a file that parses whole runs from its '{' to its own
+    '}'. With a '{' left open, a body that holds a declaration directly in
+    it is cut: it ends at the end of a token, before the start of the first
+    such declaration, a method or a member with a member modifier."""
     text = sep.join(words)
     assert extraction._TOKEN_RE.findall(text) == _REFERENCE_TOKEN_RE.findall(text)
-    try:
-        methods = extract_methods(SourceFile("Soup.java", text))
-    except PartialParseError as err:
-        methods = err.methods
+    methods, err = extraction.recover_methods(SourceFile("Soup.java", text))
     stream = tokenize(text)
+    texts = stream.texts
+    partner = _reference_pairs(texts)
+    innermost = _innermost_open_before(texts)
+    names = {stream.ends.index(m.name_span[1]) for m in methods}
     for m in methods:
         assert text[m.name_span[0]:m.name_span[1]] == m.name
         start, end = m.body_span
         assert 0 <= start < end <= len(text)
-        assert text[start] == "{" and text[end - 1] == "}"
-        # the body is the file's token columns strictly between its braces
-        lo, hi = starts(stream).index(start) + 1, stream.ends.index(end)
-        body = m.body_tokens
-        assert body.texts == stream.texts[lo:hi]
-        assert body.ends == stream.ends[lo:hi]
+        assert text[start] == "{"
+        brace = starts(stream).index(start)
+        lo, hi = brace + 1, stream.ends.index(end)
+        if partner[hi] == brace:
+            # whole: the token columns strictly between its braces
+            assert text[end - 1] == "}"
+            body = slice(lo, hi)
+        else:
+            assert err is not None, m.name
+            # cut: through its last token, before the first declaration in it
+            body = slice(lo, hi + 1)
+            declared = [k for k in range(lo, len(texts)) if innermost[k] == brace
+                        and (k in names or texts[k] in extraction._MEMBER_MODIFIERS)]
+            assert declared and declared[0] > hi, (m.name, declared, hi)
+        assert m.body_tokens.texts == texts[body]
+        assert m.body_tokens.ends == stream.ends[body]
 
 
 def _is_word(token: str) -> bool:

@@ -262,6 +262,50 @@ class TestRegressions:
         assert (code, err) == (EXIT_ERROR, "error: IN: record 0: identifier must be a string, "
                                            "not list\n")
 
+    @pytest.mark.parametrize("argv, first", [
+        (["rename", "classify", "--input", "IN"], VALID_EVENTS[0]),
+        (["report", "--input", "IN"], VALID_RECORDS[0]),
+    ], ids=["events", "records"])
+    @pytest.mark.parametrize("row, shown", [
+        (5, "5"), ([1, 2], "[1, 2]"), (None, "null"), ("testA", '"testA"'), ([], "[]"),
+    ], ids=["number", "array", "null", "string", "empty-array"])
+    def test_record_that_is_not_an_object(self, argv, first, row, shown):
+        # was Python's own text: 'int' object is not subscriptable, list indices
+        # must be integers or slices, not str, and the like
+        code, err = self.run_file(argv, json.dumps([first, row]))
+        assert (code, err) == (EXIT_ERROR, "error: IN: record 1: expected a JSON object, "
+                                           f"not {shown}\n")
+
+    @pytest.mark.parametrize("pairs, message", [
+        ({}, "pairs must be an array of term pairs, not {}"),
+        ("", 'pairs must be an array of term pairs, not ""'),
+        (None, "pairs must be an array of term pairs, not null"),
+        ("ab", 'pairs must be an array of term pairs, not "ab"'),
+        ({"added": "a", "removed": "b", "relation": "synonym"},
+         'pairs must be an array of term pairs, not {"added": "a", "removed": "b", '
+         '"relation": "synonym"}'),
+        ([5], "pair must be a JSON object, not 5"),
+        ([{"added": "a", "removed": "b", "relation": "synonym"}, ["a", "b"]],
+         'pair must be a JSON object, not ["a", "b"]'),
+    ], ids=["object", "empty-string", "null", "string", "one-pair", "number-pair",
+            "array-pair"])
+    def test_record_pairs_must_be_an_array_of_objects(self, pairs, message):
+        # {} and "" were counted as no pairs with exit 0; the others were
+        # Python's own text, such as string indices must be integers
+        record = {**VALID_RECORDS[0], "pairs": pairs}
+        code, err = self.run_file(["report", "--input", "IN"], json.dumps([record]))
+        assert (code, err) == (EXIT_ERROR, f"error: IN: record 0: {message}\n")
+
+    def test_record_without_pairs_has_no_pairs(self):
+        record = {key: value for key, value in VALID_RECORDS[0].items() if key != "pairs"}
+        with tempfile.TemporaryDirectory() as workdir:
+            path = write(workdir, "in.json", json.dumps([record]).encode())
+            out, err = io.StringIO(), io.StringIO()
+            code = cli.run(["report", "--input", path, "--table", "terms", "--format", "csv"],
+                           out, err)
+        assert (code, out.getvalue(), err.getvalue()) == (
+            EXIT_OK, "section,Added,Removed,Count,Percentage\n", "")
+
     @pytest.mark.parametrize("fmt", ["json", "csv", "md"])
     @pytest.mark.parametrize("field, value, kind", [
         ("file", 1.5, "float"), ("file", [1], "list"), ("commit", {"a": 1}, "dict"),

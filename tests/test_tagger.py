@@ -1,7 +1,7 @@
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from testlens import _data
+from testlens import _data, tagger
 from testlens.rename import _INFLECTIONS as RELATION_INFLECTIONS
 from testlens.splitter import TermSequence, split
 from testlens.tagger import Lexicon, PosTag, TaggedName, inflected_match, noun_run_rewrite, tag
@@ -362,3 +362,47 @@ class TestTagEqualsReference:
         for words in (Lexicon.default().verbs, Lexicon.default().known_nouns):
             assert inflected_match(word, words, suffixes) == \
                 reference_inflected_match(word, words, suffixes)
+
+
+# a lexicon that tags words of the bundled one otherwise: prepositions
+# that are verbs, a noun that is a preposition and one that is a
+# determiner, verbs that are known nouns, verb-nouns that are nouns only
+SWAPPED = Lexicon.from_dict({
+    **_BUNDLED,
+    "prepositions": sorted(set(_BUNDLED["prepositions"]) - {"for", "with"} | {"item"}),
+    "determiners": _BUNDLED["determiners"] + ["value"],
+    "verbs": sorted(set(_BUNDLED["verbs"]) - {"test", "check", "run"} | {"for", "with"}),
+    "known_nouns": _BUNDLED["known_nouns"] + ["get", "make", "assert"],
+})
+_MEMO_WORDS = ["test", "tests", "tested", "check", "checking", "run", "runs", "get", "gets",
+               "make", "assert", "for", "with", "to", "the", "a", "all", "item", "items",
+               "value", "values", "call", "set", "record", "stopped", "status", "class", "12"]
+memo_names = st.lists(
+    st.sampled_from(_MEMO_WORDS).flatmap(
+        lambda w: st.sampled_from([w, w.upper(), w.capitalize()])),
+    min_size=1, max_size=8,
+).map("_".join)
+
+
+class TestTagMemo:
+    """``tag`` looks each word up in a memo keyed by word and lexicon; it
+    must tag as the cascade without one, whichever lexicon came before."""
+
+    @given(st.lists(st.tuples(st.sampled_from([None, "bundled", "swapped"]), memo_names),
+                    min_size=1, max_size=6))
+    @settings(max_examples=300)
+    @example([("bundled", "the_test_for_get"), ("swapped", "the_test_for_get"),
+              (None, "the_test_for_get")])
+    @example([("swapped", "value_make_item_run"), ("bundled", "value_make_item_run")])
+    def test_tags_equal_reference_as_lexicons_alternate(self, calls):
+        for choice, name in calls:
+            lexicon = {"bundled": Lexicon.default(), "swapped": SWAPPED}.get(choice)
+            seq = split(name)
+            assert tag(seq, lexicon).tags == reference_tags(seq, lexicon or Lexicon.default())
+
+    def test_the_two_lexicons_tag_the_same_name_otherwise(self):
+        seq = split("the_test_for_get")
+        assert tag(seq).tags != tag(seq, SWAPPED).tags
+
+    def test_memo_is_bounded(self):
+        assert tagger._word_tags.cache_info().maxsize is not None

@@ -24,7 +24,7 @@ from testlens.rename import (
     TermRelation,
 )
 from testlens.renamedetect import FileVersionPair
-from testlens.report import CorpusStats, CountedRename
+from testlens.report import CorpusStats
 from testlens.splitter import InvalidIdentifierError, Term, TermSequence, split
 from testlens.tagger import Lexicon, PosTag, TaggedName
 
@@ -78,10 +78,6 @@ VALUES = {
              pairs=(("new", "old", TermRelation.UNRELATED),),
              old_pattern=GrammarPattern((V, N)), new_pattern=GrammarPattern((V, N))),
         dict(new_pattern=None)),
-    "CountedRename": (CountedRename,
-                      dict(old_pattern="V N", new_pattern="V N", form="simple",
-                           semantics="change", term_pairs=(("new", "old"),)),
-                      dict(semantics="preserve")),
     "TokenStream": (TokenStream, dict(texts=_STREAM.texts, ends=_STREAM.ends),
                     dict(texts=_OTHER_STREAM.texts)),
     "SourceFile": (SourceFile, dict(path="T.java", text="class T {}"), dict(text="")),
