@@ -237,9 +237,12 @@ def _cmd_lint(args, config: Config, out, err) -> int:
     cued = lint_mod.cue_filter(rules)
 
     parse_errors: list[str] = []
+    paths = _iter_java_files(args.target, parse_errors)
+    fmt = args.format or config.format or "text"
+    if fmt not in ("json", "text"):
+        raise CliError(f"unsupported lint format {fmt!r}")
     diagnostics: list[lint_mod.Diagnostic] = []
-    for src, methods, flags, is_test_file, _ in _scan_files(
-            _iter_java_files(args.target, parse_errors), parse_errors):
+    for src, methods, flags, is_test_file, _ in _scan_files(paths, parse_errors):
         if not is_test_file:
             continue
         for method, flag in zip(methods, flags):
@@ -252,17 +255,14 @@ def _cmd_lint(args, config: Config, out, err) -> int:
             diagnostics.extend(lint_mod.lint(method, tagged, rules, file=src.path))
     diagnostics.sort(key=lambda d: (d.file, d.name_span, d.rule_id))
 
-    fmt = args.format or config.format or "text"
     if fmt == "json":
         write_array(map(_diagnostic_json, diagnostics), out.write)
-    elif fmt == "text":
+    else:
         for d in diagnostics:
             err.write(
                 f"{d.file}:{d.name_span[0]}-{d.name_span[1]}: "
                 f"{d.severity} {d.rule_id}: {d.method_name}: {d.message}\n"
             )
-    else:
-        raise CliError(f"unsupported lint format {fmt!r}")
     for message in parse_errors:
         err.write(message + "\n")
     if parse_errors:

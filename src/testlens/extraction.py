@@ -9,15 +9,17 @@ shape: ``w`` per word, ``0`` per number, ``"`` per literal and ASCII
 punctuation as itself. One stack pass pairs the parentheses and braces.
 One regex over the shape finds each word followed by '(' after a word,
 '>' or ']', where a return type can end; a signature heuristic checks
-each and marks its brace-balanced body. No compiler front-end is
-involved, so non-compiling snapshots still scan, in time linear in the
-token count.
+each, and each method found keeps its brace-balanced body as a view of
+the file's texts column, so that bodies nested in bodies copy nothing.
+No compiler front-end is involved, so non-compiling snapshots still
+scan, in time linear in the token count.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from itertools import accumulate, compress, count
 from operator import itemgetter
 from typing import NamedTuple
@@ -45,24 +47,47 @@ class SourceFile(NamedTuple):
     text: str
 
 
+class BodyTexts(Sequence):
+    """The texts ``texts[start:stop]`` of a body's tokens, kept as its
+    file's texts column and the two indexes, so that a body that holds
+    nested declarations copies nothing. It reads, compares and hashes as
+    that tuple; a slice of it is a tuple."""
+
+    __slots__ = ("_texts", "_start", "_stop")
+
+    def __init__(self, texts: tuple[str, ...], start: int, stop: int):
+        self._texts, self._start, self._stop = texts, start, stop
+
+    def __len__(self) -> int:
+        return self._stop - self._start
+
+    def __getitem__(self, i: int | slice) -> str | tuple[str, ...]:
+        if isinstance(i, slice) or not -len(self) <= i < len(self):
+            return self._texts[self._start:self._stop][i]  # a tuple, or IndexError
+        return self._texts[self._start + i % len(self)]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self[:])
+
+    def __contains__(self, text: object) -> bool:
+        return text in self[:]
+
+    def __eq__(self, other: object) -> bool:
+        return self[:] == (other[:] if isinstance(other, BodyTexts) else other)
+
+    def __hash__(self) -> int:
+        return hash(self[:])
+
+    def __repr__(self) -> str:
+        return repr(self[:])
+
+
 class TestMethod(NamedTuple):
     name: str
     annotations: tuple[str, ...]
-    file_tokens: TokenStream  # left out of repr
-    body_range: tuple[int, int]  # token indexes strictly between the body's braces
+    body: Sequence[str]  # texts of the tokens strictly between the body's braces
     name_span: tuple[int, int]
     body_span: tuple[int, int]
-
-    def __repr__(self) -> str:
-        return (f"TestMethod(name={self.name!r}, annotations={self.annotations!r}, "
-                f"body_range={self.body_range!r}, name_span={self.name_span!r}, "
-                f"body_span={self.body_span!r})")
-
-    @property
-    def body_tokens(self) -> TokenStream:
-        """The body's tokens, sliced from the file's columns on each call."""
-        s, body = self.file_tokens, slice(*self.body_range)
-        return TokenStream(s.texts[body], s.ends[body])
 
 
 class PartialParseError(Exception):
@@ -339,6 +364,8 @@ def extract_methods(src: SourceFile) -> list[TestMethod]:
     methods: list[TestMethod] = []
     # the first token of each method's declaration, by the index of its name
     starts: dict[int, int] = {}
+    # the index in ``methods`` of each method, by the index of its body's '{'
+    body_of: dict[int, int] = {}
     where = "at end of input"
     for match in _SIGNATURE_RE.finditer(shape):
         i = match.start()
@@ -356,12 +383,13 @@ def extract_methods(src: SourceFile) -> list[TestMethod]:
             break
         annotations, start = _collect_annotations(s, shape, partner, type_start - 1, src.text)
         starts[i] = start
+        body_of[brace] = len(methods)
         # by position: keywords cost about a microsecond more per method
-        methods.append(TestMethod(name, annotations, s, (brace + 1, body_close),
+        methods.append(TestMethod(name, annotations, BodyTexts(texts, brace + 1, body_close),
                                   (ends[i] - len(name), ends[i]),
                                   (ends[brace] - 1, ends[body_close])))
     if open_braces:
-        _end_runaway_bodies(s, shape, partner, methods, starts, src.text)
+        _end_runaway_bodies(s, shape, partner, methods, starts, body_of, src.text)
         raise PartialParseError(
             f"{src.path}: unbalanced braces {where}; recovered {len(methods)} method(s)", methods)
     return methods
@@ -373,7 +401,8 @@ _MEMBER_MODIFIERS = frozenset({"public", "protected", "private", "static"})
 
 
 def _end_runaway_bodies(s: TokenStream, shape: str, partner: list[int | None],
-                        methods: list[TestMethod], starts: dict[int, int], text: str) -> None:
+                        methods: list[TestMethod], starts: dict[int, int],
+                        body_of: dict[int, int], text: str) -> None:
     """End each body in ``methods`` that holds a declaration directly in
     it, one whose name or member modifier has the body's '{' as the
     innermost '{' open, just before the first such declaration: a method,
@@ -383,7 +412,6 @@ def _end_runaway_bodies(s: TokenStream, shape: str, partner: list[int | None],
     over the members declared after it; a method of a class declared in
     a body, anonymous or local, is not one of them."""
     texts, ends = s
-    body_of = {m.body_range[0] - 1: k for k, m in enumerate(methods)}
     stack: list[int] = []
     for i in sorted({*starts, *compress(count(), map(_MEMBER_MODIFIERS.__contains__, texts)),
                      *compress(count(), map("{}".__contains__, shape))}):
@@ -392,11 +420,11 @@ def _end_runaway_bodies(s: TokenStream, shape: str, partner: list[int | None],
         elif shape[i] == "}":
             if stack:
                 stack.pop()
-        elif stack and (outer := body_of.pop(stack[-1], None)) is not None:
+        elif stack and (outer := body_of.pop(brace := stack[-1], None)) is not None:
             m = methods[outer]
             start = starts[i] if i in starts else _collect_annotations(s, shape, partner, i, text)[1]
-            end = max(start, m.body_range[0])
-            methods[outer] = m._replace(body_range=(m.body_range[0], end),
+            end = max(start, brace + 1)
+            methods[outer] = m._replace(body=BodyTexts(texts, brace + 1, end),
                                         body_span=(m.body_span[0], ends[end - 1]))
 
 

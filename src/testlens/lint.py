@@ -53,12 +53,6 @@ def _stem_safe(term: str) -> str:
     return stem(term)
 
 
-# Only a word token's text can equal an identifier (literals keep their quotes, numbers
-# start with a digit, punctuation is one non-word character), so texts alone decide.
-def _has_word(method: TestMethod, word: str) -> bool:
-    return word in method.body_tokens.texts
-
-
 # R1: a "fail" term promises an explicit fail(...) call
 
 def _r1_trigger(terms: tuple[str, ...], tags: tuple[PosTag, ...]) -> bool:
@@ -66,22 +60,24 @@ def _r1_trigger(terms: tuple[str, ...], tags: tuple[PosTag, ...]) -> bool:
 
 
 def _r1_expectation(method: TestMethod, terms: tuple[str, ...]) -> bool:
-    texts = method.body_tokens.texts
-    return ("fail", "(") in zip(texts, texts[1:])
+    body = method.body
+    return ("fail", "(") in zip(body, body[1:])
 
 
-# R2: "true"/"false" terms promise the matching boolean assert
+# R2: "true"/"false" terms promise the matching boolean assert. Only a word
+# token's text can equal an identifier (literals keep their quotes, numbers
+# start with a digit, punctuation is one non-word character), so R2 and R3
+# look the assert up among the body's texts.
 
 def _r2_trigger(terms: tuple[str, ...], tags: tuple[PosTag, ...]) -> bool:
     return "true" in terms or "false" in terms
 
 
 def _r2_expectation(method: TestMethod, terms: tuple[str, ...]) -> bool:
-    if "true" in terms and not _has_word(method, "assertTrue"):
+    body = method.body
+    if "true" in terms and "assertTrue" not in body:
         return False
-    if "false" in terms and not _has_word(method, "assertFalse"):
-        return False
-    return True
+    return "false" not in terms or "assertFalse" in body
 
 
 # R3: an adverbial "not" promises null-based checking
@@ -92,13 +88,10 @@ def _r3_trigger(terms: tuple[str, ...], tags: tuple[PosTag, ...]) -> bool:
 
 def _make_r3_expectation(allow_boolean: bool) -> Callable[[TestMethod, tuple[str, ...]], bool]:
     def expectation(method: TestMethod, terms: tuple[str, ...]) -> bool:
-        if _has_word(method, "assertNull") or _has_word(method, "assertNotNull"):
+        body = method.body
+        if "assertNull" in body or "assertNotNull" in body:
             return True
-        if allow_boolean and (
-            _has_word(method, "assertTrue") or _has_word(method, "assertFalse")
-        ):
-            return True
-        return False
+        return allow_boolean and ("assertTrue" in body or "assertFalse" in body)
 
     return expectation
 
@@ -119,8 +112,8 @@ def _make_r4_expectation(
     vocab = frozenset(v for v in vocabulary if v and _shape((v,)) == "w")
 
     def expectation(method: TestMethod, terms: tuple[str, ...]) -> bool:
-        texts = method.body_tokens.texts
-        return "[" in texts or not vocab.isdisjoint(texts)
+        body = method.body
+        return "[" in body or not vocab.isdisjoint(body)
 
     return expectation
 
@@ -145,9 +138,10 @@ def _r5_expectation(method: TestMethod, terms: tuple[str, ...]) -> bool:
     block, so a token is inside while any flag on the stack is set."""
     if any("expected" in annotation for annotation in method.annotations):
         return True
-    texts = method.body_tokens.texts
-    if "catch" not in texts:
+    body = method.body
+    if "catch" not in body:
         return False
+    texts = tuple(body)  # indexed below, which a tuple does faster than a view
     opens_catch_block, open_catch_blocks, stack = False, 0, []
     for k, text in enumerate(texts):
         if text == "{":

@@ -498,26 +498,21 @@ def _relations(d: _RenameDiff) -> dict:
 
 
 def _preserving_swap(added: list[str], removed: list[str], relations: dict) -> bool:
-    """True when removed and added terms match one-to-one via meaning-keeping relations."""
+    """True when removed and added terms match one-to-one via meaning-keeping relations.
+
+    One pass over the removed terms carries the set of bit masks of the
+    added terms that the removed terms so far can take, one distinct added
+    term each; there are at most 2**8 masks, and each term pair's relation
+    is looked up once."""
     if len(added) != len(removed) or len(removed) > 8:
         return False
-    return _match_from(0, set(), added, removed, relations)
-
-
-def _match_from(i: int, used: set[int], added: list[str], removed: list[str],
-                relations: dict) -> bool:
-    """``removed[i:]`` each keep their meaning with a distinct added term
-    outside ``used``. A module-level function: a nested recursive one is a
-    reference cycle, left as garbage by every event that reaches it."""
-    if i == len(removed):
-        return True
-    for j, a in enumerate(added):
-        if j in used:
-            continue
-        if relations[a, removed[i]] in _PRESERVING_RELATIONS:
-            if _match_from(i + 1, used | {j}, added, removed, relations):
-                return True
-    return False
+    masks = {0}
+    for r in removed:
+        keeps = [1 << j for j, a in enumerate(added) if relations[a, r] in _PRESERVING_RELATIONS]
+        masks = {mask | bit for mask in masks for bit in keeps if not mask & bit}
+        if not masks:
+            return False
+    return True
 
 
 def _changed_before_head(

@@ -2,9 +2,10 @@
 
 A removed method (present only in the old version) is matched to an added
 method (present only in the new version) when their bodies are similar
-enough, measured as the Dice coefficient over multisets of token bigrams.
-Matching is greedy, highest similarity first, one-to-one by method, so
-overloads that share a name are matched separately.
+enough, measured as the Dice coefficient over multisets of bigrams of
+the body's token texts (``TestMethod.body``). Matching is greedy,
+highest similarity first, one-to-one by method, so overloads that share
+a name are matched separately.
 
 Each body's bigram multiset is built once. Pairs that cannot reach the
 threshold are never scored: an exact similarity-join prefix filter
@@ -19,9 +20,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Sequence
 from typing import NamedTuple
 
-from .extraction import SourceFile, TokenStream, is_test_method, recover_methods
+from .extraction import SourceFile, is_test_method, recover_methods
 from .rename import RenameEvent
 
 DEFAULT_THRESHOLD = 0.6
@@ -32,13 +34,13 @@ class FileVersionPair(NamedTuple):
     after: SourceFile
 
 
-def _bigrams(stream: TokenStream) -> Counter:
-    texts = stream.texts
+def _bigrams(texts: Sequence[str]) -> Counter:
     return Counter(zip(texts, texts[1:]))
 
 
-def body_similarity(a: TokenStream, b: TokenStream) -> float:
-    """Dice coefficient over token-bigram multisets; empty vs empty is 1."""
+def body_similarity(a: Sequence[str], b: Sequence[str]) -> float:
+    """Dice coefficient over the bigram multisets of two token-text
+    sequences, such as two methods' ``body``; empty vs empty is 1."""
     ga = _bigrams(a)
     gb = _bigrams(b)
     total = sum(ga.values()) + sum(gb.values())
@@ -124,8 +126,8 @@ def detect_renames(pair: FileVersionPair, threshold: float = DEFAULT_THRESHOLD,
     added = [m for m in after if m.name not in before_names]
 
     scored = _similar_pairs(
-        [_bigrams(m.body_tokens) for m in removed],
-        [_bigrams(m.body_tokens) for m in added],
+        [_bigrams(m.body) for m in removed],
+        [_bigrams(m.body) for m in added],
         threshold,
     )
     scored.sort(key=lambda c: (-c[0], removed[c[1]].name, added[c[2]].name, c[1], c[2]))

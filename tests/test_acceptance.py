@@ -256,7 +256,7 @@ class TestCriterion6RenameDetection:
         after = self.java({"testNew": "a(); b(); c(); d();"})
         b = extract_methods(before)[0]
         a = extract_methods(after)[0]
-        assert body_similarity(b.body_tokens, a.body_tokens) == 1.0
+        assert body_similarity(b.body, a.body) == 1.0
         events = detect_renames(FileVersionPair(before, after), 1.0)
         assert [(e.old_name, e.new_name) for e in events] == [("testOld", "testNew")]
 
@@ -284,8 +284,7 @@ class TestCriterion6RenameDetection:
         for perm in itertools.permutations(sorted(after_methods)):
             pairs = list(zip(removed, perm))
             scores = [
-                body_similarity(before_methods[r].body_tokens,
-                                after_methods[a].body_tokens)
+                body_similarity(before_methods[r].body, after_methods[a].body)
                 for r, a in pairs
             ]
             if any(s < 0.5 for s in scores):

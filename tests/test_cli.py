@@ -352,6 +352,22 @@ class TestLintCommand:
         code, _, err = invoke(["lint", str(tmp_path)])
         assert code == EXIT_OK
 
+    def test_unsupported_format_reads_no_java_file(self, tmp_path, monkeypatch):
+        (tmp_path / "FailTest.java").write_text(R1_VIOLATION)
+        config = tmp_path / "testlens.toml"
+        config.write_text('format = "csv"\n')
+        monkeypatch.setenv("TESTLENS_CONFIG", str(config))
+        read = []
+
+        def recording(path, _real=cli._data.read_file):
+            read.append(path)
+            return _real(path)
+
+        monkeypatch.setattr(cli._data, "read_file", recording)
+        assert invoke(["lint", str(tmp_path)]) == (
+            EXIT_ERROR, "", "error: unsupported lint format 'csv'\n")
+        assert [path for path in read if path.endswith(".java")] == []
+
 
 # test names holding a cue of a bundled rule, by rule, and names holding none
 CUED_NAMES = {

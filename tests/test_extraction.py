@@ -221,8 +221,8 @@ class TestExtractMethods:
         assert str(err) == "T.java: unbalanced braces at end of input; recovered 2 method(s)"
         a, b = methods
         assert a.body_span[1] <= b.body_span[0]
-        assert a.body_tokens.ends[-1] <= text.index("void testB")
-        assert a.body_tokens.texts == ("if", "(", "x", ")", "{", "y", "(", ")", ";", "}")
+        assert a.body_span[1] <= text.index("void testB")
+        assert a.body == ("if", "(", "x", ")", "{", "y", "(", ")", ";", "}")
         assert text[slice(*a.body_span)] == "{ if (x) { y(); }"
         assert text[slice(*b.body_span)] == "{ z(); }"
 
@@ -242,7 +242,7 @@ class TestExtractMethods:
         a, k = methods
         assert (a.name, k.name) == ("testA", "testK")
         assert text[slice(*a.body_span)] == "{ if (x) { y(); }"
-        assert a.body_tokens.texts == ("if", "(", "x", ")", "{", "y", "(", ")", ";", "}")
+        assert a.body == ("if", "(", "x", ")", "{", "y", "(", ")", ";", "}")
         assert text[slice(*k.body_span)] == "{ k(); }"
 
     @pytest.mark.parametrize("local", [
@@ -267,7 +267,7 @@ class TestExtractMethods:
         methods, err = recover_methods(SourceFile("T.java", text))
         assert err is None
         assert [m.name for m in methods] == ["testQuote", "testAfter"]
-        assert methods[0].body_tokens.texts[3] == '"""\n            he said "hi\n            """'
+        assert methods[0].body[3] == '"""\n            he said "hi\n            """'
 
     def test_concatenation_equals_per_fixture_extraction(self):
         a = SourceFile("A.java", SIMPLE)
@@ -284,16 +284,14 @@ class TestExtractMethods:
         [m] = extract_methods(SourceFile("T.java", text))
         assert m.name == "testGrößeAfterClear" and m.annotations == ("@Test",)
         assert text[slice(*m.name_span)] == m.name
-        assert m.body_tokens.texts == ("größe", "(", ")", ";")
+        assert m.body == ("größe", "(", ")", ";")
 
-    def test_body_tokens_within_body_span(self):
+    def test_body_is_the_tokens_within_body_span(self):
         methods = extract_methods(SourceFile("ParserTest.java", SIMPLE))
         m = methods[0]
         lo, hi = m.body_span
-        body = m.body_tokens
-        assert body.texts[0] == "Parser" and body.texts[-1] == ";"
-        for start, end in zip(starts(body), body.ends):
-            assert lo < start and end < hi
+        assert m.body[0] == "Parser" and m.body[-1] == ";"
+        assert m.body == tokenize(SIMPLE[lo + 1 : hi - 1]).texts
 
 
 def _reference_body_span(text: str) -> tuple[int, int]:

@@ -296,8 +296,7 @@ def test_extractor_invariants_on_token_soup(words, sep):
             declared = [k for k in range(lo, len(texts)) if innermost[k] == brace
                         and (k in names or texts[k] in extraction._MEMBER_MODIFIERS)]
             assert declared and declared[0] > hi, (m.name, declared, hi)
-        assert m.body_tokens.texts == texts[body]
-        assert m.body_tokens.ends == stream.ends[body]
+        assert m.body == texts[body]
 
 
 def _is_word(token: str) -> bool:
@@ -409,11 +408,11 @@ def reference_extract(src: SourceFile) -> tuple[list[extraction.TestMethod], str
     '{' left open at the end makes the parse partial, and then a method
     body ends before the first method, or member modifier, whose innermost
     open '{' at its name, or at that modifier, is that body's."""
-    s = tokenize(src.text)
-    texts, ends = s
+    texts, ends = tokenize(src.text)
     partner = _reference_pairs(texts)
     methods: list[extraction.TestMethod] = []
     declarations = []  # per method, the indexes of its name and of its first token
+    braces = []  # per method, the index of its body's '{'
     where = "at end of input"
     for paren in [i for i, t in enumerate(texts) if t == "("]:
         i = paren - 1
@@ -430,8 +429,9 @@ def reference_extract(src: SourceFile) -> tuple[list[extraction.TestMethod], str
             break
         annotations, start = _reference_annotations(texts, ends, partner, type_start - 1, src.text)
         declarations.append((i, start))
+        braces.append(brace)
         methods.append(extraction.TestMethod(
-            name, annotations, s, (brace + 1, partner[brace]), (ends[i] - len(name), ends[i]),
+            name, annotations, texts[brace + 1 : partner[brace]], (ends[i] - len(name), ends[i]),
             (ends[brace] - 1, ends[partner[brace]])))
     if not any(t == "{" and partner[i] is None for i, t in enumerate(texts)):
         return methods, None
@@ -443,11 +443,11 @@ def reference_extract(src: SourceFile) -> tuple[list[extraction.TestMethod], str
     for name, start in sorted(declarations):
         innermost = max((j for j in range(name) if texts[j] == "{"
                          and (partner[j] is None or partner[j] > name)), default=None)
-        for k, m in enumerate(methods):
-            if m.body_range[0] - 1 == innermost:
-                body_ends.setdefault(k, max(start, m.body_range[0]))
+        for k, brace in enumerate(braces):
+            if brace == innermost:
+                body_ends.setdefault(k, max(start, brace + 1))
     for k, end in body_ends.items():
-        methods[k] = methods[k]._replace(body_range=(methods[k].body_range[0], end),
+        methods[k] = methods[k]._replace(body=texts[braces[k] + 1 : end],
                                          body_span=(methods[k].body_span[0], ends[end - 1]))
     return methods, f"{src.path}: unbalanced braces {where}; recovered {len(methods)} method(s)"
 
@@ -508,6 +508,44 @@ def test_extraction_time_is_linear_on_lambdas_and_comparisons():
     per_token = {name: _seconds_per_token(body) for name, body in _SHAPES.items()}
     for shape in ("lambda", "comparison"):
         assert per_token[shape] <= 3 * per_token["plain"], per_token
+
+
+def test_extraction_time_is_linear_on_nested_declarations():
+    """Each body of ``d`` declarations nested in one another holds the
+    rest: a body that copied its texts would copy on the order of ``d**2``
+    of them, over twenty times the plain file's cost per token at this ``d``."""
+    depth = 3000
+    nested = "".join(f"void a{i}() {{ " for i in range(depth)) + "}" * depth
+    src = SourceFile("T.java", "class T {\n" + nested + "\n}\n")
+    best = float("inf")
+    for _ in range(3):
+        start = time.process_time()
+        methods = extract_methods(src)
+        best = min(best, time.process_time() - start)
+    assert len(methods) == depth and len(methods[0].body) == 6 * (depth - 1)
+    assert best / len(tokenize(src.text)) <= 3 * _seconds_per_token(_SHAPES["plain"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from("ab{}"), max_size=8).map(tuple), st.integers(0, 8),
+       st.integers(0, 8), st.integers(-10, 10), st.sampled_from("ab{}x"),
+       st.slices(10))
+def test_body_texts_read_as_the_tuple_they_view(texts, start, stop, i, text, part):
+    stop = min(stop, len(texts))
+    start = min(start, stop)
+    view, want = extraction.BodyTexts(texts, start, stop), texts[start:stop]
+    assert len(view) == len(want) and tuple(view) == want and list(reversed(view)) == list(reversed(want))
+    assert view[part] == want[part] and type(view[part]) is tuple
+    if -len(want) <= i < len(want):
+        assert view[i] == want[i]
+    else:
+        with pytest.raises(IndexError):
+            view[i]
+    assert (text in view) == (text in want) and view.count(text) == want.count(text)
+    assert view == want and want == view and not view != want and view != list(want)
+    assert view == extraction.BodyTexts(("x", *texts), start + 1, stop + 1)
+    assert view != texts[start:stop + 1] or stop == len(texts)
+    assert hash(view) == hash(want) and repr(view) == repr(want)
 
 
 def _junit_import(text: str) -> bool:

@@ -91,9 +91,7 @@ class TestRecordTemplates:
     def test_scan_file_records(self, files):
         records, want = [], []
         for path, methods, is_test_file, partial in files:
-            found = [extraction.TestMethod(name, tuple(annotations),
-                                           extraction.TokenStream((), ()), (0, 0), name_span,
-                                           body_span)
+            found = [extraction.TestMethod(name, tuple(annotations), (), name_span, body_span)
                      for name, annotations, name_span, body_span, _ in methods]
             flags = [flag for *_, flag in methods]
             records.append(cli._scan_json(extraction.SourceFile(path, ""), found, flags, is_test_file,

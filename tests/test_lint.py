@@ -1,4 +1,4 @@
-from itertools import accumulate, product
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -181,7 +181,7 @@ class TestR4Collection:
         for vocabulary, body in product(vocabularies, bodies):
             method = extract_one(f"void testAllItems() {{ {body} }}")
             r4 = default_rules(collection_vocabulary=vocabulary)[3]
-            want = reference(vocabulary, method.body_tokens.texts)
+            want = reference(vocabulary, method.body)
             assert r4.expectation(method, ("all", "items")) is want, (vocabulary, body)
             seen.add(want)
         assert seen == {True, False}
@@ -239,7 +239,7 @@ def reference_r5(method, terms) -> bool:
     through that block, in time quadratic in the number of `catch`es."""
     if any("expected" in annotation for annotation in method.annotations):
         return True
-    texts = method.body_tokens.texts
+    texts = method.body
     for i, text in enumerate(texts):
         if text != "catch":
             continue
@@ -267,19 +267,15 @@ _R5_TOKENS = ["catch", "catch", "{", "{", "}", "}", "(", ")", ";", "x", "fail", 
 _R5_ANNOTATIONS = [(), ("@Test",), ("@Test(expected = E.class)",)]
 
 
-def _method_of(texts, body_range, annotations=()):
-    stream = extraction.TokenStream(tuple(texts), tuple(accumulate(map(len, texts))))
-    return extraction.TestMethod("throwsException", annotations, stream, body_range, (0, 1), (0, 1))
+def _method_of(texts, annotations=()):
+    return extraction.TestMethod("throwsException", annotations, tuple(texts), (0, 1), (0, 1))
 
 
 class TestR5Reference:
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.sampled_from(_R5_TOKENS), max_size=40), st.data())
     def test_matches_the_quadratic_reference(self, texts, data):
-        # the file's tokens around the body hold braces and catches too
-        lo = data.draw(st.integers(0, len(texts)))
-        hi = data.draw(st.integers(lo, len(texts)))
-        method = _method_of(texts, (lo, hi), data.draw(st.sampled_from(_R5_ANNOTATIONS)))
+        method = _method_of(texts, data.draw(st.sampled_from(_R5_ANNOTATIONS)))
         assert R5.expectation(method, _R5_TERMS) is reference_r5(method, _R5_TERMS)
 
     # catches whose '{' comes only at the end or never, and catch blocks
@@ -292,8 +288,7 @@ class TestR5Reference:
 
     @staticmethod
     def _seconds_per_char(body: str) -> float:
-        texts = extraction.tokenize(body).texts
-        method = _method_of(texts, (0, len(texts)))
+        method = _method_of(extraction.tokenize(body).texts)
         assert R5.expectation(method, _R5_TERMS) is False
         return _seconds_per_char(lambda _: R5.expectation(method, _R5_TERMS), body)
 

@@ -613,6 +613,74 @@ class TestEachNameAnalyzedOnce:
         assert c.semantics is SemanticCategory.ADD
 
 
+def _reference_match_from(i: int, used: set[int], added: list[str], removed: list[str],
+                          relations: dict) -> bool:
+    """The recursive matcher ``_preserving_swap`` used, as the reference:
+    ``removed[i:]`` each keep their meaning with a distinct added term
+    outside ``used``, tried in every order, in time exponential in the
+    number of terms."""
+    if i == len(removed):
+        return True
+    for j, a in enumerate(added):
+        if j not in used and relations[a, removed[i]] in rename._PRESERVING_RELATIONS:
+            if _reference_match_from(i + 1, used | {j}, added, removed, relations):
+                return True
+    return False
+
+
+def reference_preserving_swap(added: list[str], removed: list[str], relations: dict) -> bool:
+    if len(added) != len(removed) or len(removed) > 8:
+        return False
+    return _reference_match_from(0, set(), added, removed, relations)
+
+
+@st.composite
+def swap_cases(draw):
+    """Added and removed term lists over a small pool, so terms repeat,
+    mostly of one length, and a relation for each distinct term pair."""
+    n = draw(st.integers(0, 9))
+    removed = draw(st.lists(st.sampled_from("abcde"), min_size=n, max_size=n))
+    m = draw(st.one_of(st.just(n), st.integers(0, 9)))
+    added = draw(st.lists(st.sampled_from("vwxyz"), min_size=m, max_size=m))
+    relations = {(a, r): draw(st.sampled_from(TermRelation)) for a in added for r in removed}
+    return added, removed, relations
+
+
+class CountingRelations(dict):
+    """A relation table that counts the lookups of its entries."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+class TestPreservingSwap:
+    @given(swap_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_recursive_reference(self, case):
+        added, removed, relations = case
+        assert rename._preserving_swap(added, removed, relations) is \
+            reference_preserving_swap(added, removed, relations)
+
+    def test_each_term_pair_is_looked_up_at_most_once(self):
+        # every pair keeps its meaning but the last removed term matches
+        # nothing: the recursive matcher tried every order of the others
+        added, removed = list("stuvwxyz"), list("abcdefgh")
+        relations = CountingRelations(
+            {(a, r): TermRelation.UNRELATED if r == "h" else TermRelation.SYNONYM
+             for a in added for r in removed})
+        assert rename._preserving_swap(added, removed, relations) is False
+        assert relations.lookups <= len(added) * len(removed)
+
+    def test_more_than_eight_terms_never_swap(self):
+        added, removed = list("rstuvwxyz"), list("abcdefghi")
+        relations = {(a, r): TermRelation.SYNONYM for a in added for r in removed}
+        assert rename._preserving_swap(added[:8], removed[:8], relations) is True
+        assert rename._preserving_swap(added, removed, relations) is False
+
+
 def _lexicon_words() -> list[str]:
     lexicon = _data.lexicon_dict()
     relations = _data.relations_dict()

@@ -20,8 +20,8 @@ from testlens.renamedetect import (
 )
 
 
-def stream(text: str):
-    return tokenize(text)
+def texts(text: str) -> tuple[str, ...]:
+    return tokenize(text).texts
 
 
 def brute_force_dice(a: str, b: str) -> float:
@@ -43,19 +43,19 @@ def brute_force_dice(a: str, b: str) -> float:
 
 class TestBodySimilarity:
     def test_identical(self):
-        s = stream("a(); b(); c();")
+        s = texts("a(); b(); c();")
         assert body_similarity(s, s) == 1.0
 
     def test_disjoint(self):
-        assert body_similarity(stream("a b c"), stream("x y z")) == 0.0
+        assert body_similarity(texts("a b c"), texts("x y z")) == 0.0
 
     def test_empty_vs_empty(self):
-        assert body_similarity(stream(""), stream("")) == 1.0
+        assert body_similarity(texts(""), texts("")) == 1.0
 
     def test_half_overlap_fixture(self):
         # bigram multisets sized 4 and 4 sharing 2
-        a = stream("p q r s t")
-        b = stream("p q r x y")
+        a = texts("p q r s t")
+        b = texts("p q r x y")
         got = body_similarity(a, b)
         assert got == 0.5
         assert got == brute_force_dice("p q r s t", "p q r x y")
@@ -67,7 +67,7 @@ class TestBodySimilarity:
         ("", "x y"),
     ])
     def test_matches_brute_force(self, a, b):
-        assert body_similarity(stream(a), stream(b)) == pytest.approx(
+        assert body_similarity(texts(a), texts(b)) == pytest.approx(
             brute_force_dice(a, b))
 
 
@@ -170,7 +170,7 @@ class TestGreedyVersusExhaustive:
         after_methods = {m.name: m for m in extract_methods(after)}
         scores = {
             (r, a): body_similarity(
-                before_methods[r].body_tokens, after_methods[a].body_tokens
+                before_methods[r].body, after_methods[a].body
             )
             for r in ("testAlpha", "testBeta")
             for a in ("testGamma", "testDelta")
@@ -199,8 +199,8 @@ class TestGreedyVersusExhaustive:
         after_methods = {m.name: m for m in extract_methods(after)}
         for e in events:
             score = body_similarity(
-                before_methods[e.old_name].body_tokens,
-                after_methods[e.new_name].body_tokens,
+                before_methods[e.old_name].body,
+                after_methods[e.new_name].body,
             )
             assert score >= 0.9
         assert [(e.old_name, e.new_name) for e in events] == [("testAlpha", "testGamma")]
@@ -218,7 +218,7 @@ def reference_detect(pair: FileVersionPair, threshold: float):
     removed = [m for m in before if m.name not in after_names]
     added = [m for m in after if m.name not in before_names]
     candidates = [
-        (body_similarity(r.body_tokens, a.body_tokens), i, j)
+        (body_similarity(r.body, a.body), i, j)
         for i, r in enumerate(removed)
         for j, a in enumerate(added)
     ]
@@ -260,8 +260,8 @@ class TestOverloadsAndExactness:
         before = listed_file("T.java", [("testOld", "a b c d e f")])
         after = listed_file("T.java", [("testNew", "a b c d x y")])
         pair = FileVersionPair(before, after)
-        assert body_similarity(extract_methods(before)[0].body_tokens,
-                               extract_methods(after)[0].body_tokens) == 0.6
+        assert body_similarity(extract_methods(before)[0].body,
+                               extract_methods(after)[0].body) == 0.6
         assert events_of(pair, 0.6) == reference_detect(pair, 0.6) == [("testOld", "testNew", "T.java")]
         assert events_of(pair, 0.61) == []
 
@@ -297,12 +297,12 @@ def test_detect_matches_all_pairs_reference(before, after, threshold):
 @given(st.lists(_bodies, max_size=8), st.lists(_bodies, max_size=8), _thresholds)
 def test_similar_pairs_are_exactly_the_pairs_at_or_above_threshold(left, right, threshold):
     def bags(bodies):
-        return [_bigrams(tokenize(body)) for body in bodies]
+        return [_bigrams(texts(body)) for body in bodies]
 
     expected = sorted(
         (score, i, j)
         for i, a in enumerate(left)
         for j, b in enumerate(right)
-        if (score := body_similarity(tokenize(a), tokenize(b))) >= threshold
+        if (score := body_similarity(texts(a), texts(b))) >= threshold
     )
     assert sorted(_similar_pairs(bags(left), bags(right), threshold)) == expected

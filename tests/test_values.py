@@ -82,9 +82,9 @@ VALUES = {
                     dict(texts=_OTHER_STREAM.texts)),
     "SourceFile": (SourceFile, dict(path="T.java", text="class T {}"), dict(text="")),
     "TestMethod": (extraction.TestMethod,
-                   dict(name="a", annotations=(), file_tokens=_STREAM, body_range=(8, 11),
+                   dict(name="a", annotations=(), body=_STREAM.texts[8:12],
                         name_span=(15, 16), body_span=(19, 27)),
-                   dict(file_tokens=_OTHER_STREAM)),
+                   dict(body=_OTHER_STREAM.texts[8:12])),
     "Rule": (Rule, dict(id="R9", trigger=_always, expectation=_always, message="m"),
              dict(expectation=_never)),
     "Diagnostic": (Diagnostic,
@@ -204,12 +204,11 @@ class TestCorpusStats:
             hash(stats)
 
 
-def test_test_method_repr_leaves_out_file_tokens():
+def test_test_method_has_five_fields_and_the_default_repr():
     [method] = extract_methods(SourceFile("T.java", "class T { void a() { x(); } }"))
-    text = repr(method)
-    assert text == ("TestMethod(name='a', annotations=(), body_range=(8, 12), "
-                    "name_span=(15, 16), body_span=(19, 27))")
-    assert "file_tokens" not in text and "'x'" not in text
+    assert extraction.TestMethod._fields == ("name", "annotations", "body", "name_span", "body_span")
+    assert repr(method) == ("TestMethod(name='a', annotations=(), body=('x', '(', ')', ';'), "
+                            "name_span=(15, 16), body_span=(19, 27))")
 
 
 def test_every_public_name_imports():
