@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 from functools import lru_cache
 from importlib import resources
 
@@ -29,18 +31,29 @@ def relations_dict() -> dict:
 
 
 def read_file(path: str) -> str:
-    """The text of ``path``; one that cannot be opened or decoded is an OSError naming it."""
+    """The text of ``path`` as it is, each CR kept so that spans are file offsets; one
+    that is not a regular file or cannot be opened or decoded is an OSError naming it."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="", opener=_open_regular) as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as err:
         raise OSError(f"cannot read {path}: {err}") from err
 
 
+def _open_regular(path: str, flags: int) -> int:
+    """A descriptor of ``path`` if it is a regular file, opened without blocking on a FIFO."""
+    fd = os.open(path, flags | getattr(os, "O_NONBLOCK", 0))
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        raise OSError("not a regular file")
+    return fd
+
+
 def read_input(path: str) -> str:
-    """``read_file`` less one leading byte order mark: any input but a Java
-    source, whose spans count the mark."""
-    return read_file(path).removeprefix("\ufeff")
+    """``read_file`` less one leading byte order mark, with each CR LF or CR
+    read as LF: any input but a Java source, whose spans count both."""
+    text = read_file(path).removeprefix("\ufeff")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def load_json(path: str, text: str | None = None):

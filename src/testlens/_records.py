@@ -1,5 +1,6 @@
-"""The rename file formats: the events ``rename classify`` reads, and the
-classified records it writes and ``report`` counts, writer beside reader.
+"""The rename file formats, writer beside reader: the events ``rename
+detect`` writes and ``rename classify`` reads, and the classified records
+``rename classify`` writes and ``report`` counts.
 
 A JSON input is one array of objects, and each record is checked as it
 is reached: the first malformed one is an error that names its index.
@@ -72,6 +73,16 @@ def _none_if_empty(value):
     """None for an absent, null or empty field; any other value is kept for
     ``RenameEvent`` to check."""
     return None if value == "" else value
+
+
+# the layout of an event, an item of the array ``write_events`` writes
+_EVENT = template({"commit": SLOT, "file": SLOT, "new_name": SLOT, "old_name": SLOT}, " " * 2)
+
+
+def write_events(events: Iterable[rename_mod.RenameEvent], out) -> None:
+    """Write ``events`` to ``out`` as the JSON array ``read_events`` reads."""
+    write_array((_EVENT % (STR(e.commit or ""), STR(e.file or ""), STR(e.new_name),
+                           STR(e.old_name)) for e in events), out.write)
 
 
 def write_classified(results: Iterable[rename_mod.RenameClassification], fmt: str, out):

@@ -202,11 +202,9 @@ def _cmd_scan(args, config: Config, out, err) -> int:
     out.write(_FILES_HEAD)
     _write_files(starmap(_scan_json, _scan_files(paths, parse_errors)), out.write)
     out.write(_FILES_TAIL + "\n")
-    if parse_errors:
-        for message in parse_errors:
-            err.write(message + "\n")
-        return EXIT_ERROR
-    return EXIT_OK
+    for message in parse_errors:
+        err.write(message + "\n")
+    return EXIT_ERROR if parse_errors else EXIT_OK
 
 
 # an item of the array ``lint --format json`` writes
@@ -248,12 +246,9 @@ def _cmd_lint(args, config: Config, out, err) -> int:
         for method, flag in zip(methods, flags):
             if not flag or not cued(method.name):
                 continue
-            seq = split(method.name)
-            if not seq.terms:
-                continue
-            tagged = tag(seq, lexicon)
+            # every rule's cue holds a letter, so a cued name splits into terms
+            tagged = tag(split(method.name), lexicon)
             diagnostics.extend(lint_mod.lint(method, tagged, rules, file=src.path))
-    diagnostics.sort(key=lambda d: (d.file, d.name_span, d.rule_id))
 
     if fmt == "json":
         write_array(map(_diagnostic_json, diagnostics), out.write)
@@ -265,17 +260,7 @@ def _cmd_lint(args, config: Config, out, err) -> int:
             )
     for message in parse_errors:
         err.write(message + "\n")
-    if parse_errors:
-        return EXIT_ERROR
-    return EXIT_FINDINGS if diagnostics else EXIT_OK
-
-
-# an item of the array ``rename detect`` writes
-_DETECTED = template({"commit": SLOT, "file": SLOT, "new_name": SLOT, "old_name": SLOT}, " " * 2)
-
-
-def _detected_json(e: rename_mod.RenameEvent) -> str:
-    return _DETECTED % (STR(e.commit or ""), STR(e.file or ""), STR(e.new_name), STR(e.old_name))
+    return EXIT_ERROR if parse_errors else EXIT_FINDINGS if diagnostics else EXIT_OK
 
 
 def _cmd_rename_detect(args, config: Config, out, err) -> int:
@@ -286,7 +271,7 @@ def _cmd_rename_detect(args, config: Config, out, err) -> int:
     )
     parse_errors: list[str] = []
     events = renamedetect.detect_renames(pair, threshold, parse_errors)
-    write_array(map(_detected_json, events), out.write)
+    _records.write_events(events, out)
     for message in parse_errors:
         err.write(message + "\n")
     return EXIT_ERROR if parse_errors else EXIT_OK

@@ -108,7 +108,7 @@ class PartialParseError(Exception):
 # start with disjoint characters, so their order changes no match.
 _TOKEN_PATTERN = r"""
     \s*(?: WORD
-    | //[^\n]* | /\*(?:.*?\*/|.*)
+    | //[^\r\n]* | /\*(?:.*?\*/|.*)
     | \"\"\"(?:[^"\\]|\\.|"(?!\"\"))*(?:\"\"\"|\\?\Z)
     | "[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z) | '[^'\\]*(?:\\.[^'\\]*)*(?:'|\\?\Z)
     | \d[\w.]*
@@ -444,10 +444,10 @@ _IMPORT_RE = re.compile(r"\n[^\S\n]*import\s+(?:static\s+)?([\w.]+(?:\.\*)?)\s*;
 
 
 def _import_names(text: str) -> list[str]:
-    """The names of the imports that start a line after optional
-    whitespace, in text order; a newline put before the text makes its
-    first line start as the others do."""
-    return _IMPORT_RE.findall("\n" + text)
+    """The names of the imports that start a line (ended by CR, LF or CR LF)
+    after optional whitespace, in text order; a newline put before the text
+    makes its first line start as the others do."""
+    return _IMPORT_RE.findall("\n" + text.replace("\r", "\n"))
 
 
 def has_junit_import(src: SourceFile) -> bool:

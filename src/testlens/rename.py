@@ -1,11 +1,12 @@
 """Classify method renames: structural form, semantic category, term pairs.
 
-A rename first splits into added/removed term multisets. Its form is
-formatting, reordering, simple, or complex; its semantic category is
-preserve, change, narrow, broaden, add, or remove. Every (added, removed)
-term pair additionally carries a lexical relation (synonym, antonym,
+``classify`` splits a rename into added/removed term multisets once. Its
+form is formatting, reordering, simple, or complex; its semantic category
+is preserve, change, narrow, broaden, add, or remove. Every (added,
+removed) term pair carries a lexical relation (synonym, antonym,
 specialization, generalization, same stem, tense or plurality change,
-spelling fix, or unrelated).
+spelling fix, or unrelated). ``classify_form``, ``classify_semantics``
+and ``term_pairs`` each project one field of its record.
 """
 
 from __future__ import annotations
@@ -466,12 +467,6 @@ def _form(d: _RenameDiff) -> FormCategory:
     return _COMPLEX
 
 
-def _pairs(d: _RenameDiff) -> list[tuple[str, str]]:
-    added = _in_name_order(d.new_collapsed, d.added)
-    removed = _in_name_order(d.old_collapsed, d.removed)
-    return [(a, r) for a in added for r in removed]
-
-
 def _in_name_order(name_terms: list[str], counts: dict[str, int]) -> list[str]:
     remaining = dict(counts)
     ordered: list[str] = []
@@ -490,11 +485,6 @@ def _pair_relation(added: str, removed: str) -> TermRelation:
     if any(map(str.isdigit, added)) or any(map(str.isdigit, removed)):
         return _UNRELATED
     return relate(removed, added)
-
-
-def _relations(d: _RenameDiff) -> dict:
-    """``(added, removed) -> TermRelation`` for every distinct term pair of the event."""
-    return {(a, r): _pair_relation(a, r) for a in d.added for r in d.removed}
 
 
 def _preserving_swap(added: list[str], removed: list[str], relations: dict) -> bool:
@@ -571,7 +561,7 @@ def _tags(terms: TermSequence, lexicon: Lexicon | None) -> tuple[PosTag, ...]:
 
 def classify_form(event: RenameEvent) -> FormCategory:
     """Structural class of a rename: formatting, reordering, simple, complex."""
-    return _form(_diff(event))
+    return classify(event).form
 
 
 def term_pairs(event: RenameEvent) -> list[tuple[str, str]]:
@@ -580,14 +570,12 @@ def term_pairs(event: RenameEvent) -> list[tuple[str, str]]:
     Pairs are ordered by the added term's position in the new name, then
     the removed term's position in the old name.
     """
-    return _pairs(_diff(event))
+    return [(a, r) for a, r, _ in classify(event).pairs]
 
 
 def classify_semantics(event: RenameEvent, lexicon: Lexicon | None = None) -> SemanticCategory:
     """Meaning-level class of a rename."""
-    d = _diff(event)
-    return _semantics(d, _form(d), _relations(d),
-                      _tags(d.old, lexicon), _tags(d.new, lexicon))
+    return classify(event, lexicon).semantics
 
 
 def classify(event: RenameEvent, lexicon: Lexicon | None = None) -> RenameClassification:
@@ -599,8 +587,10 @@ def classify(event: RenameEvent, lexicon: Lexicon | None = None) -> RenameClassi
     """
     d = _diff(event)
     form = _form(d)
-    relations = _relations(d)
-    pairs = tuple((a, r, relations[a, r]) for a, r in _pairs(d))
+    relations = {(a, r): _pair_relation(a, r) for a in d.added for r in d.removed}
+    added = _in_name_order(d.new_collapsed, d.added)
+    removed = _in_name_order(d.old_collapsed, d.removed)
+    pairs = tuple((a, r, relations[a, r]) for a in added for r in removed)
     old_tags = _tags(d.old, lexicon)
     # tags depend only on the normalized terms, so a reformatted name shares them
     new_tags = old_tags if d.new_terms == d.old_terms else _tags(d.new, lexicon)

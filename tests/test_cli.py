@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import testlens
+from test_extraction_properties import planted_test_classes
 from testlens import _data, _records, cli, tagger
 from testlens.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, run
 from testlens.config import Config, ConfigError, parse_config_text
@@ -39,6 +40,8 @@ public class FailTest {
 }
 """
 
+# test-name words that hold a cue of each bundled lint rule, and two that hold none
+CUE_WORDS = ["Fails", "True", "False", "Not", "All", "AtLeast", "Exception", "Parse", "Empty"]
 
 DATA = Path(__file__).parent / "data"
 
@@ -302,6 +305,68 @@ class TestScanCommand:
         assert (code, err) == (EXIT_ERROR, message)
         assert [d["rule"] for d in json.loads(out)] == ["R1"]
 
+    @pytest.mark.parametrize("kind", ["fifo", "link to the null device"])
+    def test_non_regular_file_reported_and_skipped(self, tmp_path, kind):
+        # a FIFO with no writer would block a plain open; the null device reads empty
+        (tmp_path / "FailTest.java").write_text(R1_VIOLATION)
+        odd = tmp_path / "Odd.java"
+        if kind == "fifo":
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("no FIFOs on this platform")
+            os.mkfifo(odd)
+        else:
+            odd.symlink_to(os.devnull)
+        message = f"cannot read {odd}: not a regular file\n"
+        code, out, err = invoke(["scan", str(tmp_path)])
+        assert (code, err) == (EXIT_ERROR, message)
+        assert [f["path"] for f in json.loads(out)["files"]] == [str(tmp_path / "FailTest.java")]
+        code, out, err = invoke(["lint", str(tmp_path), "--format", "json"])
+        assert (code, err) == (EXIT_ERROR, message)
+        assert [d["rule"] for d in json.loads(out)] == ["R1"]
+
+    def test_directory_as_input_is_not_a_regular_file(self, tmp_path):
+        assert invoke(["rename", "classify", "--input", str(tmp_path)]) == (
+            EXIT_ERROR, "", f"error: cannot read {tmp_path}: not a regular file\n")
+
+    @settings(max_examples=60, deadline=None)
+    @given(planted_test_classes(CUE_WORDS))
+    def test_crlf_and_cr_files_read_as_the_lf_file_at_their_own_offsets(self, generated):
+        """A CR LF or CR line end is a line end, and every span is an offset
+        into the file as it is, each CR counted."""
+        text = "package gen;\n" + generated[0]  # the import is not on the first line
+        found = []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "GeneratedTest.java"
+            for newline in ("\n", "\r\n", "\r"):
+                raw = text.replace("\n", newline)
+                path.write_bytes(raw.encode())
+                [record] = json.loads(invoke(["scan", str(path)])[1])["files"]
+                diagnostics = json.loads(invoke(["lint", str(path), "--format", "json"])[1])
+                for item in record["methods"] + diagnostics:
+                    name = item.get("name") or item["method"]
+                    assert raw[slice(*item.pop("name_span"))] == name
+                for m in record["methods"]:
+                    m["body"] = raw[slice(*m.pop("body_span"))].replace(newline, "\n")
+                found.append((record, diagnostics))
+        assert found[1] == found[0] and found[2] == found[0]
+
+
+_TREE_PATHS = ["A.java", "B.java", "a/A.java", "a/b/C.java", "a-b/A.java", "a.b/Z.java"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.sampled_from(_TREE_PATHS), planted_test_classes(CUE_WORDS),
+                       min_size=1, max_size=4))
+def test_lint_diagnostics_come_in_file_then_name_then_rule_order(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        for relative, (text, _) in files.items():
+            (Path(tmp) / relative).parent.mkdir(exist_ok=True, parents=True)
+            (Path(tmp) / relative).write_text(text)
+        code, out, err = invoke(["lint", tmp, "--format", "json"])
+    assert err == ""
+    keys = [(d["file"], d["name_span"], d["rule"]) for d in json.loads(out)]
+    assert all(a < b for a, b in zip(keys, keys[1:])), keys
+
 
 class TestLintCommand:
     def test_clean_exit_zero(self, tmp_path):
@@ -485,6 +550,17 @@ class T {
         assert (doc[0]["old_pattern"], doc[0]["new_pattern"]) == ("V NM N", "V NM N")
         assert doc[0]["pairs"] == [{"added": "new", "removed": "old",
                                     "relation": "unrelated"}]
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_csv_events_with_crlf_or_cr_lines_read_as_lf(self, tmp_path, newline):
+        # unlike a Java source, an input file reads each CR LF or CR as LF
+        text = "\ufeffold_name,new_name,file,commit\ntestParse,testParses,A.java,\n"
+        lf, other = tmp_path / "lf.csv", tmp_path / "other.csv"
+        lf.write_bytes(text.encode())
+        other.write_bytes(text.replace("\n", newline).encode())
+        expected = invoke(["rename", "classify", "--input", str(lf)])
+        assert expected[0] == EXIT_OK and '"new_name": "testParses"' in expected[1]
+        assert invoke(["rename", "classify", "--input", str(other)]) == expected
 
     def test_detect_non_ascii_rename(self, tmp_path):
         before = tmp_path / "Before.java"

@@ -589,13 +589,15 @@ def test_time_is_linear_on_whitespace_runs_and_import_lines(shape):
     assert _seconds_per_char(fn, text) <= 50 * _seconds_per_char(fn, plain)
 
 
-# the `^\s*` import regex `has_junit_import` used before, as the reference:
-# the names of the imports whose line holds only whitespace before them
-_REFERENCE_IMPORT_RE = re.compile(r"^\s*import\s+(?:static\s+)?([\w.]+(?:\.\*)?)\s*;", re.MULTILINE)
+# the `^\s*` import regex `has_junit_import` used before, with a line start
+# after CR, LF or CR LF (JLS 3.4), as the reference: the names of the
+# imports whose line holds only whitespace before them
+_REFERENCE_IMPORT_RE = re.compile(
+    r"(?:\A|(?<=[\r\n]))\s*import\s+(?:static\s+)?([\w.]+(?:\.\*)?)\s*;")
 _IMPORT_FRAGMENTS = ["import", "static", "org.junit", "junit.", "org.junitx", ";", ".*", "/*", "*/",
                      '"""', "x", ".", "import org.junit.Test;", "import static junit.framework.Assert.*;"]
-# the gap before each fragment: '\r', '\u2028' and '\x1c' are whitespace
-# that does not end a line for the reference's `^`
+# the gap before each fragment: '\u2028' and '\x1c' are whitespace that
+# does not end a line
 _IMPORT_GAPS = ["", " ", "\n", "\r", "\t", "\f", "\r\n", " \n\t", "\u2028", "\x1c"]
 
 
@@ -646,8 +648,9 @@ _HELPER_NAMES = ["helper", "setUp", "check", "build", "apply", "parseAll"]
 
 
 @st.composite
-def _method(draw, planted: list[str]) -> str:
-    """A test method, recording its name in ``planted``, or a helper."""
+def _method(draw, planted: list[str], words: list[str]) -> str:
+    """A test method named from ``words``, recording its name in
+    ``planted``, or a helper."""
     body = "\n        ".join(draw(st.lists(st.sampled_from(_STATEMENTS), max_size=4)))
     others = draw(st.lists(st.sampled_from(_OTHER_ANNOTATIONS), max_size=2, unique=True))
     signature = f"{draw(st.sampled_from(_MODIFIERS))}void"
@@ -655,9 +658,9 @@ def _method(draw, planted: list[str]) -> str:
     if kind == "helper":
         name = draw(st.sampled_from(_HELPER_NAMES))
     else:
-        words = "".join(draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3)))
+        tail = "".join(draw(st.lists(st.sampled_from(words), min_size=1, max_size=3)))
         prefix = "test" if kind == "junit3" else draw(st.sampled_from(["should", "it", "test"]))
-        name = prefix + words
+        name = prefix + tail
         planted.append(name)
         if kind == "annotated":
             others.insert(draw(st.integers(0, len(others))), draw(st.sampled_from(_TEST_ANNOTATIONS)))
@@ -666,28 +669,29 @@ def _method(draw, planted: list[str]) -> str:
 
 
 @st.composite
-def _members(draw, planted: list[str], depth: int) -> str:
+def _members(draw, planted: list[str], depth: int, words: list[str]) -> str:
     members = []
     for _ in range(draw(st.integers(0, 4))):
         kind = draw(st.sampled_from(["method", "method", "field", "nested"] if depth else
                                     ["method", "method", "field"]))
         if kind == "method":
-            members.append(draw(_method(planted)))
+            members.append(draw(_method(planted, words)))
         elif kind == "field":
             members.append(draw(st.sampled_from(_FIELDS)))
         else:
             header = draw(st.sampled_from(["static class Inner", "@Nested class Inner",
                                            "private interface Helper"]))
-            inner = draw(_members(planted, depth - 1)) if "interface" not in header else ""
+            inner = draw(_members(planted, depth - 1, words)) if "interface" not in header else ""
             members.append(f"{header} {{\n{inner}\n}}")
     return "\n\n    ".join(members)
 
 
 @st.composite
-def planted_test_classes(draw) -> tuple[str, list[str]]:
+def planted_test_classes(draw, words: list[str] = _WORDS) -> tuple[str, list[str]]:
+    """A test class and its test methods' names, in text order."""
     planted: list[str] = []
     annotation = draw(st.sampled_from(["", "@RunWith(JUnit4.class)\n", '@DisplayName("x { y")\n']))
-    members = draw(_members(planted, depth=1))
+    members = draw(_members(planted, 1, words))
     text = (f"import org.junit.Test;\n\n{annotation}public class GeneratedTest {{\n"
             f"    {members}\n}}\n")
     return text, planted

@@ -118,7 +118,9 @@ class TestRecordTemplates:
     def test_detected_events(self, detected):
         want = [{"commit": e.commit or "", "file": e.file or "", "new_name": e.new_name,
                  "old_name": e.old_name} for e in detected]
-        assert written(map(cli._detected_json, detected)) == json.dumps(want, indent=2) + "\n"
+        out = io.StringIO()
+        _records.write_events(iter(detected), out)
+        assert out.getvalue() == json.dumps(want, indent=2) + "\n"
 
     @given(st.lists(st.builds(
         RenameClassification, events, st.sampled_from(FormCategory),

@@ -5,6 +5,7 @@ pass; the reader it replaced, which built a ``CountedRename`` per record
 and added it through ``accumulate``, is kept here as the reference for
 every malformed record."""
 
+import copy
 import io
 import json
 import tempfile
@@ -203,7 +204,7 @@ def _change(draw, record: dict):
                 del pairs[j][key]
                 return record
             if change == "swap":
-                pairs[j][key] = draw(st.sampled_from(FIELD_VALUES[key]) | json_values)
+                pairs[j][key] = draw(_table_value(FIELD_VALUES[key]) | json_values)
                 return record
         pairs[j] = draw(json_values.filter(lambda v: not isinstance(v, dict)))
     elif record:
@@ -211,8 +212,14 @@ def _change(draw, record: dict):
         if action == "drop":
             del record[key]
         else:
-            record[key] = draw(st.sampled_from(FIELD_VALUES.get(key, [None])) | json_values)
+            record[key] = draw(_table_value(FIELD_VALUES.get(key, [None])) | json_values)
     return record
+
+
+def _table_value(values: list):
+    """A copy of one of ``values``: a later change to the record it goes
+    into must not reach the table, or the draws stop being replayable."""
+    return st.sampled_from(values).map(copy.deepcopy)
 
 
 @st.composite
@@ -226,6 +233,23 @@ def malformed_records(draw) -> list:
         if isinstance(records[i], dict):
             records[i] = _change(draw, records[i])
     return records
+
+
+def _containers(value):
+    """Every list and dict in ``value``, itself included, at any depth."""
+    if isinstance(value, (list, dict)):
+        yield value
+        for child in value.values() if isinstance(value, dict) else value:
+            yield from _containers(child)
+
+
+@given(st.lists(malformed_records(), min_size=10, max_size=10))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_malformed_records_share_no_list_or_dict_with_the_tables(drawn):
+    """A record that held a table's own list or dict would change the table
+    when a later change to the record changes that value."""
+    tables = {id(container) for container in _containers(FIELD_VALUES)}
+    assert [c for c in _containers(drawn) if id(c) in tables] == []
 
 
 @given(malformed_records(), st.sampled_from(TABLE_KINDS), st.sampled_from(FORMATS))
