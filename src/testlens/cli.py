@@ -109,12 +109,12 @@ def _load_catalog(config: Config):
 
 
 def _iter_java_files(target: str, errors: list[str]) -> list[str]:
-    """The Java files under ``target``; each directory that cannot be listed
-    is a message in ``errors``."""
-    if os.path.isfile(target):
-        return [target]
+    """The Java files under ``target``, or ``target`` itself if it is not a
+    directory; each directory that cannot be listed is a message in ``errors``."""
     if not os.path.isdir(target):
-        raise CliError(f"no such file or directory: {target}")
+        if not os.path.exists(target):
+            raise CliError(f"no such file or directory: {target}")
+        return [target]
     found = []
     for root, _, files in os.walk(
             target, onerror=lambda err: errors.append(f"cannot read {err.filename}: {err}")):

@@ -465,7 +465,7 @@ def _annotation_name(annotation: str) -> str:
 def is_test_method(m: TestMethod) -> bool:
     """A ``@Test`` annotation (JUnit 4 or 5) or a JUnit 3 style test* name;
     JUnit 5's ``@ParameterizedTest`` and the like do not count."""
-    if any(_annotation_name(a) == "Test" for a in m.annotations):
+    if "@Test" in m.annotations or any(_annotation_name(a) == "Test" for a in m.annotations):
         return True
     return m.name.lower().startswith("test")
 

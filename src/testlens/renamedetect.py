@@ -7,13 +7,17 @@ the body's token texts (``TestMethod.body``). Matching is greedy,
 highest similarity first, one-to-one by method, so overloads that share
 a name are matched separately.
 
-Each body's bigram multiset is built once. Pairs that cannot reach the
-threshold are never scored: an exact similarity-join prefix filter
-(Chaudhuri et al., ICDE 2006; Xiao et al., WWW 2008) over bigram
-occurrences ordered rarest first, then the Dice length bound, leave only
-candidates that share a rare bigram and have compatible sizes; each
-candidate's overlap is one set intersection. The result is the same as
-scoring and sorting every removed x added pair.
+Each body's bigram multiset is built once. A pair scores exactly 1.0 if
+and only if its two multisets are equal, and such pairs come first in the
+greedy order, so equal multisets are matched first by hashing, as
+RefactoringMiner (Tsantalis et al., ICSE 2018) matches identical
+statements before similar ones. Only the methods left over are joined.
+There, pairs that cannot reach the threshold are never scored: an exact
+similarity-join prefix filter (Chaudhuri et al., ICDE 2006; Xiao et al.,
+WWW 2008) over bigram occurrences ordered rarest first, then the Dice
+length bound, leave only candidates that share a rare bigram and have
+compatible sizes; each candidate's overlap is one set intersection. The
+result is the same as scoring and sorting every removed x added pair.
 """
 
 from __future__ import annotations
@@ -124,28 +128,37 @@ def detect_renames(pair: FileVersionPair, threshold: float = DEFAULT_THRESHOLD,
     after_names = {m.name for m in after}
     removed = [m for m in before if m.name not in after_names]
     added = [m for m in after if m.name not in before_names]
+    removed_bags = [_bigrams(m.body) for m in removed]
+    added_bags = [_bigrams(m.body) for m in added]
 
-    scored = _similar_pairs(
-        [_bigrams(m.body) for m in removed],
-        [_bigrams(m.body) for m in added],
-        threshold,
-    )
+    # Equal bags form disjoint groups of 1.0 pairs. The greedy takes a
+    # group's removed and added methods each in (name, index) order, and
+    # the indices were appended in order, so a stable sort by name will do.
+    by_bag: dict[frozenset, tuple[list[int], list[int]]] = {}
+    for side, bags in enumerate((removed_bags, added_bags)):
+        for k, bag in enumerate(bags):
+            by_bag.setdefault(frozenset(bag.items()), ([], []))[side].append(k)
+    matches: list[tuple[int, int]] = []
+    for olds, news in by_bag.values():
+        matches += zip(sorted(olds, key=lambda i: removed[i].name), sorted(news, key=lambda j: added[j].name))
+    matches.sort(key=lambda c: (removed[c[0]].name, added[c[1]].name, c[0], c[1]))
+
+    used_removed = {i for i, _ in matches}
+    used_added = {j for _, j in matches}
+    left = [i for i in range(len(removed)) if i not in used_removed]
+    right = [j for j in range(len(added)) if j not in used_added]
+    scored: list[tuple[float, int, int]] = []
+    if left and right:
+        joined = _similar_pairs([removed_bags[i] for i in left], [added_bags[j] for j in right], threshold)
+        scored = [(score, left[i], right[j]) for score, i, j in joined]
     scored.sort(key=lambda c: (-c[0], removed[c[1]].name, added[c[2]].name, c[1], c[2]))
-
-    events: list[RenameEvent] = []
-    used_removed: set[int] = set()
-    used_added: set[int] = set()
     for _score, i, j in scored:
         if i in used_removed or j in used_added:
             continue
         used_removed.add(i)
         used_added.add(j)
-        events.append(
-            RenameEvent(
-                old_name=removed[i].name,
-                new_name=added[j].name,
-                file=pair.after.path,
-                commit=None,
-            )
-        )
-    return events
+        matches.append((i, j))
+    return [
+        RenameEvent(old_name=removed[i].name, new_name=added[j].name, file=pair.after.path, commit=None)
+        for i, j in matches
+    ]

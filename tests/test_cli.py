@@ -324,6 +324,21 @@ class TestScanCommand:
         assert (code, err) == (EXIT_ERROR, message)
         assert [d["rule"] for d in json.loads(out)] == ["R1"]
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    @pytest.mark.parametrize("command", [["scan"], ["lint", "--format", "json"]])
+    def test_fifo_target_is_not_a_regular_file(self, tmp_path, command):
+        fifo = tmp_path / "P.java"
+        os.mkfifo(fifo)
+        code, out, err = invoke([*command, str(fifo)])
+        assert (code, err) == (EXIT_ERROR, f"cannot read {fifo}: not a regular file\n")
+        assert json.loads(out) in ({"files": []}, [])
+
+    def test_missing_target_is_an_error(self, tmp_path):
+        missing = tmp_path / "Missing.java"
+        for command in (["scan"], ["lint"]):
+            assert invoke([*command, str(missing)]) == (
+                EXIT_ERROR, "", f"error: no such file or directory: {missing}\n")
+
     def test_directory_as_input_is_not_a_regular_file(self, tmp_path):
         assert invoke(["rename", "classify", "--input", str(tmp_path)]) == (
             EXIT_ERROR, "", f"error: cannot read {tmp_path}: not a regular file\n")

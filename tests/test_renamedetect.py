@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from testlens.extraction import (
     recover_methods,
     tokenize,
 )
+from testlens.rename import RenameEvent
 from testlens.renamedetect import (
     DEFAULT_THRESHOLD,
     FileVersionPair,
@@ -275,11 +277,51 @@ class TestOverloadsAndExactness:
             ("testKept", "testOther", "T.java"),
         ]
 
+    def test_equal_bags_in_another_token_order_tie_by_name(self):
+        # "a b a" and "b a b" both hold the bigrams (a, b) and (b, a) once
+        before = listed_file("T.java", [("testB", "a b a"), ("testA", "b a b")])
+        after = listed_file("T.java", [("testW", "a b a"), ("testX", "b a b")])
+        pair = FileVersionPair(before, after)
+        assert events_of(pair, DEFAULT_THRESHOLD) == reference_detect(pair, DEFAULT_THRESHOLD) == [
+            ("testA", "testW", "T.java"),
+            ("testB", "testX", "T.java"),
+        ]
+
+    def test_method_left_over_by_equal_bodies_goes_to_the_similarity_join(self):
+        shared = "a b c d e"
+        before = listed_file("T.java", [("testC", shared), ("testA", shared), ("testB", shared)])
+        after = listed_file("T.java", [("testY", shared), ("testX", shared), ("testZ", "a b c d x")])
+        pair = FileVersionPair(before, after)
+        assert events_of(pair, DEFAULT_THRESHOLD) == reference_detect(pair, DEFAULT_THRESHOLD) == [
+            ("testA", "testX", "T.java"),
+            ("testB", "testY", "T.java"),
+            ("testC", "testZ", "T.java"),
+        ]
+
+    def test_bulk_rename_of_one_shared_body_keeps_memory_small(self):
+        body = "assertEquals(v17, compute(x)); verify(mock).run();"
+        n = 1000
+        before = java_file("Old.java", {f"testCase{k}": body for k in range(n)})
+        after = java_file("New.java", {f"shouldCase{k}": body for k in range(n)})
+        tracemalloc.start()
+        try:
+            events = detect_renames(FileVersionPair(before, after))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(events) == n
+        assert events[0] == RenameEvent("testCase0", "shouldCase0", "New.java")
+        assert peak < 16 * 2**20
+
 
 _BODY_TOKENS = ["a", "b", "c", "d", "x", "(", ")", ";", "1", "=", "."]
 _bodies = st.lists(st.sampled_from(_BODY_TOKENS), max_size=14).map(" ".join)
-_methods = st.lists(st.tuples(st.sampled_from(["testA", "testB", "testC", "testD", "testE"]), _bodies),
-                    max_size=7)
+_names = st.sampled_from(["testA", "testB", "testC", "testD", "testE"])
+_methods = st.lists(st.tuples(_names, _bodies), max_size=7)
+# both versions draw their bodies from one small pool, so equal bodies across
+# the versions and within one (overloads) are common
+_methods_sharing_bodies = st.lists(_bodies, min_size=1, max_size=3).flatmap(
+    lambda pool: st.tuples(*[st.lists(st.tuples(_names, st.sampled_from(pool)), max_size=7)] * 2))
 _thresholds = st.one_of(
     st.sampled_from([0.1, 0.25, 0.5, 0.6, 0.7, 0.75, 0.8, 0.9, 1.0]),
     st.floats(min_value=0.01, max_value=1.0),
@@ -289,6 +331,16 @@ _thresholds = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(_methods, _methods, _thresholds)
 def test_detect_matches_all_pairs_reference(before, after, threshold):
+    assert_matches_reference(before, after, threshold)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_methods_sharing_bodies, _thresholds)
+def test_detect_matches_all_pairs_reference_on_shared_bodies(versions, threshold):
+    assert_matches_reference(*versions, threshold)
+
+
+def assert_matches_reference(before, after, threshold):
     pair = FileVersionPair(listed_file("Old.java", before), listed_file("New.java", after))
     assert events_of(pair, threshold) == reference_detect(pair, threshold)
 
