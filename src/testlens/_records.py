@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from . import _data, patterns, rename as rename_mod
 from ._jsonout import SLOT, STR, list_of, template, write_array
-from .report import CorpusStats
+from .report import CorpusStats, _write_md_table
 
 
 def read_events(path: str) -> list[rename_mod.RenameEvent]:
@@ -98,12 +98,10 @@ def write_classified(results: Iterable[rename_mod.RenameClassification], fmt: st
                              c.event.file or "", c.event.commit or "",
                              c.form.value, c.semantics.value, pairs])
     elif fmt == "md":
-        out.write("| Old Name | New Name | Form | Semantics | Pairs |\n")
-        out.write("| --- | --- | --- | --- | --- |\n")
-        for c in results:
-            pairs = ", ".join(f"{a}/{r} ({rel.value})" for a, r, rel in c.pairs)
-            out.write(f"| {c.event.old_name} | {c.event.new_name} "
-                      f"| {c.form.value} | {c.semantics.value} | {pairs} |\n")
+        _write_md_table(("Old Name", "New Name", "Form", "Semantics", "Pairs"),
+                        ((c.event.old_name, c.event.new_name, c.form.value, c.semantics.value,
+                          ", ".join(f"{a}/{r} ({rel.value})" for a, r, rel in c.pairs))
+                         for c in results), out.write)
     else:
         raise ValueError(f"unsupported classify format {fmt!r}")
 

@@ -411,70 +411,30 @@ def collapse_phrases(terms: list[str]) -> list[str]:
     return out
 
 
-class _RenameDiff(NamedTuple):
-    """Both names of one rename event, split and diffed once; never mutated."""
-
-    old: TermSequence
-    new: TermSequence
-    old_terms: list[str]  # normalized, one per split term
-    new_terms: list[str]
-    old_collapsed: list[str]  # normalized, phrases collapsed
-    new_collapsed: list[str]
-    added: dict[str, int]  # new_collapsed - old_collapsed, as multisets
-    removed: dict[str, int]  # old_collapsed - new_collapsed
-
-
-def _diff(event: RenameEvent) -> _RenameDiff:
-    # RenameEvent validated both names on construction
-    old = _split_valid(event.old_name)
-    new = _split_valid(event.new_name)
-    old_terms = old.normalized()
-    new_terms = new.normalized()
-    old_collapsed = collapse_phrases(old_terms)
-    new_collapsed = collapse_phrases(new_terms)
-    old_counts = _counts(old_collapsed)
-    new_counts = _counts(new_collapsed)
-    return _RenameDiff(old, new, old_terms, new_terms, old_collapsed, new_collapsed,
-                       _minus(new_counts, old_counts), _minus(old_counts, new_counts))
+def _extra(terms: list[str], other: list[str]) -> list[str]:
+    """The terms of ``terms`` beyond their count in ``other``, the multiset
+    difference: of each term, its first occurrences, in name order."""
+    unmatched: dict[str, int] = {}
+    for term in other:
+        unmatched[term] = unmatched.get(term, 0) + 1
+    extra = []
+    for term in reversed(terms):  # ``other`` matches the last occurrences
+        if unmatched.get(term):
+            unmatched[term] -= 1
+        else:
+            extra.append(term)
+    return extra[::-1]
 
 
-def _counts(terms: list[str]) -> dict[str, int]:
-    """Occurrences per term, in first-occurrence order; for a few terms a
-    plain loop beats building a ``Counter``."""
-    counts: dict[str, int] = {}
-    for term in terms:
-        counts[term] = counts.get(term, 0) + 1
-    return counts
-
-
-def _minus(counts: dict[str, int], other: dict[str, int]) -> dict[str, int]:
-    """The multiset difference ``counts - other``, as ``Counter`` subtracts."""
-    return {term: n - other.get(term, 0) for term, n in counts.items() if n > other.get(term, 0)}
-
-
-def _elements(counts: dict[str, int]) -> list[str]:
-    """Each term of a multiset as often as it counts, as ``Counter.elements`` lists them."""
-    return [term for term, n in counts.items() for _ in range(n)]
-
-
-def _form(d: _RenameDiff) -> FormCategory:
-    if [t for t in d.old_terms if not t.isdigit()] == [t for t in d.new_terms if not t.isdigit()]:
+def _form(old_terms: list[str], new_terms: list[str], added: list[str],
+          removed: list[str]) -> FormCategory:
+    if [t for t in old_terms if not t.isdigit()] == [t for t in new_terms if not t.isdigit()]:
         return _FORMATTING
-    if not d.added and not d.removed:
+    if not added and not removed:
         return _REORDERING
-    if sum(d.added.values()) <= 1 and sum(d.removed.values()) <= 1:
+    if len(added) <= 1 and len(removed) <= 1:
         return _SIMPLE
     return _COMPLEX
-
-
-def _in_name_order(name_terms: list[str], counts: dict[str, int]) -> list[str]:
-    remaining = dict(counts)
-    ordered: list[str] = []
-    for term in name_terms:
-        if remaining.get(term, 0) > 0:
-            ordered.append(term)
-            remaining[term] -= 1
-    return ordered
 
 
 _PRESERVING_RELATIONS = frozenset({_SYNONYM, _SAME_STEM, _PLURALITY_CHANGE, _TENSE_CHANGE,
@@ -517,31 +477,25 @@ def _changed_before_head(
     if not nouns or name_terms[nouns[-1]] not in other_terms:
         return False
     head = nouns[-1]
-    counts = _counts(name_terms)
-    other_counts = _counts(other_terms)
-    return all(i < head for i, term in enumerate(name_terms)
-               if counts[term] > other_counts.get(term, 0))
+    changed = set(_extra(name_terms, other_terms))
+    return all(i < head for i, term in enumerate(name_terms) if term in changed)
 
 
-def _semantics(
-    d: _RenameDiff,
-    form: FormCategory,
-    relations: dict,
-    old_tags: tuple[PosTag, ...],
-    new_tags: tuple[PosTag, ...],
-) -> SemanticCategory:
+def _semantics(form: FormCategory, added: list[str], removed: list[str], relations: dict,
+               old_terms: list[str], old_tags: tuple[PosTag, ...],
+               new_terms: list[str], new_tags: tuple[PosTag, ...]) -> SemanticCategory:
     if form in (_FORMATTING, _REORDERING):
         return _PRESERVE
     # any other form has added or removed terms
-    if not d.removed:
-        if _changed_before_head(d.new_terms, new_tags, d.old_terms):
+    if not removed:
+        if _changed_before_head(new_terms, new_tags, old_terms):
             return _NARROW
         return _ADD
-    if not d.added:
-        if _changed_before_head(d.old_terms, old_tags, d.new_terms):
+    if not added:
+        if _changed_before_head(old_terms, old_tags, new_terms):
             return _BROADEN
         return _REMOVE
-    if _preserving_swap(_elements(d.added), _elements(d.removed), relations):
+    if _preserving_swap(added, removed, relations):
         return _PRESERVE
 
     found = set(relations.values())
@@ -568,7 +522,8 @@ def term_pairs(event: RenameEvent) -> list[tuple[str, str]]:
     """Cross product of added x removed normalized terms.
 
     Pairs are ordered by the added term's position in the new name, then
-    the removed term's position in the old name.
+    the removed term's position in the old name; of a repeated term, the
+    first occurrences are the added or removed ones.
     """
     return [(a, r) for a, r, _ in classify(event).pairs]
 
@@ -585,17 +540,25 @@ def classify(event: RenameEvent, lexicon: Lexicon | None = None) -> RenameClassi
     removed) term relation is computed once; form, semantics, pairs and
     the two grammar patterns share them.
     """
-    d = _diff(event)
-    form = _form(d)
-    relations = {(a, r): _pair_relation(a, r) for a in d.added for r in d.removed}
-    added = _in_name_order(d.new_collapsed, d.added)
-    removed = _in_name_order(d.old_collapsed, d.removed)
+    # RenameEvent validated both names on construction
+    old = _split_valid(event.old_name)
+    new = _split_valid(event.new_name)
+    old_terms = old.normalized()
+    new_terms = new.normalized()
+    old_collapsed = collapse_phrases(old_terms)
+    new_collapsed = collapse_phrases(new_terms)
+    added = _extra(new_collapsed, old_collapsed)
+    removed = _extra(old_collapsed, new_collapsed)
+    form = _form(old_terms, new_terms, added, removed)
+    relations = {(a, r): _pair_relation(a, r)
+                 for a in dict.fromkeys(added) for r in dict.fromkeys(removed)}
     pairs = tuple((a, r, relations[a, r]) for a in added for r in removed)
-    old_tags = _tags(d.old, lexicon)
+    old_tags = _tags(old, lexicon)
     # tags depend only on the normalized terms, so a reformatted name shares them
-    new_tags = old_tags if d.new_terms == d.old_terms else _tags(d.new, lexicon)
+    new_tags = old_tags if new_terms == old_terms else _tags(new, lexicon)
     return RenameClassification(
-        event, form, _semantics(d, form, relations, old_tags, new_tags), pairs,
-        GrammarPattern(old_tags) if old_tags else None,
+        event, form,
+        _semantics(form, added, removed, relations, old_terms, old_tags, new_terms, new_tags),
+        pairs, GrammarPattern(old_tags) if old_tags else None,
         GrammarPattern(new_tags) if new_tags else None,
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
+from collections.abc import Iterable
 from io import StringIO
 from typing import NamedTuple
 
@@ -112,7 +113,7 @@ class _Section(NamedTuple):
 def _counter_section(title: str, key_columns: tuple[str, ...], counts: Counter,
                      k: int, total: int) -> _Section:
     rows: list[tuple] = []
-    head, residual = (top_k(counts, k) if counts else ([], 0))
+    head, residual = top_k(counts, k)
     for key, count in head:
         key_parts = key if isinstance(key, tuple) else (key,)
         rows.append(tuple(str(p) for p in key_parts) + (str(count), _pct(count, total)))
@@ -203,20 +204,25 @@ def _sections(stats: CorpusStats, table: str, k: int, prefix_lens: tuple[int, ..
         ]
     if table == "forms":
         return [_share_section("Rename forms", "Form", _marginal(events, lambda e: e[2]), total)]
-    if table == "catalog":
-        return [_catalog_section(_marginal(events, lambda e: e[:2]),
-                                 default_catalog() if catalog is None else catalog)]
-    raise ValueError(f"unknown table kind {table!r}")
+    # render_table admits no other kind: this is the catalog table
+    return [_catalog_section(_marginal(events, lambda e: e[:2]),
+                             default_catalog() if catalog is None else catalog)]
+
+
+def _write_md_table(columns: tuple[str, ...], rows: Iterable[tuple[str, ...]], write) -> None:
+    """Write a markdown table through ``write``: its header, the ``| --- |``
+    separator, then each of ``rows`` as it comes."""
+    write("| " + " | ".join(columns) + " |\n")
+    write("|" + "|".join(" --- " for _ in columns) + "|\n")
+    for row in rows:
+        write("| " + " | ".join(row) + " |\n")
 
 
 def _render_md(sections: list[_Section]) -> str:
     out = StringIO()
     for section in sections:
         out.write(f"## {section.title}\n\n")
-        out.write("| " + " | ".join(section.columns) + " |\n")
-        out.write("|" + "|".join(" --- " for _ in section.columns) + "|\n")
-        for row in section.rows:
-            out.write("| " + " | ".join(row) + " |\n")
+        _write_md_table(section.columns, section.rows, out.write)
         out.write("\n")
     return out.getvalue()
 
@@ -250,6 +256,8 @@ def render_table(
     """
     if table not in TABLE_KINDS:
         raise ValueError(f"unsupported table {table!r}; choose from {TABLE_KINDS}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     sections = _sections(stats, table, k, prefix_lens, catalog)
     if fmt == "md":
         return _render_md(sections)

@@ -259,6 +259,20 @@ class TestDiffTerms:
         assert term_pairs(event) == [("at least", "all of")]
         assert classify(event).form is FormCategory.SIMPLE
 
+    def test_repeated_term_adds_its_first_occurrence(self):
+        # "value" is kept once; the added one is its first, before "check"
+        assert term_pairs(RenameEvent("getValue", "valueCheckValue")) == [
+            ("value", "get"), ("check", "get")]
+
+    @pytest.mark.parametrize("old,new,want", [
+        # every occurrence of the added term counts, the kept one too: in
+        # testItemItem one "item" is the head noun, so the term is not all before it
+        ("testItem", "testItemItem", SemanticCategory.ADD),
+        ("testCacheParser", "testCacheCacheParser", SemanticCategory.NARROW),
+    ])
+    def test_every_occurrence_of_a_repeated_term_counts(self, old, new, want):
+        assert classify_semantics(RenameEvent(old, new)) is want
+
 
 def _collapse_by_scan(terms: list[str]) -> list[str]:
     """Reference: at each position try every known phrase, longest first."""
@@ -403,6 +417,17 @@ def _camel(parts: list[str]) -> str:
 
 
 name_parts = st.lists(words | digit_runs, min_size=1, max_size=6)
+# few words, one phrase among them, so that terms repeat
+repeating_parts = st.lists(st.sampled_from(["get", "value", "check", "all", "of"]),
+                           min_size=1, max_size=6)
+
+
+def _first_occurrences(terms: list[str], extra: Counter) -> list[str]:
+    """Of each term of ``extra``, its first ``extra[term]`` occurrences in
+    ``terms``, in name order."""
+    positions = sorted(i for term, n in extra.items()
+                       for i in [j for j, t in enumerate(terms) if t == term][:n])
+    return [terms[i] for i in positions]
 
 
 class TestClassificationProperties:
@@ -416,6 +441,18 @@ class TestClassificationProperties:
         pairs = term_pairs(RenameEvent(old, new))
         assert len(pairs) == sum(added.values()) * sum(removed.values())
         assert set(pairs) == {(a, r) for a in added for r in removed}
+
+    @given(repeating_parts, repeating_parts)
+    @settings(max_examples=300)
+    def test_pairs_are_the_counter_diff_in_name_order(self, old_parts, new_parts):
+        old, new = _camel(old_parts), _camel(new_parts)
+        if old == new:
+            return
+        added, removed = _term_diff(old, new)
+        added_terms = _first_occurrences(collapse_phrases(split(new).normalized()), added)
+        removed_terms = _first_occurrences(collapse_phrases(split(old).normalized()), removed)
+        assert term_pairs(RenameEvent(old, new)) == [
+            (a, r) for a in added_terms for r in removed_terms]
 
     @given(name_parts, name_parts)
     @settings(max_examples=200)

@@ -263,6 +263,18 @@ class TestRender:
         with pytest.raises(ValueError):
             render_table(accumulated, "bogus", "md")
 
+    @pytest.mark.parametrize("table", TABLE_KINDS)
+    def test_k_below_one_rejected_for_every_table_and_any_stats(self, accumulated, table):
+        for stats in (CorpusStats(), accumulated):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                render_table(stats, table, k=0)
+
+    def test_empty_stats_render_headers_only(self):
+        assert render_table(CorpusStats(), "pairs", "md", k=1) == (
+            "## Grammar pattern pairs\n\n"
+            "| Old Pattern | New Pattern | Count | Percentage |\n"
+            "| --- | --- | --- | --- |\n\n")
+
     @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
     def test_golden_files(self, accumulated, fmt):
         """Every table kind in turn: md and csv concatenated, json as one
