@@ -96,11 +96,10 @@ def _make_r3_expectation(allow_boolean: bool) -> Callable[[TestMethod, tuple[str
     return expectation
 
 
-# R4: "all" (or the phrases "all of"/"at least") promises collection-based data
+# R4: "all", a determiner in every valid lexicon, or "at least" promises collection-based data
 
 def _r4_trigger(terms: tuple[str, ...], tags: tuple[PosTag, ...]) -> bool:
-    if "all" in terms and (("all", _DETERMINER) in zip(terms, tags)
-                           or ("all", "of") in zip(terms, terms[1:])):
+    if "all" in terms and ("all", _DETERMINER) in zip(terms, tags):
         return True
     return "at" in terms and ("at", "least") in zip(terms, terms[1:])
 

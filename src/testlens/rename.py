@@ -450,19 +450,25 @@ def _pair_relation(added: str, removed: str) -> TermRelation:
 def _preserving_swap(added: list[str], removed: list[str], relations: dict) -> bool:
     """True when removed and added terms match one-to-one via meaning-keeping relations.
 
-    One pass over the removed terms carries the set of bit masks of the
-    added terms that the removed terms so far can take, one distinct added
-    term each; there are at most 2**8 masks, and each term pair's relation
-    is looked up once."""
-    if len(added) != len(removed) or len(removed) > 8:
+    A bipartite matching by augmenting paths (Kuhn's algorithm), in time
+    polynomial in the number of terms; each term pair's relation is read once."""
+    if len(added) != len(removed):
         return False
-    masks = {0}
-    for r in removed:
-        keeps = [1 << j for j, a in enumerate(added) if relations[a, r] in _PRESERVING_RELATIONS]
-        masks = {mask | bit for mask in masks for bit in keeps if not mask & bit}
-        if not masks:
-            return False
-    return True
+    keeps = [[j for j, a in enumerate(added) if relations[a, r] in _PRESERVING_RELATIONS] for r in removed]
+    owners: list[int | None] = [None] * len(added)
+    return all(_augment(i, keeps, owners, set()) for i in range(len(removed)))
+
+
+def _augment(i: int, keeps: list[list[int]], owners: list[int | None], seen: set[int]) -> bool:
+    """Give removed term ``i`` an added term of ``keeps[i]`` not in ``seen``,
+    moving the terms that own one along to another of theirs if need be."""
+    for j in keeps[i]:
+        if j not in seen:
+            seen.add(j)
+            if owners[j] is None or _augment(owners[j], keeps, owners, seen):
+                owners[j] = i
+                return True
+    return False
 
 
 def _changed_before_head(

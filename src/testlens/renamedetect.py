@@ -8,16 +8,16 @@ highest similarity first, one-to-one by method, so overloads that share
 a name are matched separately.
 
 Each body's bigram multiset is built once. A pair scores exactly 1.0 if
-and only if its two multisets are equal, and such pairs come first in the
-greedy order, so equal multisets are matched first by hashing, as
-RefactoringMiner (Tsantalis et al., ICSE 2018) matches identical
-statements before similar ones. Only the methods left over are joined.
-There, pairs that cannot reach the threshold are never scored: an exact
+and only if its two multisets are equal, so equal multisets are paired by
+hashing, as RefactoringMiner (Tsantalis et al., ICSE 2018) matches
+identical statements first. Only the methods left over are joined, where
+pairs that cannot reach the threshold are never scored: an exact
 similarity-join prefix filter (Chaudhuri et al., ICDE 2006; Xiao et al.,
 WWW 2008) over bigram occurrences ordered rarest first, then the Dice
 length bound, leave only candidates that share a rare bigram and have
-compatible sizes; each candidate's overlap is one set intersection. The
-result is the same as scoring and sorting every removed x added pair.
+compatible sizes; each candidate's overlap is one set intersection.
+Hashed pairs (1.0) and joined pairs (below 1.0) go through one greedy, as
+if every removed x added pair were scored and sorted.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def body_similarity(a: Sequence[str], b: Sequence[str]) -> float:
 
 def _similar_pairs(left: list[Counter], right: list[Counter], threshold: float) -> list[tuple[float, int, int]]:
     """Every (score, i, j) whose Dice score of left[i] and right[j] is at
-    least ``threshold``, computed as ``body_similarity`` computes it.
+    least ``threshold``, as ``body_similarity`` computes it; two empty bags never pair.
 
     A bigram's k-th occurrence in a bag is its own element (gram, k), so
     the multiset overlap is the overlap of these element sets. Each bag
@@ -78,11 +78,7 @@ def _similar_pairs(left: list[Counter], right: list[Counter], threshold: float) 
         n = len(ranks)
         return ranks[: n - max(math.ceil(threshold * n / (2.0 - threshold)) - 1, 1) + 1]
 
-    pairs = [
-        (1.0, i, j)
-        for i, a in enumerate(ranked_l) if not a
-        for j, b in enumerate(ranked_r) if not b
-    ]
+    pairs: list[tuple[float, int, int]] = []
     index: dict[int, list[int]] = {}
     for j, b in enumerate(ranked_r):
         for r in prefix(b):
@@ -138,27 +134,23 @@ def detect_renames(pair: FileVersionPair, threshold: float = DEFAULT_THRESHOLD,
     for side, bags in enumerate((removed_bags, added_bags)):
         for k, bag in enumerate(bags):
             by_bag.setdefault(frozenset(bag.items()), ([], []))[side].append(k)
-    matches: list[tuple[int, int]] = []
-    for olds, news in by_bag.values():
-        matches += zip(sorted(olds, key=lambda i: removed[i].name), sorted(news, key=lambda j: added[j].name))
-    matches.sort(key=lambda c: (removed[c[0]].name, added[c[1]].name, c[0], c[1]))
-
-    used_removed = {i for i, _ in matches}
-    used_added = {j for _, j in matches}
-    left = [i for i in range(len(removed)) if i not in used_removed]
-    right = [j for j in range(len(added)) if j not in used_added]
     scored: list[tuple[float, int, int]] = []
+    left, right = [], []
+    for olds, news in by_bag.values():
+        olds.sort(key=lambda i: removed[i].name)
+        news.sort(key=lambda j: added[j].name)
+        scored += ((1.0, i, j) for i, j in zip(olds, news))
+        left += olds[len(news):]
+        right += news[len(olds):]
     if left and right:
         joined = _similar_pairs([removed_bags[i] for i in left], [added_bags[j] for j in right], threshold)
-        scored = [(score, left[i], right[j]) for score, i, j in joined]
+        scored += ((score, left[i], right[j]) for score, i, j in joined)
     scored.sort(key=lambda c: (-c[0], removed[c[1]].name, added[c[2]].name, c[1], c[2]))
+    used_removed, used_added = set(), set()
+    events: list[RenameEvent] = []
     for _score, i, j in scored:
-        if i in used_removed or j in used_added:
-            continue
-        used_removed.add(i)
-        used_added.add(j)
-        matches.append((i, j))
-    return [
-        RenameEvent(old_name=removed[i].name, new_name=added[j].name, file=pair.after.path, commit=None)
-        for i, j in matches
-    ]
+        if i not in used_removed and j not in used_added:
+            used_removed.add(i)
+            used_added.add(j)
+            events.append(RenameEvent(removed[i].name, added[j].name, pair.after.path))
+    return events

@@ -17,7 +17,7 @@ from collections.abc import Iterable
 from io import StringIO
 from typing import NamedTuple
 
-from .patterns import CatalogEntry, GrammarPattern, default_catalog, matches, prefix
+from .patterns import CatalogEntry, GrammarPattern, default_catalog, matches
 from .rename import RenameClassification
 
 PREFIX_LENGTHS = (2, 3, 4, 5)
@@ -130,18 +130,13 @@ def _share_section(title: str, column: str, counts: Counter, total: int) -> _Sec
     return _Section(title, (column, "Count", "Percentage"), rows)
 
 
-def _parsed(pattern_pairs: Counter) -> dict[str, GrammarPattern]:
-    """Each distinct pattern text of ``pattern_pairs``, parsed once."""
-    texts = {text for pair in pattern_pairs for text in pair}
-    return {text: GrammarPattern.parse(text) for text in texts}
-
-
 def _catalog_section(pattern_pairs: Counter, catalog: list[CatalogEntry]) -> _Section:
     """Per entry: instances counts old and new names matching its template
     (an event can contribute twice), preserved counts events where both
     sides match. Each distinct pattern pair is matched once."""
     tally: dict[str, list[int]] = {}
-    parsed = _parsed(pattern_pairs)
+    texts = {text for pair in pattern_pairs for text in pair}
+    parsed = {text: GrammarPattern.parse(text) for text in texts}
     for (old_text, new_text), count in pattern_pairs.items():
         old_pattern, new_pattern = parsed[old_text], parsed[new_text]
         for entry in catalog:
@@ -177,13 +172,15 @@ def _sections(stats: CorpusStats, table: str, k: int, prefix_lens: tuple[int, ..
                              _marginal(events, lambda e: e[:2]), k, total),
         ]
     if table == "prefix":
+        if min(prefix_lens, default=1) < 1:
+            raise ValueError("prefix length must be >= 1")
+        # a pattern text is its tags joined by single spaces (str(GrammarPattern))
         pattern_pairs = _marginal(events, lambda e: e[:2])
-        parsed = _parsed(pattern_pairs)
         return [
             _counter_section(
                 f"Prefix pattern pairs (length {n})", ("Old Prefix", "New Prefix"),
-                _marginal(pattern_pairs, lambda p: (str(prefix(parsed[p[0]], n)),
-                                                    str(prefix(parsed[p[1]], n)))),
+                _marginal(pattern_pairs, lambda p: (" ".join(p[0].split()[:n]),
+                                                    " ".join(p[1].split()[:n]))),
                 k, total,
             )
             for n in prefix_lens

@@ -137,7 +137,7 @@ def inflected_match(word: str, words: frozenset[str], suffixes: tuple[str, ...])
     """
     if word in words:
         return True
-    for suffix in _suffixes_by_last_letter(suffixes).get(word[-1:], ()):
+    for suffix in suffixes:
         if word.endswith(suffix) and len(word) > len(suffix):
             base = word[: -len(suffix)]
             if len(base) >= 3 and base in words:
@@ -145,13 +145,6 @@ def inflected_match(word: str, words: frozenset[str], suffixes: tuple[str, ...])
             if len(base) >= 4 and base[-1] == base[-2] and base[:-1] in words:
                 return True
     return False
-
-
-@lru_cache(maxsize=16)
-def _suffixes_by_last_letter(suffixes: tuple[str, ...]) -> dict[str, tuple[str, ...]]:
-    """The suffixes grouped by their last letter: a word can end only with those of its own."""
-    lasts = {s[-1:] for s in suffixes}
-    return {last: tuple(s for s in suffixes if s[-1:] == last) for last in lasts}
 
 
 _VERB_SUFFIXES = ("s", "es", "ed", "d", "ing")

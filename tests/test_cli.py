@@ -124,6 +124,10 @@ class TestPatternCommand:
         code, out, _ = invoke(["pattern", "testStringEncryption", "--prefix", "2"])
         assert out.strip() == "V NM"
 
+    def test_prefix_below_one(self):
+        assert invoke(["pattern", "testStringEncryption", "--prefix", "0"]) == (
+            EXIT_ERROR, "", "error: --prefix must be >= 1\n")
+
     def test_catalog_listing(self):
         code, out, _ = invoke(["pattern", "testReadFileFromClasspath", "--catalog"])
         lines = out.splitlines()
@@ -773,6 +777,17 @@ class TestReportCommand:
         ])
         assert code == EXIT_ERROR
 
+    @pytest.mark.parametrize("raw", ["0", "0..2", "3..2"])
+    def test_prefix_len_below_one_or_reversed(self, tmp_path, raw):
+        classified = self.make_classified(tmp_path)
+        assert invoke(["report", "--input", str(classified), "--table", "prefix", "--prefix-len", raw]) == (
+            EXIT_ERROR, "", f"error: invalid --prefix-len '{raw}'; use N or N..M\n")
+
+    def test_k_below_one(self, tmp_path):
+        classified = self.make_classified(tmp_path)
+        assert invoke(["report", "--input", str(classified), "--k", "0"]) == (
+            EXIT_ERROR, "", "error: --k must be >= 1\n")
+
     def test_csv_format(self, tmp_path):
         classified = self.make_classified(tmp_path)
         code, out, _ = invoke([
@@ -957,8 +972,10 @@ class TestCatalogErrors:
         ([["V"]], "catalog entry 0: must be a JSON object"),
         ([{"name": "Verb", "tags": ["V"]}, {"tags": ["N"]}],
          "catalog entry 1: name must be a string"),
+        ([{"name": "Verb", "tags": ["V"]}, {"name": "Verb", "tags": ["N"]}],
+         "catalog entry names must be unique"),
     ], ids=["flag-as-string", "tags-as-string", "catalog-as-object", "entry-not-object",
-            "name-missing"])
+            "name-missing", "name-repeated"])
     def test_one_error_line(self, tmp_path, monkeypatch, raw, message):
         catalog = tmp_path / "catalog.json"
         catalog.write_text(json.dumps(raw))
@@ -1012,6 +1029,13 @@ class TestConfig:
     def test_bad_line_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("just some words\n")
+
+    def test_unquoted_array_item_rejected(self):
+        with pytest.raises(ConfigError, match=r"^line 1: array items must be quoted strings$"):
+            parse_config_text("rules = [R1]\n")
+
+    def test_empty_array_is_an_empty_tuple(self):
+        assert parse_config_text("rules = []\n").rules == ()
 
     def test_defaults(self):
         cfg = Config()

@@ -1,7 +1,7 @@
 """No module of the package carries dead code that its syntax tree shows:
 an imported name the module never uses (``__init__.py`` imports to
-re-export), or a private top-level function or class that no module of
-the package refers to."""
+re-export), or a private top-level function, class or assigned name that
+no module of the package refers to."""
 
 import ast
 from collections import Counter
@@ -39,6 +39,34 @@ def _imported(tree: ast.Module) -> list[str]:
     return names
 
 
+def _bound(target: ast.expr) -> list[str]:
+    """The names an assignment to ``target`` binds: each name of a tuple
+    or list target too, none of an attribute or subscript target."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [name for elt in target.elts for name in _bound(elt)]
+    if isinstance(target, ast.Starred):
+        return _bound(target.value)
+    return []
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, statement) of each private name a top-level ``def``,
+    ``class`` or assignment of ``tree`` binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [name for target in node.targets for name in _bound(target)]
+        elif isinstance(node, ast.AnnAssign):
+            names = _bound(node.target)
+        else:
+            continue
+        yield from ((name, node) for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
 @pytest.mark.parametrize("name", [n for n in TREES if n != "__init__.py"])
 def test_every_imported_name_is_used(name):
     tree = TREES[name]
@@ -50,10 +78,9 @@ def test_every_imported_name_is_used(name):
 def test_every_private_top_level_definition_is_referenced(name):
     everywhere = sum(map(_references, TREES.values()), Counter())
     unreferenced = [
-        node.name for node in TREES[name].body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_") and not node.name.startswith("__")
-        # a reference from inside its own body (recursion) does not count
-        and everywhere[node.name] == _references(node)[node.name]
+        defined for defined, node in _private_definitions(TREES[name])
+        # a reference from inside its own statement (recursion, or the
+        # assigned name itself) does not count
+        if everywhere[defined] == _references(node)[defined]
     ]
     assert unreferenced == []

@@ -79,8 +79,8 @@ def reference_tokenize(text: str) -> tuple[Row, ...]:
         if ch == "/" and i + 1 < n:
             nxt = text[i + 1]
             if nxt == "/":
-                end = text.find("\n", i)
-                i = n if end == -1 else end + 1
+                # CR, LF and CR LF each end a line (JLS 3.4)
+                i = next((k for k in range(i, n) if text[k] in "\r\n"), n)
                 continue
             if nxt == "*":
                 end = text.find("*/", i + 2)
@@ -143,7 +143,7 @@ def rows(text: str) -> tuple[Row, ...]:
 # the token regex with the word branch after the comment branches: the
 # order of the branches must change no match
 _REFERENCE_TOKEN_RE = re.compile(r"""
-    \s*(?: //[^\n]* | /\*(?:.*?\*/|.*)
+    \s*(?: //[^\r\n]* | /\*(?:.*?\*/|.*)
     | [A-Za-z_$][A-Za-z0-9_$]*
     | \"\"\"(?:[^"\\]|\\.|"(?!\"\"))*(?:\"\"\"|\\?\Z)
     | "[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z) | '[^'\\]*(?:\\.[^'\\]*)*(?:'|\\?\Z)
@@ -185,7 +185,7 @@ def test_tokenizer_edge_cases_match_reference_scanner():
     for text in ["", "   ", "/", "a/", "/* open", "// open", '"open', "'open",
                  '"ends in backslash\\', "x '\\", '"\\\n"', "/*/ x */ y", "1.2.3abc",
                  # whitespace or a comment after the last token
-                 "x\n", "x \n", "x // c", "x /* c",
+                 "x\n", "x \n", "x // c", "x /* c", "//\r0", "// c\r\nx",
                  # text blocks, closed, open, with quotes and escapes inside
                  '"""\na "b" ""c\n"""', '""""', '"""\\"""x', '"""x\\', '""" open "" ',
                  # comments that touch, nest or sit in literals

@@ -50,6 +50,33 @@ def test_written_records_count_as_their_classifications(events):
     assert counted == expected
 
 
+_WHITESPACE = " \t\n\r\f\v"
+
+
+@st.composite
+def spaced_patterns(draw):
+    """A pattern text as a record may write it: its tags with any
+    whitespace between them and around them."""
+    tags = draw(st.lists(st.sampled_from([t.value for t in patterns.PosTag]), min_size=1, max_size=5))
+    gaps = draw(st.lists(st.text(_WHITESPACE, min_size=1, max_size=3),
+                         min_size=len(tags) - 1, max_size=len(tags) - 1))
+    ends = draw(st.tuples(*[st.text(_WHITESPACE, max_size=3)] * 2))
+    return ends[0] + "".join(g + t for g, t in zip(["", *gaps], tags)) + ends[1]
+
+
+@given(st.lists(st.tuples(spaced_patterns(), spaced_patterns()), min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_counted_patterns_are_the_canonical_pattern_texts(pattern_pairs):
+    # report's prefix table takes a pattern's n-prefix as its text's first
+    # n single-space-separated tags
+    rows = [{"old_name": "testFoo", "new_name": "testBar", "form": "simple", "semantics": "change",
+             "old_pattern": old, "new_pattern": new} for old, new in pattern_pairs]
+    counted = _records.count_renames("events.json", rows)
+    canonical = [tuple(str(patterns.GrammarPattern.parse(text)) for text in pair) for pair in pattern_pairs]
+    assert sorted(key[:2] for key in counted.events.elements()) == sorted(canonical)
+    assert all(text == " ".join(text.split()) for key in counted.events for text in key[:2])
+
+
 # -- the reference: the two-step reader, a CountedRename per record --------
 
 class CountedRename(NamedTuple):

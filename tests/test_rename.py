@@ -666,7 +666,7 @@ def _reference_match_from(i: int, used: set[int], added: list[str], removed: lis
 
 
 def reference_preserving_swap(added: list[str], removed: list[str], relations: dict) -> bool:
-    if len(added) != len(removed) or len(removed) > 8:
+    if len(added) != len(removed):
         return False
     return _reference_match_from(0, set(), added, removed, relations)
 
@@ -711,11 +711,19 @@ class TestPreservingSwap:
         assert rename._preserving_swap(added, removed, relations) is False
         assert relations.lookups <= len(added) * len(removed)
 
-    def test_more_than_eight_terms_never_swap(self):
+    def test_more_than_eight_terms_swap(self):
         added, removed = list("rstuvwxyz"), list("abcdefghi")
         relations = {(a, r): TermRelation.SYNONYM for a in added for r in removed}
         assert rename._preserving_swap(added[:8], removed[:8], relations) is True
-        assert rename._preserving_swap(added, removed, relations) is False
+        assert rename._preserving_swap(added, removed, relations) is True
+
+    @pytest.mark.parametrize("old, new", [
+        ("testItemUserTokenRoleGroupOrderCartPage", "testItemsUsersTokensRolesGroupsOrdersCartsPages"),
+        ("testItemUserTokenRoleGroupOrderCartPageFile",
+         "testItemsUsersTokensRolesGroupsOrdersCartsPagesFiles"),
+    ], ids=["8 plurals", "9 plurals"])
+    def test_plural_swaps_of_any_length_preserve(self, old, new):
+        assert classify(RenameEvent(old, new)).semantics is SemanticCategory.PRESERVE
 
 
 def _lexicon_words() -> list[str]:

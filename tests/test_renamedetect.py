@@ -1,9 +1,11 @@
 import itertools
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from testlens import renamedetect
 from testlens.extraction import (
     SourceFile,
     extract_methods,
@@ -340,6 +342,23 @@ def test_detect_matches_all_pairs_reference_on_shared_bodies(versions, threshold
     assert_matches_reference(*versions, threshold)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_methods_sharing_bodies, _thresholds)
+def test_similarity_join_never_sees_equal_bags(versions, threshold):
+    # _similar_pairs scores no pair of two empty bags: equal bags, empty
+    # ones too, are paired by hashing before the join
+    calls = []
+
+    def spy(left, right, threshold):
+        calls.append((left, right))
+        return _similar_pairs(left, right, threshold)
+
+    pair = FileVersionPair(listed_file("Old.java", versions[0]), listed_file("New.java", versions[1]))
+    with mock.patch.object(renamedetect, "_similar_pairs", spy):
+        detect_renames(pair, threshold)
+    assert not [(a, b) for left, right in calls for a in left for b in right if a == b]
+
+
 def assert_matches_reference(before, after, threshold):
     pair = FileVersionPair(listed_file("Old.java", before), listed_file("New.java", after))
     assert events_of(pair, threshold) == reference_detect(pair, threshold)
@@ -351,10 +370,12 @@ def test_similar_pairs_are_exactly_the_pairs_at_or_above_threshold(left, right, 
     def bags(bodies):
         return [_bigrams(texts(body)) for body in bodies]
 
+    # two empty bags are equal, and detect_renames pairs equal bags by hashing
     expected = sorted(
         (score, i, j)
         for i, a in enumerate(left)
         for j, b in enumerate(right)
         if (score := body_similarity(texts(a), texts(b))) >= threshold
+        and (_bigrams(texts(a)) or _bigrams(texts(b)))
     )
     assert sorted(_similar_pairs(bags(left), bags(right), threshold)) == expected

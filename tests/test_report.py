@@ -269,6 +269,15 @@ class TestRender:
             with pytest.raises(ValueError, match="k must be >= 1"):
                 render_table(stats, table, k=0)
 
+    @pytest.mark.parametrize("prefix_lens", [(0,), (2, -1)])
+    def test_prefix_length_below_one_rejected(self, accumulated, prefix_lens):
+        with pytest.raises(ValueError, match="prefix length must be >= 1"):
+            render_table(accumulated, "prefix", prefix_lens=prefix_lens)
+
+    def test_term_pairs_without_events_read_zero_percent(self):
+        stats = CorpusStats(term_pairs=Counter({("a", "b"): 1}))
+        assert "| a | b | 1 | 0.00% |\n" in render_table(stats, "terms")
+
     def test_empty_stats_render_headers_only(self):
         assert render_table(CorpusStats(), "pairs", "md", k=1) == (
             "## Grammar pattern pairs\n\n"

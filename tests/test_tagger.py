@@ -99,6 +99,11 @@ class TestNounRunRewrite:
         assert tags == [V, N, N]
 
 
+def test_a_tag_prints_as_its_value():
+    assert str(PosTag.NOUN) == "N"
+    assert [str(t) for t in PosTag] == [t.value for t in PosTag]
+
+
 class TestLexicon:
     def test_default_loads(self):
         lex = Lexicon.default()
@@ -156,6 +161,23 @@ class TestLexicon:
         # a string used to become its set of letters: {"e", "s", "t"}
         with pytest.raises(ValueError, match="lexicon key 'verbs' must be a list of strings"):
             Lexicon.from_dict({**_data.lexicon_dict(), "verbs": words})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fixed_dictionaries({field: st.lists(st.text("abdelostv", min_size=1, max_size=5), max_size=4)
+                                  for field in ("adverbs", "verbs", "known_nouns")}),
+           st.data())
+    def test_every_valid_lexicon_tags_all_as_a_determiner(self, extra, data):
+        # R4 reads "all" through its DT tag alone: "all" must be a
+        # determiner, the closed classes are disjoint, and determiners come
+        # before adverbs, so no other list can claim it
+        bundled = _data.lexicon_dict()
+        lexicon = Lexicon.from_dict({**bundled, **{
+            field: [*bundled[field], "all", *words] for field, words in extra.items()}})
+        pool = ["all", "of", "the", "at", "least", "not", "items", "check", "set", "fails", "7"]
+        terms = data.draw(st.lists(st.sampled_from(pool + [w for ws in extra.values() for w in ws]),
+                                   min_size=1, max_size=6))
+        tagged = tag(split("_".join(["all", *terms])), lexicon)
+        assert all(t is DT for w, t in zip(tagged.terms.normalized(), tagged.tags) if w == "all")
 
     def test_verb_noun_ambiguity_is_positional(self):
         lex = Lexicon.default()
