@@ -18,7 +18,7 @@ from itertools import starmap
 from . import (_data, _records, extraction, lint as lint_mod, patterns, rename as rename_mod,
                renamedetect, report)
 from ._jsonout import BOOL, SLOT, STR, list_of, list_writer, template, write_array
-from .config import Config, load_config
+from .config import load_config
 from .splitter import split
 from .tagger import Lexicon, tag
 
@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pattern = sub.add_parser("pattern", help="grammar pattern of an identifier")
     p_pattern.add_argument("name")
     p_pattern.add_argument("--prefix", type=int, metavar="K", help="emit the K-prefix instead")
-    p_pattern.add_argument("--catalog", action="store_true",
+    p_pattern.add_argument("--catalog", action="store_true", dest="list_catalog",
                            help="also list matching naming templates")
     p_pattern.set_defaults(handler=_cmd_pattern)
 
@@ -63,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser("lint", help="lint test names against bodies")
     p_lint.add_argument("target", help="file or directory")
-    p_lint.add_argument("--rules", help="comma-separated rule ids (default: all)")
+    p_lint.add_argument("--rules", type=lambda raw: tuple(raw.split(",")),
+                        help="comma-separated rule ids (default: all)")
     p_lint.add_argument("--format", choices=("text", "json"), default=None)
     p_lint.set_defaults(handler=_cmd_lint)
 
@@ -99,13 +100,12 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _load_lexicon(config: Config, override: str | None = None) -> Lexicon:
-    path = override or config.lexicon
-    return Lexicon.from_file(path) if path else Lexicon.default()
+def _load_lexicon(args) -> Lexicon:
+    return Lexicon.from_file(args.lexicon) if args.lexicon else Lexicon.default()
 
 
-def _load_catalog(config: Config):
-    return patterns.load_catalog(config.catalog) if config.catalog else patterns.default_catalog()
+def _load_catalog(args):
+    return patterns.load_catalog(args.catalog) if args.catalog else patterns.default_catalog()
 
 
 def _iter_java_files(target: str, errors: list[str]) -> list[str]:
@@ -124,7 +124,7 @@ def _iter_java_files(target: str, errors: list[str]) -> list[str]:
     return sorted(found)
 
 
-def _cmd_split(args, config: Config, out, err) -> int:
+def _cmd_split(args, out, err, problems) -> int:
     seq = split(args.name)
     if args.json:
         out.write(json.dumps([{"surface": t.surface, "start": t.start, "end": t.end}
@@ -135,23 +135,23 @@ def _cmd_split(args, config: Config, out, err) -> int:
     return EXIT_OK
 
 
-def _cmd_tag(args, config: Config, out, err) -> int:
-    lexicon = _load_lexicon(config, args.lexicon)
+def _cmd_tag(args, out, err, problems) -> int:
+    lexicon = _load_lexicon(args)
     tagged = tag(split(args.name), lexicon)
     out.write(" ".join(f"{t}/{g.value}" for t, g in tagged.pairs()) + "\n")
     out.write(tagged.pattern_string() + "\n")
     return EXIT_OK
 
 
-def _cmd_pattern(args, config: Config, out, err) -> int:
-    lexicon = _load_lexicon(config)
+def _cmd_pattern(args, out, err, problems) -> int:
+    lexicon = _load_lexicon(args)
     tagged = tag(split(args.name), lexicon)
     pattern = patterns.pattern_of(tagged)
     if args.prefix is not None:
         if args.prefix < 1:
             raise CliError("--prefix must be >= 1")
         pattern = patterns.prefix(pattern, args.prefix)
-    hits = patterns.catalog_match(pattern, _load_catalog(config)) if args.catalog else ()
+    hits = patterns.catalog_match(pattern, _load_catalog(args)) if args.list_catalog else ()
     out.write(str(pattern) + "\n")
     for entry in hits:
         out.write(f"{entry.name} [{entry.template}] ({entry.origin.value})\n")
@@ -195,16 +195,13 @@ def _scan_json(src: extraction.SourceFile, methods: list[extraction.TestMethod],
         BOOL[partial], STR(src.path))
 
 
-def _cmd_scan(args, config: Config, out, err) -> int:
+def _cmd_scan(args, out, err, problems) -> int:
     """Write ``{"files": [...]}`` one file record at a time."""
-    parse_errors: list[str] = []
-    paths = _iter_java_files(args.target, parse_errors)
+    paths = _iter_java_files(args.target, problems)
     out.write(_FILES_HEAD)
-    _write_files(starmap(_scan_json, _scan_files(paths, parse_errors)), out.write)
+    _write_files(starmap(_scan_json, _scan_files(paths, problems)), out.write)
     out.write(_FILES_TAIL + "\n")
-    for message in parse_errors:
-        err.write(message + "\n")
-    return EXIT_ERROR if parse_errors else EXIT_OK
+    return EXIT_OK
 
 
 # an item of the array ``lint --format json`` writes
@@ -217,30 +214,23 @@ def _diagnostic_json(d: lint_mod.Diagnostic) -> str:
                           STR(d.rule_id), STR(d.severity))
 
 
-def _cmd_lint(args, config: Config, out, err) -> int:
-    lexicon = _load_lexicon(config)
-    rules = lint_mod.default_rules(
-        collection_vocabulary=config.collection_vocabulary,
-        not_rule_boolean_asserts=config.not_rule_boolean_asserts,
-    )
-    enabled = args.rules.split(",") if args.rules is not None else (
-        list(config.rules) if config.rules is not None else None
-    )
-    if enabled is not None:
+def _cmd_lint(args, out, err, problems) -> int:
+    lexicon = _load_lexicon(args)
+    rules = lint_mod.default_rules(args.collection_vocabulary, args.not_rule_boolean_asserts)
+    if args.rules is not None:
         known = {r.id for r in rules}
-        unknown = [r for r in enabled if r not in known]
+        unknown = [r for r in args.rules if r not in known]
         if unknown:
             raise CliError(f"unknown rule id(s): {', '.join(map(repr, unknown))}")
-        rules = tuple(r for r in rules if r.id in enabled)
+        rules = tuple(r for r in rules if r.id in args.rules)
     cued = lint_mod.cue_filter(rules)
 
-    parse_errors: list[str] = []
-    paths = _iter_java_files(args.target, parse_errors)
-    fmt = args.format or config.format or "text"
+    paths = _iter_java_files(args.target, problems)
+    fmt = args.format or "text"
     if fmt not in ("json", "text"):
         raise CliError(f"unsupported lint format {fmt!r}")
     diagnostics: list[lint_mod.Diagnostic] = []
-    for src, methods, flags, is_test_file, _ in _scan_files(paths, parse_errors):
+    for src, methods, flags, is_test_file, _ in _scan_files(paths, problems):
         if not is_test_file:
             continue
         for method, flag in zip(methods, flags):
@@ -258,31 +248,23 @@ def _cmd_lint(args, config: Config, out, err) -> int:
                 f"{d.file}:{d.name_span[0]}-{d.name_span[1]}: "
                 f"{d.severity} {d.rule_id}: {d.method_name}: {d.message}\n"
             )
-    for message in parse_errors:
-        err.write(message + "\n")
-    return EXIT_ERROR if parse_errors else EXIT_FINDINGS if diagnostics else EXIT_OK
+    return EXIT_FINDINGS if diagnostics else EXIT_OK
 
 
-def _cmd_rename_detect(args, config: Config, out, err) -> int:
-    threshold = args.threshold if args.threshold is not None else config.threshold
-    pair = renamedetect.FileVersionPair(
-        before=extraction.SourceFile(args.before, _data.read_file(args.before)),
-        after=extraction.SourceFile(args.after, _data.read_file(args.after)),
-    )
-    parse_errors: list[str] = []
-    events = renamedetect.detect_renames(pair, threshold, parse_errors)
+def _cmd_rename_detect(args, out, err, problems) -> int:
+    pair = renamedetect.FileVersionPair(*(extraction.SourceFile(path, _data.read_file(path))
+                                          for path in (args.before, args.after)))
+    events = renamedetect.detect_renames(pair, args.threshold, problems)
     _records.write_events(events, out)
-    for message in parse_errors:
-        err.write(message + "\n")
-    return EXIT_ERROR if parse_errors else EXIT_OK
+    return EXIT_OK
 
 
-def _cmd_rename_classify(args, config: Config, out, err) -> int:
+def _cmd_rename_classify(args, out, err, problems) -> int:
     events = _records.read_events(args.input)
-    lexicon = _load_lexicon(config)
+    lexicon = _load_lexicon(args)
     # one pass, so no classification outlives its output row
     _records.write_classified((rename_mod.classify(e, lexicon) for e in events),
-                              args.format or config.format or "json", out)
+                              args.format or "json", out)
     return EXIT_OK
 
 
@@ -303,15 +285,15 @@ def _parse_prefix_lens(raw: str) -> tuple[int, ...]:
         raise CliError(f"invalid --prefix-len {raw!r}; use N or N..M") from None
 
 
-def _cmd_report(args, config: Config, out, err) -> int:
+def _cmd_report(args, out, err, problems) -> int:
     rows = _records.load_classified(args.input)  # reads the file now: its errors come first
-    catalog = _load_catalog(config) if args.table == "catalog" else None
+    catalog = _load_catalog(args) if args.table == "catalog" else None
     prefix_lens = (report.PREFIX_LENGTHS if args.prefix_len is None
                    else _parse_prefix_lens(args.prefix_len))
     if args.k < 1:
         raise CliError("--k must be >= 1")
     stats = _records.count_renames(args.input, rows)
-    fmt = args.format or config.format or "md"
+    fmt = args.format or "md"
     out.write(report.render_table(stats, args.table, fmt, args.k, prefix_lens, catalog))
     return EXIT_OK
 
@@ -324,14 +306,21 @@ def run(argv: list[str], out=None, err=None) -> int:
             args = _parser().parse_args(argv)
     except SystemExit as exit_err:
         return EXIT_ERROR if exit_err.code not in (0, None) else EXIT_OK
+    # files skipped or cut short: written after the command's output, they make the exit 2
+    problems: list[str] = []
     try:
-        return args.handler(args, load_config(), out, err)
+        for key, value in load_config()._asdict().items():  # a flag wins over the config file
+            if getattr(args, key, None) is None:
+                setattr(args, key, value)
+        code = args.handler(args, out, err, problems)
+        err.writelines(message + "\n" for message in problems)
     except BrokenPipeError:
         # the reader closed the output early: it wants no more, not an error line
         return EXIT_ERROR
     except (CliError, ValueError, OSError) as known:
         err.write(f"error: {known}\n")
         return EXIT_ERROR
+    return EXIT_ERROR if problems else code
 
 
 def main() -> None:

@@ -1,11 +1,12 @@
 """Detect test-method renames between two versions of a file.
 
-A removed method (present only in the old version) is matched to an added
-method (present only in the new version) when their bodies are similar
-enough, measured as the Dice coefficient over multisets of bigrams of
-the body's token texts (``TestMethod.body``). Matching is greedy,
-highest similarity first, one-to-one by method, so overloads that share
-a name are matched separately.
+A name whose count of test methods differs between the two versions
+may have been renamed: each of its old methods may be matched to a new
+method of such a name when their bodies are similar enough, measured as
+the Dice coefficient over multisets of bigrams of the body's token texts
+(``TestMethod.body``). Matching is greedy, highest similarity first,
+one-to-one by method, so overloads that share a name are matched
+separately, and a match of two equal names is a kept method, no rename.
 
 Each body's bigram multiset is built once. A pair scores exactly 1.0 if
 and only if its two multisets are equal, so equal multisets are paired by
@@ -120,10 +121,10 @@ def detect_renames(pair: FileVersionPair, threshold: float = DEFAULT_THRESHOLD,
         raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
     before = _test_methods(pair.before, parse_errors)
     after = _test_methods(pair.after, parse_errors)
-    before_names = {m.name for m in before}
-    after_names = {m.name for m in after}
-    removed = [m for m in before if m.name not in after_names]
-    added = [m for m in after if m.name not in before_names]
+    counts = Counter(m.name for m in before)
+    counts.subtract(m.name for m in after)
+    removed = [m for m in before if counts[m.name]]
+    added = [m for m in after if counts[m.name]]
     removed_bags = [_bigrams(m.body) for m in removed]
     added_bags = [_bigrams(m.body) for m in added]
 
@@ -152,5 +153,6 @@ def detect_renames(pair: FileVersionPair, threshold: float = DEFAULT_THRESHOLD,
         if i not in used_removed and j not in used_added:
             used_removed.add(i)
             used_added.add(j)
-            events.append(RenameEvent(removed[i].name, added[j].name, pair.after.path))
+            if removed[i].name != added[j].name:
+                events.append(RenameEvent(removed[i].name, added[j].name, pair.after.path))
     return events

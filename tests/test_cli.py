@@ -1,3 +1,4 @@
+import argparse
 import gc
 import io
 import json
@@ -107,6 +108,13 @@ class TestTagCommand:
         code, out, _ = invoke(["tag", "frobnicate", "--lexicon", str(path)])
         assert code == EXIT_OK
         assert out.splitlines()[0] == "frobnicate/V"
+
+    def test_empty_lexicon_flag_wins_over_config(self, tmp_path, monkeypatch):
+        # a flag given on the command line wins, even one that names no file
+        config = tmp_path / "testlens.toml"
+        config.write_text(f'lexicon = "{tmp_path / "missing.json"}"\n')
+        monkeypatch.setenv("TESTLENS_CONFIG", str(config))
+        assert invoke(["tag", "testParser", "--lexicon", ""]) == (EXIT_OK, "test/V Parser/N\nV N\n", "")
 
     def test_lexicon_field_not_a_list_is_error(self, tmp_path):
         path = tmp_path / "lex.json"
@@ -285,6 +293,16 @@ class TestScanCommand:
         assert code == EXIT_ERROR
         assert [d["rule"] for d in json.loads(out)] == ["R1"]
         assert err.startswith(f"cannot read {tmp_path / 'Bad.java'}: ")
+
+    def test_lint_text_diagnostics_come_before_problems(self, tmp_path):
+        # Bad.java is read first, but its problem follows every diagnostic
+        (tmp_path / "Bad.java").write_bytes(b"class X { \xff\xfe }")
+        (tmp_path / "FailTest.java").write_text(R1_VIOLATION)
+        assert invoke(["lint", str(tmp_path)]) == (EXIT_ERROR, "", (
+            f"{tmp_path / 'FailTest.java'}:73-90: warning R1: failPrefixMissing: "
+            "name mentions failing but the body never calls fail()\n"
+            f"cannot read {tmp_path / 'Bad.java'}: 'utf-8' codec can't decode byte 0xff "
+            "in position 10: invalid start byte\n"))
 
     def test_unreadable_directory_reported_and_skipped(self, tmp_path, monkeypatch):
         # permission bits do not stop every user, so the listing fails by a patch
@@ -1042,6 +1060,22 @@ class TestConfig:
         assert cfg.threshold == 0.6
         assert cfg.rules is None
 
+    def test_every_flag_named_for_a_config_key_defaults_to_none(self):
+        # run takes a config value only where the flag's value is None, so
+        # any other default would hide the config file's value
+        def actions(parser):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for subparser in action.choices.values():
+                        yield from actions(subparser)
+                else:
+                    yield parser.prog, action
+
+        named = [(prog, a.dest, a.default) for prog, a in actions(cli.build_parser())
+                 if a.dest in Config._fields]
+        assert ("testlens rename detect", "threshold", None) in named
+        assert [entry for entry in named if entry[2] is not None] == []
+
     def test_env_config_used(self, tmp_path, monkeypatch):
         config = tmp_path / "testlens.toml"
         config.write_text('rules = ["R3"]\n')
@@ -1288,6 +1322,8 @@ class TestEntryPoint:
         methods = "".join(f"    @Test\n    public void testParser{i}() {{ }}\n" for i in range(2000))
         (tmp_path / "BigTest.java").write_text(
             f"import org.junit.Test;\npublic class BigTest {{\n{methods}}}\n")
+        # a partial parse, read first: its problem is dropped with the rest
+        (tmp_path / "AOpenTest.java").write_text("class AOpenTest {\n")
         src = str(Path(testlens.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
         proc = subprocess.Popen([sys.executable, "-m", "testlens", "scan", str(tmp_path)],
@@ -1342,6 +1378,18 @@ class TestUsage:
         monkeypatch.setenv("TESTLENS_CONFIG", str(config))
         code, _, err = invoke(["lint", str(tmp_path)])
         assert code == EXIT_ERROR
+
+    @pytest.mark.parametrize("argv, message", [
+        (["rename", "classify", "--input", str(DATA / "corpus_events.json")],
+         "error: unsupported classify format 'text'\n"),
+        (["report", "--input", str(DATA / "golden_classify.json")],
+         "error: unsupported format 'text'; choose from ('md', 'csv', 'json')\n"),
+    ])
+    def test_config_format_the_command_does_not_write(self, tmp_path, monkeypatch, argv, message):
+        config = tmp_path / "cfg.toml"
+        config.write_text('format = "text"\n')
+        monkeypatch.setenv("TESTLENS_CONFIG", str(config))
+        assert invoke(argv) == (EXIT_ERROR, "", message)
 
     def test_extension_tables(self, tmp_path):
         events = tmp_path / "events.csv"

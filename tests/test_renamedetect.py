@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -212,15 +213,17 @@ class TestGreedyVersusExhaustive:
 
 def reference_detect(pair: FileVersionPair, threshold: float):
     """All-pairs greedy matcher: every removed x added pair scored with
-    body_similarity, sorted stably, used sets keyed by method index."""
+    body_similarity, sorted stably, used sets keyed by method index. The
+    methods of a name held as often in both versions are neither removed
+    nor added, and a matched pair of two equal names is a kept method."""
     def test_methods(src):
         return [m for m in recover_methods(src)[0] if is_test_method(m)]
 
     before, after = test_methods(pair.before), test_methods(pair.after)
-    before_names = {m.name for m in before}
-    after_names = {m.name for m in after}
-    removed = [m for m in before if m.name not in after_names]
-    added = [m for m in after if m.name not in before_names]
+    counts = Counter(m.name for m in before)
+    counts.subtract(m.name for m in after)
+    removed = [m for m in before if counts[m.name]]
+    added = [m for m in after if counts[m.name]]
     candidates = [
         (body_similarity(r.body, a.body), i, j)
         for i, r in enumerate(removed)
@@ -235,7 +238,8 @@ def reference_detect(pair: FileVersionPair, threshold: float):
             continue
         used_removed.add(i)
         used_added.add(j)
-        events.append((removed[i].name, added[j].name, pair.after.path))
+        if removed[i].name != added[j].name:
+            events.append((removed[i].name, added[j].name, pair.after.path))
     return events
 
 
@@ -258,6 +262,28 @@ class TestOverloadsAndExactness:
         after = listed_file("T.java", [("testB", "a(); b(); c();"), ("testC", "p(); q(); r();")])
         events = detect_renames(FileVersionPair(before, after), DEFAULT_THRESHOLD)
         assert [(e.old_name, e.new_name) for e in events] == [("testA", "testB"), ("testA", "testC")]
+
+    @pytest.mark.parametrize("after, expected", [
+        # the last overload renamed, the first keeps the name
+        ([("testA", "a(); b(); c();"), ("testB", "p(); q(); r();")], [("testA", "testB")]),
+        # the first overload renamed, the last keeps the name
+        ([("testB", "a(); b(); c();"), ("testA", "p(); q(); r();")], [("testA", "testB")]),
+        # both renamed: one event each
+        ([("testB", "a(); b(); c();"), ("testC", "p(); q(); r();")],
+         [("testA", "testB"), ("testA", "testC")]),
+    ], ids=["last", "first", "both"])
+    def test_each_renamed_overload_gives_one_event(self, after, expected):
+        before = listed_file("T.java", [("testA", "a(); b(); c();"), ("testA", "p(); q(); r();")])
+        pair = FileVersionPair(before, listed_file("T.java", after))
+        expected = [(*names, "T.java") for names in expected]
+        assert events_of(pair, DEFAULT_THRESHOLD) == reference_detect(pair, DEFAULT_THRESHOLD) == expected
+
+    def test_overload_kept_under_its_name_is_no_rename(self):
+        # testA(int) deleted, and testX copies testA(): testA() matches its kept self
+        before = listed_file("T.java", [("testA", "a(); b(); c();"), ("testA", "p(); q(); r();")])
+        after = listed_file("T.java", [("testA", "a(); b(); c();"), ("testX", "a(); b(); c();")])
+        pair = FileVersionPair(before, after)
+        assert events_of(pair, DEFAULT_THRESHOLD) == reference_detect(pair, DEFAULT_THRESHOLD) == []
 
     def test_score_exactly_at_threshold_is_kept(self):
         # 5 + 5 bigrams sharing 3: Dice is exactly 0.6
