@@ -6,13 +6,15 @@ end offsets (comments dropped; literals and text blocks kept as single
 tokens); a token's start is its end minus its length. One
 ``str.translate`` of the tokens' first characters gives the file's
 shape: ``w`` per word, ``0`` per number, ``"`` per literal and ASCII
-punctuation as itself. One stack pass pairs the parentheses and braces.
-One regex over the shape finds each word followed by '(' after a word,
-'>' or ']', where a return type can end; a signature heuristic checks
-each, and each method found keeps its brace-balanced body as a view of
-the file's texts column, so that bodies nested in bodies copy nothing.
-No compiler front-end is involved, so non-compiling snapshots still
-scan, in time linear in the token count.
+punctuation as itself. One stack pass over the braces that one regex
+finds in the shape pairs them; a parenthesis is paired only when a
+signature or an annotation asks for its partner. One regex over the
+shape finds each word followed by '(' after a word, '>' or ']', where a
+return type can end; a signature heuristic checks each, and each method
+found keeps its brace-balanced body as a view of the file's texts
+column, so that bodies nested in bodies copy nothing. No compiler
+front-end is involved, so non-compiling snapshots still scan, in time
+linear in the token count.
 """
 
 from __future__ import annotations
@@ -185,8 +187,6 @@ _NOT_METHOD_NAMES = frozenset({
 # `record` the name and parameters are a record header
 _NOT_RETURN_TYPES = _MODIFIERS | _NOT_METHOD_NAMES | {"record"}
 
-_OPENER_OF = {")": "(", "}": "{"}
-_BRACKETS = frozenset("(){}")
 _TYPE_OPENER_OF = {">": "<", "]": "["}
 # shapes a type can hold: words and some punctuation (`@` starts a type
 # annotation); any other shape ends a type back-scan
@@ -224,25 +224,66 @@ def tokenize(text: str) -> TokenStream:
     return TokenStream(tuple(compress(texts, keep)), tuple(compress(ends, keep)))
 
 
-def _pair_brackets(shape: str) -> tuple[list[int | None], list[int]]:
-    """Index of the partner of every matched '(' ')' '{' '}', else None;
-    and the indexes of the '{' that are still open at the end.
+def _stack_pairs(shape: str, kind: str) -> tuple[list[int], dict[int, int], list[int]]:
+    """The indexes of the brackets of ``kind`` (``"{}"`` or ``"()"``) in
+    ``shape``, found by one regex scan; the partner of each matched one,
+    by the index of either; and the openers still open at the end. Each
+    pair is the one a depth count over that kind alone finds, so a ')'
+    never closes a '{'."""
+    positions = [match.start() for match in re.finditer(f"[{kind}]", shape)]
+    partner: dict[int, int] = {}
+    stack: list[int] = []
+    for i in positions:
+        if shape[i] == kind[0]:
+            stack.append(i)
+        elif stack:
+            partner[i] = j = stack.pop()
+            partner[j] = i
+    return positions, partner, stack
 
-    One stack per bracket kind, so a ')' never closes a '{': each pair is
-    the one a depth count over that kind alone finds.
-    """
-    partner: list[int | None] = [None] * len(shape)
-    stacks: dict[str, list[int]] = {"(": [], "{": []}
-    for i in compress(count(), map(_BRACKETS.__contains__, shape)):
-        c = shape[i]
-        if c in stacks:
-            stacks[c].append(i)
-        else:
-            stack = stacks[_OPENER_OF[c]]
-            if stack:
-                j = stack.pop()
-                partner[i], partner[j] = j, i
-    return partner, stacks["{"]
+
+class _Brackets:
+    """The partners of one file's braces and parentheses.
+
+    The braces are paired at once, from the positions of one regex scan
+    (``braces``), which ``_end_runaway_bodies`` reads too. A parenthesis
+    is paired only when asked. When no parenthesis of its own kind lies
+    between it and the first one of the other kind in the asked
+    direction, that one is the partner the stack pass would give, and
+    when there is none, it has none. Otherwise one stack pass pairs every
+    parenthesis of the file, and this and every later lookup reads it.
+    The stretches that lookups scan without the pass hold no other
+    parenthesis, so they do not overlap, and the time stays linear."""
+
+    __slots__ = ("_shape", "braces", "brace", "open_braces", "_parens")
+
+    def __init__(self, shape: str):
+        self._shape = shape
+        self.braces, self.brace, self.open_braces = _stack_pairs(shape, "{}")
+        self._parens: dict[int, int] | None = None
+
+    def close_paren(self, i: int) -> int | None:
+        """Index of the ')' that closes the '(' at ``i``, or None."""
+        if self._parens is None:
+            shape = self._shape
+            j = shape.find(")", i + 1)
+            stop = len(shape) if j < 0 else j
+            if shape.find("(", i + 1, stop) < 0:
+                return None if j < 0 else j
+        return self._paired().get(i)
+
+    def open_paren(self, j: int) -> int | None:
+        """Index of the '(' that the ')' at ``j`` closes, or None."""
+        if self._parens is None:
+            i = self._shape.rfind("(", 0, j)
+            if self._shape.find(")", i + 1, j) < 0:
+                return None if i < 0 else i
+        return self._paired().get(j)
+
+    def _paired(self) -> dict[int, int]:
+        if self._parens is None:
+            self._parens = _stack_pairs(self._shape, "()")[1]
+        return self._parens
 
 
 def _at_sign(shape: str, i: int) -> int | None:
@@ -253,19 +294,22 @@ def _at_sign(shape: str, i: int) -> int | None:
     return i - 1 if i >= 1 and shape[i - 1] == "@" else None
 
 
-def _annotation_at(shape: str, partner: list[int | None], close: int) -> int | None:
-    """Index of the '@' of the annotation whose argument list ends at ``close``."""
-    open_idx = partner[close]
+def _annotation_at(shape: str, brackets: _Brackets, close: int) -> int | None:
+    """Index of the '@' of the annotation whose argument list ends at the
+    ')' at ``close``, or None; asks ``brackets`` for its '('."""
+    open_idx = brackets.open_paren(close)
     if open_idx is not None and open_idx >= 2 and shape[open_idx - 2 : open_idx] in ("@w", ".w"):
         return _at_sign(shape, open_idx - 1)
     return None
 
 
-def _type_open(shape: str, partner: list[int | None], i: int) -> int | None:
+def _type_open(shape: str, brackets: _Brackets, i: int) -> int | None:
     """Index of the '<' or '[' matching the '>' or ']' at ``i``, or None.
 
     The scan stops with None at the first token that cannot appear in a
-    type, so a '>' of a lambda arrow or a comparison costs a few steps.
+    type, so a '>' of a lambda arrow or a comparison costs a few steps; it
+    steps over an annotation with arguments (`List<@Size(max = 3) T>`)
+    from its ')' to its '@', and asks no other parenthesis for a partner.
     """
     close = shape[i]
     opener = _TYPE_OPENER_OF[close]
@@ -278,7 +322,7 @@ def _type_open(shape: str, partner: list[int | None], i: int) -> int | None:
             depth -= 1
             if depth == 0:
                 return i
-        elif c == ")" and (at := _annotation_at(shape, partner, i)) is not None:
+        elif c == ")" and (at := _annotation_at(shape, brackets, i)) is not None:
             i = at
         elif c not in _TYPE_SHAPES:
             return None
@@ -286,18 +330,21 @@ def _type_open(shape: str, partner: list[int | None], i: int) -> int | None:
     return None
 
 
-def _return_type_start(texts: tuple[str, ...], shape: str, partner: list[int | None], i: int) -> int | None:
+def _return_type_start(texts: tuple[str, ...], shape: str, brackets: _Brackets, i: int) -> int | None:
     """Index of the first token of the return type ending at the word,
-    '>' or ']' at ``i``, or None."""
+    '>' or ']' at ``i``, or None: back over its ``[]`` and ``<…>`` groups
+    (`Map<K, V>[][]`) to the word they follow."""
     if shape[i] == "w":
         return None if texts[i] in _NOT_RETURN_TYPES else i
-    start = _type_open(shape, partner, i)
-    if start is None or start == 0 or shape[start - 1] != "w" or texts[start - 1] in _NOT_METHOD_NAMES:
-        return None
-    return start - 1
+    while shape[i] in ">]":
+        i = _type_open(shape, brackets, i)
+        if i is None or i == 0:
+            return None
+        i -= 1
+    return i if shape[i] == "w" and texts[i] not in _NOT_METHOD_NAMES else None
 
 
-def _collect_annotations(s: TokenStream, shape: str, partner: list[int | None], before: int,
+def _collect_annotations(s: TokenStream, shape: str, brackets: _Brackets, before: int,
                          text: str) -> tuple[tuple[str, ...], int]:
     """Annotation texts preceding token index ``before``, across modifiers
     and a type-parameter list (`@Test public <T> void`), and the index of
@@ -317,14 +364,14 @@ def _collect_annotations(s: TokenStream, shape: str, partner: list[int | None], 
             i -= 2
             continue
         if c == ")":
-            at = _annotation_at(shape, partner, i)
+            at = _annotation_at(shape, brackets, i)
             if at is None:
                 break
             annotations.append(text[ends[at] - 1 : ends[i]])
             i = at - 1
             continue
         if c == ">":
-            start = _type_open(shape, partner, i)
+            start = _type_open(shape, brackets, i)
             if start is None:
                 break
             i = start - 1
@@ -339,8 +386,11 @@ def _collect_annotations(s: TokenStream, shape: str, partner: list[int | None], 
 
 
 def _body_open(texts: tuple[str, ...], shape: str, i: int) -> int | None:
-    """Index of the '{' at ``i`` or after a throws clause starting at ``i``."""
+    """Index of the '{' at ``i``, or after the array dimensions
+    (`int legacy()[] {`, JLS 8.4) and the throws clause that start at ``i``."""
     n = len(shape)
+    while shape.startswith("[]", i):
+        i += 2
     if i < n and texts[i] == "throws":
         i += 1
         while i < n and shape[i] in ",.w":
@@ -360,7 +410,7 @@ def extract_methods(src: SourceFile) -> list[TestMethod]:
     s = tokenize(src.text)
     texts, ends = s
     shape = _shape(texts)
-    partner, open_braces = _pair_brackets(shape)
+    brackets = _Brackets(shape)
     methods: list[TestMethod] = []
     # the first token of each method's declaration, by the index of its name
     starts: dict[int, int] = {}
@@ -369,27 +419,27 @@ def extract_methods(src: SourceFile) -> list[TestMethod]:
     where = "at end of input"
     for match in _SIGNATURE_RE.finditer(shape):
         i = match.start()
-        if (name := texts[i]) in _NOT_METHOD_NAMES or (close := partner[i + 1]) is None:
+        if (name := texts[i]) in _NOT_METHOD_NAMES:
             continue
-        type_start = _return_type_start(texts, shape, partner, i - 1)
-        if type_start is None:
+        type_start = _return_type_start(texts, shape, brackets, i - 1)
+        if type_start is None or (close := brackets.close_paren(i + 1)) is None:
             continue
         brace = _body_open(texts, shape, close + 1)
         if brace is None:
             continue
-        body_close = partner[brace]
+        body_close = brackets.brace.get(brace)
         if body_close is None:
             where = f"after method {name!r}"
             break
-        annotations, start = _collect_annotations(s, shape, partner, type_start - 1, src.text)
+        annotations, start = _collect_annotations(s, shape, brackets, type_start - 1, src.text)
         starts[i] = start
         body_of[brace] = len(methods)
         # by position: keywords cost about a microsecond more per method
         methods.append(TestMethod(name, annotations, BodyTexts(texts, brace + 1, body_close),
                                   (ends[i] - len(name), ends[i]),
                                   (ends[brace] - 1, ends[body_close])))
-    if open_braces:
-        _end_runaway_bodies(s, shape, partner, methods, starts, body_of, src.text)
+    if brackets.open_braces:
+        _end_runaway_bodies(s, shape, brackets, methods, starts, body_of, src.text)
         raise PartialParseError(
             f"{src.path}: unbalanced braces {where}; recovered {len(methods)} method(s)", methods)
     return methods
@@ -400,7 +450,7 @@ def extract_methods(src: SourceFile) -> list[TestMethod]:
 _MEMBER_MODIFIERS = frozenset({"public", "protected", "private", "static"})
 
 
-def _end_runaway_bodies(s: TokenStream, shape: str, partner: list[int | None],
+def _end_runaway_bodies(s: TokenStream, shape: str, brackets: _Brackets,
                         methods: list[TestMethod], starts: dict[int, int],
                         body_of: dict[int, int], text: str) -> None:
     """End each body in ``methods`` that holds a declaration directly in
@@ -414,7 +464,7 @@ def _end_runaway_bodies(s: TokenStream, shape: str, partner: list[int | None],
     texts, ends = s
     stack: list[int] = []
     for i in sorted({*starts, *compress(count(), map(_MEMBER_MODIFIERS.__contains__, texts)),
-                     *compress(count(), map("{}".__contains__, shape))}):
+                     *brackets.braces}):
         if shape[i] == "{":
             stack.append(i)
         elif shape[i] == "}":
@@ -422,7 +472,7 @@ def _end_runaway_bodies(s: TokenStream, shape: str, partner: list[int | None],
                 stack.pop()
         elif stack and (outer := body_of.pop(brace := stack[-1], None)) is not None:
             m = methods[outer]
-            start = starts[i] if i in starts else _collect_annotations(s, shape, partner, i, text)[1]
+            start = starts[i] if i in starts else _collect_annotations(s, shape, brackets, i, text)[1]
             end = max(start, brace + 1)
             methods[outer] = m._replace(body=BodyTexts(texts, brace + 1, end),
                                         body_span=(m.body_span[0], ends[end - 1]))

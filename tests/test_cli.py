@@ -230,16 +230,6 @@ class TestScanCommand:
         assert "".join(piece for kind, piece in log if kind == "write").encode() == (
             DATA / "golden_scan.json").read_bytes()
 
-    def test_golden_tree(self, monkeypatch):
-        # nested directory, a file without methods, a generic test method,
-        # escaped and non-ASCII annotation text, and a partial parse
-        monkeypatch.chdir(DATA)
-        code, out, err = invoke(["scan", "scan_tree"])
-        assert code == EXIT_ERROR
-        assert out.encode() == (DATA / "golden_scan.json").read_bytes()
-        assert err == ("scan_tree/BrokenTest.java: unbalanced braces after method "
-                       "'neverCloses'; recovered 1 method(s)\n")
-
     @staticmethod
     def _scan_peak_bytes(root: Path, copies: int) -> int:
         text = (DATA / "scan_tree" / "GenericTest.java").read_text(encoding="utf-8")
@@ -1199,21 +1189,29 @@ class TestDeterminism:
         assert first == second
 
 
+BROKEN = ("scan_tree/BrokenTest.java: unbalanced braces after method "
+          "'neverCloses'; recovered 1 method(s)\n")
+
+# each JSON-writing command, run from ``tests/data``, with the file there
+# that holds its stdout byte for byte, its exit code and its stderr
+GOLDEN_COMMANDS = {
+    "split": (["split", "--json", "testÜber2HTTPServer_ok"], "golden_split.json", EXIT_OK, ""),
+    "lint": (["lint", "scan_tree", "--format", "json"], "golden_lint.json", EXIT_ERROR, BROKEN),
+    "detect": (["rename", "detect", "--before", "rename_pair/Before.java",
+                "--after", "rename_pair/After.java"], "golden_detect.json", EXIT_OK, ""),
+    "classify": (["rename", "classify", "--input", "corpus_events.json", "--format", "json"],
+                 "golden_classify.json", EXIT_OK, ""),
+    # nested directory, a file without methods, a generic test method,
+    # escaped and non-ASCII annotation text, and a partial parse
+    "scan": (["scan", "scan_tree"], "golden_scan.json", EXIT_ERROR, BROKEN),
+}
+
+
 class TestGoldenJson:
     """Each JSON-writing command's stdout, byte for byte, run from
-    ``tests/data``; ``scan`` and ``report`` have golden tests of their own."""
+    ``tests/data``; ``report`` has golden tests of its own."""
 
-    BROKEN = ("scan_tree/BrokenTest.java: unbalanced braces after method "
-              "'neverCloses'; recovered 1 method(s)\n")
-
-    @pytest.mark.parametrize("argv, golden, code, err", [
-        (["split", "--json", "testÜber2HTTPServer_ok"], "golden_split.json", EXIT_OK, ""),
-        (["lint", "scan_tree", "--format", "json"], "golden_lint.json", EXIT_ERROR, BROKEN),
-        (["rename", "detect", "--before", "rename_pair/Before.java",
-          "--after", "rename_pair/After.java"], "golden_detect.json", EXIT_OK, ""),
-        (["rename", "classify", "--input", "corpus_events.json", "--format", "json"],
-         "golden_classify.json", EXIT_OK, ""),
-    ], ids=["split", "lint", "detect", "classify"])
+    @pytest.mark.parametrize("argv, golden, code, err", GOLDEN_COMMANDS.values(), ids=GOLDEN_COMMANDS)
     def test_stdout_equals_golden_bytes(self, monkeypatch, argv, golden, code, err):
         monkeypatch.chdir(DATA)
         got_code, out, got_err = invoke(argv)

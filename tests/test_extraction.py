@@ -191,6 +191,24 @@ class TestExtractMethods:
             methods = extract_methods(SourceFile("T.java", text))
             assert [(m.name, m.annotations) for m in methods] == [("names", ("@Test",))], return_type
 
+    @pytest.mark.parametrize("header", [
+        "int[][] arr2", "java.util.Map<String, Integer>[] maps", "List<String>[] arrays",
+        "<T> java.util.List<T>[] genericArray", "public static Map<K, V[]>[][] nested",
+    ])
+    def test_array_return_type_after_an_array_or_a_type_argument(self, header):
+        text = f"class T {{ @Test {header}() {{ return null; }} void after() {{ }} }}"
+        methods = extract_methods(SourceFile("T.java", text))
+        name = header.rsplit(" ", 1)[1]
+        assert [(m.name, m.annotations) for m in methods] == [(name, ("@Test",)), ("after", ())]
+
+    @pytest.mark.parametrize("dims", ["[]", "[][]", " [ ] [ ] "])
+    def test_array_dimensions_after_the_parameters(self, dims):
+        # JLS 8.4, MethodDeclarator: `int legacy()[]` returns int[]
+        text = f"class T {{ int legacy(int a){dims}throws E {{ return null; }} int legacy2(){dims}{{ }} }}"
+        methods = extract_methods(SourceFile("T.java", text))
+        assert [m.name for m in methods] == ["legacy", "legacy2"]
+        assert text[slice(*methods[1].body_span)] == "{ }"
+
     def test_generic_test_method_keeps_annotations(self):
         for header in ("public <T> void", "public static <T extends Comparable<T>> java.util.List<T>"):
             text = f"class T {{ @Test {header} sorted() {{ go(); }} }}"

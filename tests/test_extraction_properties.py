@@ -315,6 +315,28 @@ def _reference_pairs(texts: tuple[str, ...]) -> list[int | None]:
     return partner
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.text("(){}w;.", max_size=40), st.data())
+def test_bracket_lookup_gives_the_stack_pass_partner(shape, data):
+    """Braces at once, and each parenthesis asked alone or in any order on
+    one lookup, after its stack pass has run or not, get the partner a
+    stack pass per kind gives, also in unbalanced shapes."""
+    want = _reference_pairs(tuple(shape))
+    brackets = extraction._Brackets(shape)
+    assert brackets.braces == [i for i, c in enumerate(shape) if c in "{}"]
+    assert brackets.open_braces == [i for i, c in enumerate(shape) if c == "{" and want[i] is None]
+
+    def partner(lookup, i):
+        if shape[i] == "(":
+            return lookup.close_paren(i)
+        return lookup.open_paren(i) if shape[i] == ")" else lookup.brace.get(i)
+
+    brackets_at = [i for i, c in enumerate(shape) if c in "(){}"]
+    assert [partner(extraction._Brackets(shape), i) for i in brackets_at] == [want[i] for i in brackets_at]
+    order = data.draw(st.permutations(brackets_at))
+    assert {i: partner(brackets, i) for i in order} == {i: want[i] for i in order}
+
+
 def _reference_at_sign(texts, i):
     """The '@' before the annotation name, maybe dotted, that ends at the word ``i``."""
     while i >= 2 and texts[i - 1] == "." and _is_word(texts[i - 2]):
@@ -354,15 +376,17 @@ def _reference_type_open(texts, partner, i):
 
 
 def _reference_return_type_start(texts, partner, i):
+    """Back over the type's `[]` and `<…>` groups to the word they follow."""
     if i < 0:
         return None
-    if texts[i] in (">", "]"):
+    if texts[i] not in (">", "]"):
+        return i if _is_word(texts[i]) and texts[i] not in extraction._NOT_RETURN_TYPES else None
+    while texts[i] in (">", "]"):
         start = _reference_type_open(texts, partner, i)
         if start is None or start == 0:
             return None
-        word = texts[start - 1]
-        return start - 1 if _is_word(word) and word not in extraction._NOT_METHOD_NAMES else None
-    return i if _is_word(texts[i]) and texts[i] not in extraction._NOT_RETURN_TYPES else None
+        i = start - 1
+    return i if _is_word(texts[i]) and texts[i] not in extraction._NOT_METHOD_NAMES else None
 
 
 def _reference_annotations(texts, ends, partner, i, text):
@@ -394,7 +418,10 @@ def _reference_annotations(texts, ends, partner, i, text):
 
 
 def _reference_body_open(texts, i):
+    """Past array dimensions after the parameters (JLS 8.4) and a throws clause."""
     n = len(texts)
+    while texts[i:i + 2] == ("[", "]"):
+        i += 2
     if i < n and texts[i] == "throws":
         i += 1
         while i < n and (texts[i] in (",", ".") or _is_word(texts[i])):
@@ -523,6 +550,24 @@ def test_extraction_time_is_linear_on_nested_declarations():
         methods = extract_methods(src)
         best = min(best, time.process_time() - start)
     assert len(methods) == depth and len(methods[0].body) == 6 * (depth - 1)
+    assert best / len(tokenize(src.text)) <= 3 * _seconds_per_token(_SHAPES["plain"])
+
+
+@pytest.mark.parametrize("members", [
+    "void a( " * 4000,
+    "void a(int " * 2000 + ")" * 2000 + " { }",
+    "void f(" + "g(h(" * 2000 + ")" * 4001 + " { }",
+], ids=["unclosed", "nested-declarations", "nested-calls"])
+def test_extraction_time_is_linear_where_the_parenthesis_lookup_misses(members):
+    """Each '(' here is asked for its partner by a candidate whose first
+    ')' is far away or missing, with other '(' between: one stack pass
+    over the parentheses must answer them all."""
+    src = SourceFile("T.java", "class T {\n" + members + "\n}\n")
+    best = float("inf")
+    for _ in range(3):
+        start = time.process_time()
+        extract_methods(src)
+        best = min(best, time.process_time() - start)
     assert best / len(tokenize(src.text)) <= 3 * _seconds_per_token(_SHAPES["plain"])
 
 
