@@ -10,9 +10,11 @@ punctuation as itself. One stack pass over the braces that one regex
 finds in the shape pairs them; a parenthesis is paired only when a
 signature or an annotation asks for its partner. One regex over the
 shape finds each word followed by '(' after a word, '>' or ']', where a
-return type can end; a signature heuristic checks each, and each method
-found keeps its brace-balanced body as a view of the file's texts
-column, so that bodies nested in bodies copy nothing. No compiler
+return type can end. A signature heuristic reads each backward: the
+return type to its first token, then type parameters, modifiers and
+annotations; a constructor has no return type, so it is never a method.
+Each method found keeps its brace-balanced body as a view of the file's
+texts column, so that bodies nested in bodies copy nothing. No compiler
 front-end is involved, so non-compiling snapshots still scan, in time
 linear in the token count.
 """
@@ -183,8 +185,8 @@ _NOT_METHOD_NAMES = frozenset({
     "new", "super", "this", "assert", "throw", "synchronized",
 })
 
-# words that cannot be a return type right before a method name; after
-# `record` the name and parameters are a record header
+# words that are no return type: after a modifier, `<T> Name(` starts a
+# generic constructor, and after `record`, a record header
 _NOT_RETURN_TYPES = _MODIFIERS | _NOT_METHOD_NAMES | {"record"}
 
 _TYPE_OPENER_OF = {">": "<", "]": "["}
@@ -286,21 +288,18 @@ class _Brackets:
         return self._parens
 
 
-def _at_sign(shape: str, i: int) -> int | None:
-    """Index of the '@' of the annotation whose name, maybe dotted
-    (`@org.junit.Test`), ends at the word ``i``, or None."""
+def _annotation_start(shape: str, brackets: _Brackets, i: int) -> int | None:
+    """Index of the '@' of the annotation that ends at token ``i``, or
+    None: ``i`` is the last word of its name, maybe dotted
+    (`@org.junit.Test`), or the ')' of its arguments, whose '(' it asks
+    ``brackets`` for."""
+    if shape[i] == ")":
+        i = (brackets.open_paren(i) or 0) - 1  # -1: no '(', or none before it
+    if i < 0 or shape[i] != "w":
+        return None
     while i >= 2 and shape[i - 2 : i] == "w.":
         i -= 2
     return i - 1 if i >= 1 and shape[i - 1] == "@" else None
-
-
-def _annotation_at(shape: str, brackets: _Brackets, close: int) -> int | None:
-    """Index of the '@' of the annotation whose argument list ends at the
-    ')' at ``close``, or None; asks ``brackets`` for its '('."""
-    open_idx = brackets.open_paren(close)
-    if open_idx is not None and open_idx >= 2 and shape[open_idx - 2 : open_idx] in ("@w", ".w"):
-        return _at_sign(shape, open_idx - 1)
-    return None
 
 
 def _type_open(shape: str, brackets: _Brackets, i: int) -> int | None:
@@ -322,7 +321,7 @@ def _type_open(shape: str, brackets: _Brackets, i: int) -> int | None:
             depth -= 1
             if depth == 0:
                 return i
-        elif c == ")" and (at := _annotation_at(shape, brackets, i)) is not None:
+        elif c == ")" and (at := _annotation_start(shape, brackets, i)) is not None:
             i = at
         elif c not in _TYPE_SHAPES:
             return None
@@ -333,15 +332,24 @@ def _type_open(shape: str, brackets: _Brackets, i: int) -> int | None:
 def _return_type_start(texts: tuple[str, ...], shape: str, brackets: _Brackets, i: int) -> int | None:
     """Index of the first token of the return type ending at the word,
     '>' or ']' at ``i``, or None: back over its ``[]`` and ``<…>`` groups
-    (`Map<K, V>[][]`) to the word they follow."""
-    if shape[i] == "w":
-        return None if texts[i] in _NOT_RETURN_TYPES else i
+    and the annotations right before a '[' (`Map<K, V> @A [][]`) to the
+    word they follow, then over that word's qualifier (`java.util.Map`).
+    A keyword or an annotation's name is no type, so an annotated or
+    generic constructor (`@Inject T()`, `public <T> T()`) is no method."""
     while shape[i] in ">]":
         i = _type_open(shape, brackets, i)
-        if i is None or i == 0:
+        if not i:
             return None
+        if shape[i] == "[":
+            # an '@' at 0 ends this loop on an annotation, then rejected
+            while (at := _annotation_start(shape, brackets, i - 1)):
+                i = at
         i -= 1
-    return i if shape[i] == "w" and texts[i] not in _NOT_METHOD_NAMES else None
+    if shape[i] != "w" or texts[i] in _NOT_RETURN_TYPES:
+        return None
+    while i >= 2 and shape[i - 2 : i] == "w.":
+        i -= 2
+    return None if i >= 1 and shape[i - 1] == "@" else i  # an annotation's name
 
 
 def _collect_annotations(s: TokenStream, shape: str, brackets: _Brackets, before: int,
@@ -355,32 +363,15 @@ def _collect_annotations(s: TokenStream, shape: str, brackets: _Brackets, before
     annotations: list[str] = []
     i = before
     while i >= 0:
-        c = shape[i]
         if texts[i] in _MODIFIERS:
             i -= 1
-            continue
-        # remainder of a dotted return type: java.util.List
-        if c == "." and i >= 1 and shape[i - 1] == "w":
-            i -= 2
-            continue
-        if c == ")":
-            at = _annotation_at(shape, brackets, i)
-            if at is None:
-                break
-            annotations.append(text[ends[at] - 1 : ends[i]])
-            i = at - 1
-            continue
-        if c == ">":
-            start = _type_open(shape, brackets, i)
-            if start is None:
-                break
+        elif shape[i] == ">" and (start := _type_open(shape, brackets, i)) is not None:
             i = start - 1
-            continue
-        if c == "w" and (at := _at_sign(shape, i)) is not None:
+        elif shape[i] in "w)" and (at := _annotation_start(shape, brackets, i)) is not None:
             annotations.append(text[ends[at] - 1 : ends[i]])
             i = at - 1
-            continue
-        break
+        else:
+            break
     annotations.reverse()
     return tuple(annotations), i + 1
 
@@ -399,7 +390,7 @@ def _body_open(texts: tuple[str, ...], shape: str, i: int) -> int | None:
 
 
 def extract_methods(src: SourceFile) -> list[TestMethod]:
-    """All method declarations found by the signature heuristic.
+    """All method declarations (not constructors) the signature heuristic finds.
 
     Methods inside nested or anonymous classes are extracted too and
     attributed to the file. Raises PartialParseError when a method body

@@ -391,7 +391,7 @@ def relate(removed: str, added: str) -> TermRelation:
 # Term diffing and classification
 
 
-def collapse_phrases(terms: list[str]) -> list[str]:
+def _collapse_phrases(terms: list[str]) -> list[str]:
     """Rewrite known multi-term phrases into single space-joined tokens.
 
     At each position the longest known phrase starting there wins.
@@ -551,8 +551,8 @@ def classify(event: RenameEvent, lexicon: Lexicon | None = None) -> RenameClassi
     new = _split_valid(event.new_name)
     old_terms = old.normalized()
     new_terms = new.normalized()
-    old_collapsed = collapse_phrases(old_terms)
-    new_collapsed = collapse_phrases(new_terms)
+    old_collapsed = _collapse_phrases(old_terms)
+    new_collapsed = _collapse_phrases(new_terms)
     added = _extra(new_collapsed, old_collapsed)
     removed = _extra(old_collapsed, new_collapsed)
     form = _form(old_terms, new_terms, added, removed)

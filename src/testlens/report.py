@@ -88,7 +88,7 @@ def _key_text(key) -> str:
     return str(key)
 
 
-def top_k(counts: Counter, k: int) -> tuple[list[tuple[object, int]], int]:
+def _top_k(counts: Counter, k: int) -> tuple[list[tuple[object, int]], int]:
     """Top entries by count (ties broken by key text) plus the residual count."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -113,7 +113,7 @@ class _Section(NamedTuple):
 def _counter_section(title: str, key_columns: tuple[str, ...], counts: Counter,
                      k: int, total: int) -> _Section:
     rows: list[tuple] = []
-    head, residual = top_k(counts, k)
+    head, residual = _top_k(counts, k)
     for key, count in head:
         key_parts = key if isinstance(key, tuple) else (key,)
         rows.append(tuple(str(p) for p in key_parts) + (str(count), _pct(count, total)))

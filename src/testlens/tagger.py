@@ -163,7 +163,7 @@ def _closed_class_tags(lexicon: Lexicon) -> dict[str, PosTag]:
     return table
 
 
-def noun_run_rewrite(tags: list[PosTag]) -> list[PosTag]:
+def _noun_run_rewrite(tags: list[PosTag]) -> list[PosTag]:
     """Within each maximal N/NPL run of length >= 2, demote all but the last to NM."""
     out = list(tags)
     for i in range(len(out) - 1):
@@ -190,7 +190,7 @@ def tag(terms: TermSequence, lexicon: Lexicon | None = None) -> TaggedName:
     for term in terms.terms:
         prior = _word_tags(term.surface.lower(), lexicon)[prior is _P or prior is _DT]
         raw_tags.append(prior)
-    return TaggedName(terms, tuple(noun_run_rewrite(raw_tags)))
+    return TaggedName(terms, tuple(_noun_run_rewrite(raw_tags)))
 
 
 @lru_cache(maxsize=4096)

@@ -22,10 +22,10 @@ from testlens.rename import (
     RenameEvent,
     SemanticCategory,
     TermRelation,
+    _collapse_phrases,
     classify,
     classify_form,
     classify_semantics,
-    collapse_phrases,
     relate,
     term_pairs,
 )
@@ -154,8 +154,8 @@ class TestCriterion4TermPairs:
             if old == new:
                 continue
             event = RenameEvent(old, new)
-            old_terms = Counter(collapse_phrases(split(old).normalized()))
-            new_terms = Counter(collapse_phrases(split(new).normalized()))
+            old_terms = Counter(_collapse_phrases(split(old).normalized()))
+            new_terms = Counter(_collapse_phrases(split(new).normalized()))
             expected = sum((new_terms - old_terms).values()) * sum((old_terms - new_terms).values())
             assert len(term_pairs(event)) == expected, (old, new)
             checked += 1

@@ -194,6 +194,9 @@ class TestExtractMethods:
     @pytest.mark.parametrize("header", [
         "int[][] arr2", "java.util.Map<String, Integer>[] maps", "List<String>[] arrays",
         "<T> java.util.List<T>[] genericArray", "public static Map<K, V[]>[][] nested",
+        # annotations on array dimensions belong to the type
+        "String @A [] dims", "int @A [] @B [] dims2", "static String @A(1) @B [] [] dims3",
+        "java.util.List<T> @A [] dims4",
     ])
     def test_array_return_type_after_an_array_or_a_type_argument(self, header):
         text = f"class T {{ @Test {header}() {{ return null; }} void after() {{ }} }}"
@@ -220,6 +223,22 @@ class TestExtractMethods:
         text = "class T { record P(int x, int y) { int sum() { return x + y; } } void record() { } }"
         methods = extract_methods(SourceFile("T.java", text))
         assert [m.name for m in methods] == ["sum", "record"]
+
+    @pytest.mark.parametrize("header", [
+        "@Inject T()", "@Test <T> T(T t)", "public <T> T(T t)", "@Test(timeout = 5) T()",
+        "protected <T extends Comparable<T>> T(T t, int x)", "@Test @a.b.Inject <T> T()",
+    ])
+    def test_constructors_are_not_methods(self, header):
+        text = f"class T {{ {header} {{ init(); }} void testAfter() {{ }} }}"
+        methods = extract_methods(SourceFile("T.java", text))
+        assert [m.name for m in methods] == ["testAfter"]
+
+    def test_unicode_escapes_are_not_decoded(self):
+        # javac decodes them (JLS 3.3) and finds testA, testB and an @Test
+        text = ("class T { void \x5cu0074estA() { } void test\x5cu0042() { } "
+                "@\x5cu0054est void named() { } void testC() { } }")
+        methods = extract_methods(SourceFile("T.java", text))
+        assert [(m.name, m.annotations) for m in methods] == [("named", ()), ("testC", ())]
 
     def test_unbalanced_braces_raise_with_recovered(self):
         src = SourceFile("Broken.java", UNBALANCED)

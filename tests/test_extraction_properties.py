@@ -337,18 +337,18 @@ def test_bracket_lookup_gives_the_stack_pass_partner(shape, data):
     assert {i: partner(brackets, i) for i in order} == {i: want[i] for i in order}
 
 
-def _reference_at_sign(texts, i):
-    """The '@' before the annotation name, maybe dotted, that ends at the word ``i``."""
+def _reference_annotation_start(texts, partner, i):
+    """The '@' of the annotation that ends at token ``i``: the last word of
+    its name, maybe dotted, or the ')' of its arguments."""
+    if texts[i] == ")":
+        if partner[i] is None or partner[i] < 1:
+            return None
+        i = partner[i] - 1
+    if not _is_word(texts[i]):
+        return None
     while i >= 2 and texts[i - 1] == "." and _is_word(texts[i - 2]):
         i -= 2
     return i - 1 if i >= 1 and texts[i - 1] == "@" else None
-
-
-def _reference_annotation_at(texts, partner, close):
-    open_idx = partner[close]
-    if open_idx is not None and open_idx >= 1 and _is_word(texts[open_idx - 1]):
-        return _reference_at_sign(texts, open_idx - 1)
-    return None
 
 
 def _reference_type_open(texts, partner, i):
@@ -365,7 +365,7 @@ def _reference_type_open(texts, partner, i):
                 depth -= 1
                 if depth == 0:
                     return i
-            elif text == ")" and (at := _reference_annotation_at(texts, partner, i)) is not None:
+            elif text == ")" and (at := _reference_annotation_start(texts, partner, i)) is not None:
                 i = at
             elif text not in {".", ",", "?", "&", "<", ">", "[", "]", "@"}:
                 return None
@@ -376,40 +376,35 @@ def _reference_type_open(texts, partner, i):
 
 
 def _reference_return_type_start(texts, partner, i):
-    """Back over the type's `[]` and `<…>` groups to the word they follow."""
-    if i < 0:
-        return None
-    if texts[i] not in (">", "]"):
-        return i if _is_word(texts[i]) and texts[i] not in extraction._NOT_RETURN_TYPES else None
-    while texts[i] in (">", "]"):
-        start = _reference_type_open(texts, partner, i)
-        if start is None or start == 0:
+    """Back over the type's `[]` and `<…>` groups, and the annotations
+    before each '[', to the word they follow, then over its qualifier; no
+    keyword and no annotation's name is a type."""
+    while i >= 0 and texts[i] in (">", "]"):
+        i = _reference_type_open(texts, partner, i)
+        if i is None:
             return None
-        i = start - 1
-    return i if _is_word(texts[i]) and texts[i] not in extraction._NOT_METHOD_NAMES else None
+        if texts[i] == "[":
+            while i >= 1 and (at := _reference_annotation_start(texts, partner, i - 1)) is not None:
+                i = at
+        i -= 1
+    if i < 0 or not _is_word(texts[i]) or texts[i] in extraction._NOT_RETURN_TYPES:
+        return None
+    if _reference_annotation_start(texts, partner, i) is not None:
+        return None
+    while i >= 2 and texts[i - 1] == "." and _is_word(texts[i - 2]):
+        i -= 2
+    return i
 
 
 def _reference_annotations(texts, ends, partner, i, text):
     """The annotations before token ``i`` and the index where the declaration starts."""
     annotations = []
     while i >= 0:
-        tok = texts[i]
-        if tok in extraction._MODIFIERS:
+        if texts[i] in extraction._MODIFIERS:
             i -= 1
-        elif tok == "." and i >= 1 and _is_word(texts[i - 1]):
-            i -= 2
-        elif tok == ")":
-            at = _reference_annotation_at(texts, partner, i)
-            if at is None:
-                break
-            annotations.append(text[ends[at] - 1 : ends[i]])
-            i = at - 1
-        elif tok == ">":
-            start = _reference_type_open(texts, partner, i)
-            if start is None:
-                break
+        elif texts[i] == ">" and (start := _reference_type_open(texts, partner, i)) is not None:
             i = start - 1
-        elif _is_word(tok) and (at := _reference_at_sign(texts, i)) is not None:
+        elif (at := _reference_annotation_start(texts, partner, i)) is not None:
             annotations.append(text[ends[at] - 1 : ends[i]])
             i = at - 1
         else:
@@ -496,6 +491,8 @@ _JAVA_SOUP = [
     "<T extends A & B> void both() { }", "List<@NonNull(x) String> tagged() { }",
     "throws java.io.IOException", "@1", "void thrower() throws java.io.IOException { }",
     "@Test java.util.List<T> listed() { }", ") . void dotted() { }", "; <T> bare() { }",
+    "@Inject Ctor() { }", "public <T> Ctor(T t) { }", "String @A [] dims() { }", "@A(1) [] ",
+    "java.util.@A List<T> qualified() { }", "a.@B",
 ]
 
 

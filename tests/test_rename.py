@@ -10,13 +10,13 @@ from testlens.rename import (
     RenameEvent,
     SemanticCategory,
     TermRelation,
+    _collapse_phrases,
     _porter_once,
     _relations_from,
     _within_edits,
     classify,
     classify_form,
     classify_semantics,
-    collapse_phrases,
     relate,
     stem,
     term_pairs,
@@ -229,8 +229,8 @@ class TestRelateProperties:
 def _term_diff(old: str, new: str) -> tuple[Counter, Counter]:
     """Reference multiset difference over normalized, phrase-collapsed
     terms: (added, removed)."""
-    old_counts = Counter(collapse_phrases(split(old).normalized()))
-    new_counts = Counter(collapse_phrases(split(new).normalized()))
+    old_counts = Counter(_collapse_phrases(split(old).normalized()))
+    new_counts = Counter(_collapse_phrases(split(new).normalized()))
     return new_counts - old_counts, old_counts - new_counts
 
 
@@ -297,16 +297,16 @@ _PHRASE_WORDS = sorted({w for p in _data.relations_dict()["phrases"] for w in p.
 
 class TestCollapsePhrases:
     def test_collapses(self):
-        assert collapse_phrases(["all", "of", "items"]) == ["all of", "items"]
+        assert _collapse_phrases(["all", "of", "items"]) == ["all of", "items"]
 
     def test_leaves_plain_terms(self):
-        assert collapse_phrases(["all", "items"]) == ["all", "items"]
+        assert _collapse_phrases(["all", "items"]) == ["all", "items"]
 
     @given(st.lists(st.sampled_from(_PHRASE_WORDS)
                     | st.deferred(lambda: st.sampled_from(_lexicon_words())), max_size=10))
     @settings(max_examples=500)
     def test_agrees_with_longest_first_scan(self, terms):
-        assert collapse_phrases(terms) == _collapse_by_scan(terms)
+        assert _collapse_phrases(terms) == _collapse_by_scan(terms)
 
 
 class TestClassifyForm:
@@ -449,8 +449,8 @@ class TestClassificationProperties:
         if old == new:
             return
         added, removed = _term_diff(old, new)
-        added_terms = _first_occurrences(collapse_phrases(split(new).normalized()), added)
-        removed_terms = _first_occurrences(collapse_phrases(split(old).normalized()), removed)
+        added_terms = _first_occurrences(_collapse_phrases(split(new).normalized()), added)
+        removed_terms = _first_occurrences(_collapse_phrases(split(old).normalized()), removed)
         assert term_pairs(RenameEvent(old, new)) == [
             (a, r) for a in added_terms for r in removed_terms]
 

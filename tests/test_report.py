@@ -17,10 +17,10 @@ from testlens.report import (
     CorpusStats,
     PREFIX_LENGTHS,
     TABLE_KINDS,
+    _top_k,
     accumulate,
     merge,
     render_table,
-    top_k,
 )
 from testlens.splitter import split
 from testlens.tagger import PosTag, tag
@@ -208,25 +208,25 @@ class TestMerge:
 
 class TestTopK:
     def test_tie_break_lexicographic(self):
-        rows, others = top_k(Counter({"A": 3, "B": 3, "C": 1}), 2)
+        rows, others = _top_k(Counter({"A": 3, "B": 3, "C": 1}), 2)
         assert rows == [("A", 3), ("B", 3)]
         assert others == 1
 
     def test_empty(self):
-        rows, others = top_k(Counter(), 3)
+        rows, others = _top_k(Counter(), 3)
         assert rows == [] and others == 0
 
     def test_k_larger_than_map(self):
-        rows, others = top_k(Counter({"A": 1}), 9)
+        rows, others = _top_k(Counter({"A": 1}), 9)
         assert rows == [("A", 1)] and others == 0
 
     def test_k_validated(self):
         with pytest.raises(ValueError):
-            top_k(Counter({"A": 1}), 0)
+            _top_k(Counter({"A": 1}), 0)
 
     def test_matches_naive_sort(self, corpus):
         counts = Counter(str(old_p) for _, (old_p, _) in corpus)
-        rows, others = top_k(counts, 5)
+        rows, others = _top_k(counts, 5)
         ordered = sorted(counts.items(), key=lambda i: (-i[1], i[0]))
         assert rows == ordered[:5]
         assert others == sum(n for _, n in ordered[5:])

@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from testlens import _data, tagger
 from testlens.rename import _INFLECTIONS as RELATION_INFLECTIONS
 from testlens.splitter import TermSequence, split
-from testlens.tagger import Lexicon, PosTag, TaggedName, inflected_match, noun_run_rewrite, tag
+from testlens.tagger import Lexicon, PosTag, TaggedName, _noun_run_rewrite, inflected_match, tag
 
 N = PosTag.NOUN
 NM = PosTag.NOUN_MODIFIER
@@ -81,21 +81,21 @@ class TestTagFixtures:
 
 class TestNounRunRewrite:
     def test_run_of_three(self):
-        assert noun_run_rewrite([V, N, N, N]) == [V, NM, NM, N]
+        assert _noun_run_rewrite([V, N, N, N]) == [V, NM, NM, N]
 
     def test_run_of_one_untouched(self):
-        assert noun_run_rewrite([V, N]) == [V, N]
+        assert _noun_run_rewrite([V, N]) == [V, N]
 
     def test_runs_broken_by_preposition(self):
-        assert noun_run_rewrite([N, P, N]) == [N, P, N]
+        assert _noun_run_rewrite([N, P, N]) == [N, P, N]
 
     def test_plural_run(self):
-        assert noun_run_rewrite([N, NPL]) == [NM, NPL]
-        assert noun_run_rewrite([NPL, N]) == [NM, N]
+        assert _noun_run_rewrite([N, NPL]) == [NM, NPL]
+        assert _noun_run_rewrite([NPL, N]) == [NM, N]
 
     def test_does_not_mutate_input(self):
         tags = [V, N, N]
-        noun_run_rewrite(tags)
+        _noun_run_rewrite(tags)
         assert tags == [V, N, N]
 
 
@@ -370,7 +370,7 @@ class TestTagEqualsReference:
 
     @given(st.lists(st.sampled_from(list(PosTag)), max_size=8))
     def test_noun_run_rewrite_equals_reference(self, tags):
-        assert noun_run_rewrite(tags) == _reference_noun_runs(tags)
+        assert _noun_run_rewrite(tags) == _reference_noun_runs(tags)
 
     def test_default_lexicon_when_none_given(self):
         seq = split("testStoppedItemsForAllUsers")
