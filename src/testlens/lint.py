@@ -9,15 +9,18 @@ have a body that shows it.
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple
+from typing import Callable, Collection, Iterable, NamedTuple
 
-from .extraction import TestMethod, _shape
+from .extraction import TestMethod, _annotation_name, _shape
 from .rename import stem
 from .tagger import PosTag, TaggedName
 
 DEFAULT_COLLECTION_VOCABULARY = ("List", "Map", "Set", "Collection", "Iterable")
 
 _FAIL_FORMS = frozenset({"fail", "fails", "failure", "failing"})
+
+_Trigger = Callable[[tuple[str, ...], tuple[PosTag, ...]], bool]
+_Expectation = Callable[[TestMethod, tuple[str, ...]], bool]
 
 
 class Rule(NamedTuple):
@@ -28,8 +31,8 @@ class Rule(NamedTuple):
     whenever the trigger fires; None means the rule may fire on any name."""
 
     id: str
-    trigger: Callable[[tuple[str, ...], tuple[PosTag, ...]], bool]
-    expectation: Callable[[TestMethod, tuple[str, ...]], bool]
+    trigger: _Trigger
+    expectation: _Expectation
     message: str
     cues: tuple[str, ...] | None = None
 
@@ -46,28 +49,36 @@ class Diagnostic(NamedTuple):
 _VERB_MODIFIER, _DETERMINER = PosTag.VERB_MODIFIER, PosTag.DETERMINER
 
 
-def _stem_safe(term: str) -> str:
-    # split puts digits in runs of their own: a term is all digits or has none
-    if term.isdigit():
-        return term
-    return stem(term)
+def _stems_to(root: str, forms: Collection[str] = ()) -> _Trigger:
+    """A trigger that fires on a term of ``forms`` or on a term whose stem
+    is ``root``. split puts digits in runs of their own, so a term is all
+    digits or has none, and only a term without digits is stemmed."""
+    def trigger(terms: tuple[str, ...], tags: tuple[PosTag, ...]) -> bool:
+        return any(t in forms or not t.isdigit() and stem(t) == root for t in terms)
+
+    return trigger
+
+
+def _holds_any(words: Iterable[str]) -> _Expectation:
+    """An expectation met when the body's texts hold one of ``words``. Only
+    a word token's text can equal an identifier (literals keep their quotes,
+    numbers start with a digit, punctuation is one non-word character)."""
+    words = frozenset(words)
+
+    def expectation(method: TestMethod, terms: tuple[str, ...]) -> bool:
+        return not words.isdisjoint(method.body)
+
+    return expectation
 
 
 # R1: a "fail" term promises an explicit fail(...) call
-
-def _r1_trigger(terms: tuple[str, ...], tags: tuple[PosTag, ...]) -> bool:
-    return any(t in _FAIL_FORMS or _stem_safe(t) == "fail" for t in terms)
-
 
 def _r1_expectation(method: TestMethod, terms: tuple[str, ...]) -> bool:
     body = method.body
     return ("fail", "(") in zip(body, body[1:])
 
 
-# R2: "true"/"false" terms promise the matching boolean assert. Only a word
-# token's text can equal an identifier (literals keep their quotes, numbers
-# start with a digit, punctuation is one non-word character), so R2 and R3
-# look the assert up among the body's texts.
+# R2: "true"/"false" terms promise the matching boolean assert
 
 def _r2_trigger(terms: tuple[str, ...], tags: tuple[PosTag, ...]) -> bool:
     return "true" in terms or "false" in terms
@@ -86,16 +97,6 @@ def _r3_trigger(terms: tuple[str, ...], tags: tuple[PosTag, ...]) -> bool:
     return "not" in terms and ("not", _VERB_MODIFIER) in zip(terms, tags)
 
 
-def _make_r3_expectation(allow_boolean: bool) -> Callable[[TestMethod, tuple[str, ...]], bool]:
-    def expectation(method: TestMethod, terms: tuple[str, ...]) -> bool:
-        body = method.body
-        if "assertNull" in body or "assertNotNull" in body:
-            return True
-        return allow_boolean and ("assertTrue" in body or "assertFalse" in body)
-
-    return expectation
-
-
 # R4: "all", a determiner in every valid lexicon, or "at least" promises collection-based data
 
 def _r4_trigger(terms: tuple[str, ...], tags: tuple[PosTag, ...]) -> bool:
@@ -104,24 +105,7 @@ def _r4_trigger(terms: tuple[str, ...], tags: tuple[PosTag, ...]) -> bool:
     return "at" in terms and ("at", "least") in zip(terms, terms[1:])
 
 
-def _make_r4_expectation(
-        vocabulary: tuple[str, ...]) -> Callable[[TestMethod, tuple[str, ...]], bool]:
-    # only a word token can match, and a token is a word by its first
-    # character alone: keep the entries that start as a word does
-    vocab = frozenset(v for v in vocabulary if v and _shape((v,)) == "w")
-
-    def expectation(method: TestMethod, terms: tuple[str, ...]) -> bool:
-        body = method.body
-        return "[" in body or not vocab.isdisjoint(body)
-
-    return expectation
-
-
 # R5: an "exception" term promises expected-exception handling
-
-def _r5_trigger(terms: tuple[str, ...], tags: tuple[PosTag, ...]) -> bool:
-    return any(_stem_safe(t) == "except" for t in terms)
-
 
 def _assertion_token(texts: tuple[str, ...], i: int) -> bool:
     if texts[i].startswith(("assert", "Assert")):
@@ -130,12 +114,13 @@ def _assertion_token(texts: tuple[str, ...], i: int) -> bool:
 
 
 def _r5_expectation(method: TestMethod, terms: tuple[str, ...]) -> bool:
-    """An assertion strictly inside a catch block: the block that opens at
-    the first '{' after a `catch` and closes at that brace's partner, or
-    runs to the end of the body if it never closes. One pass pairs the
-    braces on a stack of flags, one per open '{' that starts a catch
-    block, so a token is inside while any flag on the stack is set."""
-    if any("expected" in annotation for annotation in method.annotations):
+    """`expected` in a `@Test` annotation, or an assertion strictly inside a
+    catch block: the block that opens at the first '{' after a `catch` and
+    closes at that brace's partner, or runs to the end of the body if it
+    never closes. One pass pairs the braces on a stack of flags, one per
+    open '{' that starts a catch block, so a token is inside while any flag
+    on the stack is set."""
+    if any("expected" in a and _annotation_name(a) == "Test" for a in method.annotations):
         return True
     body = method.body
     if "catch" not in body:
@@ -165,18 +150,22 @@ def default_rules(
     term must hold for the trigger to fire, and a term's lowercased text is
     a slice of the lowercased name; a term that stems to "fail" or "except"
     holds the word, since the stemmer rewrites only what follows it."""
+    boolean_asserts = ("assertTrue", "assertFalse") if not_rule_boolean_asserts else ()
+    # only a word token can match, and a token is a word by its first
+    # character alone: keep the entries that start as a word does
+    vocabulary = [v for v in collection_vocabulary if v and _shape((v,)) == "w"]
     return (
-        Rule("R1", _r1_trigger, _r1_expectation,
+        Rule("R1", _stems_to("fail", _FAIL_FORMS), _r1_expectation,
              "name mentions failing but the body never calls fail()", ("fail",)),
         Rule("R2", _r2_trigger, _r2_expectation,
              "name mentions true/false but the matching boolean assert is missing",
              ("true", "false")),
-        Rule("R3", _r3_trigger, _make_r3_expectation(not_rule_boolean_asserts),
+        Rule("R3", _r3_trigger, _holds_any(("assertNull", "assertNotNull", *boolean_asserts)),
              "name contains adverbial 'not' but the body has no null-based assert", ("not",)),
-        Rule("R4", _r4_trigger, _make_r4_expectation(tuple(collection_vocabulary)),
+        Rule("R4", _r4_trigger, _holds_any(["[", *vocabulary]),
              "name quantifies over all items but the body references no collection",
              ("all", "least")),
-        Rule("R5", _r5_trigger, _r5_expectation,
+        Rule("R5", _stems_to("except"), _r5_expectation,
              "name mentions an exception but the body neither expects nor catches one",
              ("except",)),
     )

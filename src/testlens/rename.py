@@ -131,18 +131,13 @@ def _ends_double_cons(word: str) -> bool:
 
 
 def _ends_cvc(word: str) -> bool:
-    if len(word) < 3:
-        return False
     n = len(word)
-    if not (_is_cons(word, n - 3) and not _is_cons(word, n - 2) and _is_cons(word, n - 1)):
-        return False
-    return word[-1] not in "wxy"
+    return (n >= 3 and word[-1] not in "wxy" and _is_cons(word, n - 3)
+            and not _is_cons(word, n - 2) and _is_cons(word, n - 1))
 
 
 def _step1a(w: str) -> str:
-    if w.endswith("sses"):
-        return w[:-2]
-    if w.endswith("ies"):
+    if w.endswith(("sses", "ies")):
         return w[:-2]
     if w.endswith("s") and not w.endswith("ss"):
         return w[:-1]
@@ -151,9 +146,7 @@ def _step1a(w: str) -> str:
 
 def _step1b(w: str) -> str:
     if w.endswith("eed"):
-        if _measure(w[:-3]) > 0:
-            return w[:-1]
-        return w
+        return w[:-1] if _measure(w[:-3]) > 0 else w
     if w.endswith("ed") and _has_vowel(w[:-2]):
         w = w[:-2]
     elif w.endswith("ing") and _has_vowel(w[:-3]):
@@ -175,70 +168,45 @@ def _step1c(w: str) -> str:
     return w
 
 
-_STEP2 = {
-    "a": (("ational", "ate"), ("tional", "tion")),
-    "c": (("enci", "ence"), ("anci", "ance")),
-    "e": (("izer", "ize"),),
-    "l": (("bli", "ble"), ("alli", "al"), ("entli", "ent"), ("eli", "e"), ("ousli", "ous")),
-    "o": (("ization", "ize"), ("ation", "ate"), ("ator", "ate")),
-    "s": (("alism", "al"), ("iveness", "ive"), ("fulness", "ful"), ("ousness", "ous")),
-    "t": (("aliti", "al"), ("iviti", "ive"), ("biliti", "ble")),
-    "g": (("logi", "log"),),
-}
-
-_STEP3 = {
-    "e": (("icate", "ic"), ("ative", ""), ("alize", "al")),
-    "i": (("iciti", "ic"),),
-    "l": (("ical", "ic"), ("ful", "")),
-    "s": (("ness", ""),),
-}
-
-_STEP4 = {
-    "a": ("al",),
-    "c": ("ance", "ence"),
-    "e": ("er",),
-    "i": ("ic",),
-    "l": ("able", "ible"),
-    "n": ("ant", "ement", "ment", "ent"),
-    "o": ("ion", "ou"),
-    "s": ("ism",),
-    "t": ("ate", "iti"),
-    "u": ("ous",),
-    "v": ("ive",),
-    "z": ("ize",),
-}
+# Steps 2-4 as (suffix, replacement) pairs in rule order; the first suffix
+# the word ends with decides. No suffix comes after a shorter one that it
+# ends with, so that suffix is the longest the word ends with. _porter_once
+# tests all of a step's suffixes in one endswith call before its loop.
+_STEP2 = (
+    ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
+    ("izer", "ize"), ("bli", "ble"), ("alli", "al"), ("entli", "ent"), ("eli", "e"),
+    ("ousli", "ous"), ("ization", "ize"), ("ation", "ate"), ("ator", "ate"),
+    ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"), ("ousness", "ous"),
+    ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"), ("logi", "log"),
+)
+_STEP3 = (
+    ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"), ("ical", "ic"),
+    ("ful", ""), ("ness", ""),
+)
+_STEP4 = (
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement", "ment", "ent",
+    "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+)
+_STEP2_ENDINGS = tuple(s for s, _ in _STEP2)
+_STEP3_ENDINGS = tuple(s for s, _ in _STEP3)
 
 
-def _apply_rules(w: str, table: dict, key: int) -> str:
-    """Apply the first rule of ``table`` (keyed by ``w[key]``) whose suffix ``w`` has."""
-    if len(w) < 2:
-        return w
-    for suffix, repl in table.get(w[key], ()):
+def _apply_rules(w: str, rules: tuple[tuple[str, str], ...]) -> str:
+    """Apply the first rule of ``rules`` whose suffix ``w`` has."""
+    for suffix, repl in rules:
         if w.endswith(suffix):
             stem = w[: -len(suffix)]
             return stem + repl if _measure(stem) > 0 else w
     return w
 
 
-def _step2(w: str) -> str:
-    return _apply_rules(w, _STEP2, -2)
-
-
-def _step3(w: str) -> str:
-    return _apply_rules(w, _STEP3, -1)
-
-
 def _step4(w: str) -> str:
-    if len(w) < 2:
-        return w
-    for suffix in _STEP4.get(w[-2], ()):
+    for suffix in _STEP4:
         if w.endswith(suffix):
             stem = w[: -len(suffix)]
             if suffix == "ion" and not stem.endswith(("s", "t")):
                 return w
-            if _measure(stem) > 1:
-                return stem
-            return w
+            return stem if _measure(stem) > 1 else w
     return w
 
 
@@ -257,9 +225,14 @@ def _porter_once(w: str) -> str:
     """One pass of the suffix-stripping rule table (see README for the rules)."""
     if len(w) <= 2:
         return w
-    for step in (_step1a, _step1b, _step1c, _step2, _step3, _step4, _step5):
-        w = step(w)
-    return w
+    w = _step1c(_step1b(_step1a(w)))
+    if w.endswith(_STEP2_ENDINGS):
+        w = _apply_rules(w, _STEP2)
+    if w.endswith(_STEP3_ENDINGS):
+        w = _apply_rules(w, _STEP3)
+    if w.endswith(_STEP4):
+        w = _step4(w)
+    return _step5(w)
 
 
 @lru_cache(maxsize=4096)

@@ -240,6 +240,14 @@ class TestExtractMethods:
         methods = extract_methods(SourceFile("T.java", text))
         assert [(m.name, m.annotations) for m in methods] == [("named", ()), ("testC", ())]
 
+    def test_type_annotation_in_a_qualified_return_type_ends_the_annotations(self):
+        # javac lists @Deprecated and @Test and no @A: the back-scan stops at
+        # @A, which no test method meets, since its return type is void
+        text = ("class Q { @Deprecated java.util.@A List<String> q() { } "
+                "@Test java.lang.@A String testQ() { } }")
+        methods = extract_methods(SourceFile("Q.java", text))
+        assert [(m.name, m.annotations) for m in methods] == [("q", ("@A",)), ("testQ", ("@A",))]
+
     def test_unbalanced_braces_raise_with_recovered(self):
         src = SourceFile("Broken.java", UNBALANCED)
         with pytest.raises(PartialParseError) as err:

@@ -1,9 +1,12 @@
+import re
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_extraction_properties import TokenKind, _seconds_per_char, reference_kind
+import testlens
 from testlens import extraction, rename
 from testlens.extraction import SourceFile, extract_methods
 from testlens.lint import DEFAULT_COLLECTION_VOCABULARY, Rule, cue_filter, default_rules, lint
@@ -233,11 +236,28 @@ class TestR5Exception:
         """)
         assert [d.rule_id for d in diags] == ["R5"]
 
+    def test_expected_counts_only_in_a_test_annotation(self):
+        diags = run_lint("""
+            @DisplayName("rejects unexpected input")
+            public void testThrowsException() {
+                target.explode();
+            }
+        """)
+        assert [d.rule_id for d in diags] == ["R5"]
+        assert run_lint("""
+            @org.junit.Test(expected = FooException.class)
+            public void testThrowsException() {
+                target.explode();
+            }
+        """) == []
+
 
 def reference_r5(method, terms) -> bool:
     """R5 as it scanned forward from each `catch` to the next '{' and then
-    through that block, in time quadratic in the number of `catch`es."""
-    if any("expected" in annotation for annotation in method.annotations):
+    through that block, in time quadratic in the number of `catch`es, with
+    the README's annotation rule: `expected` in a `@Test` annotation."""
+    if any(re.fullmatch(r"@(?:\w+\.)*Test(?:\s*\(.*)?", a, re.S) and "expected" in a
+           for a in method.annotations):
         return True
     texts = method.body
     for i, text in enumerate(texts):
@@ -264,7 +284,9 @@ R5 = next(r for r in RULES if r.id == "R5")
 _R5_TERMS = ("throws", "exception")
 _R5_TOKENS = ["catch", "catch", "{", "{", "}", "}", "(", ")", ";", "x", "fail", "assertTrue",
               "Assert", "asserted", '"assert"']
-_R5_ANNOTATIONS = [(), ("@Test",), ("@Test(expected = E.class)",)]
+_R5_ANNOTATIONS = [(), ("@Test",), ("@Test(expected = E.class)",),
+                   ("@org.junit.Test(expected = E.class)",),
+                   ('@DisplayName("rejects unexpected input")',)]
 
 
 def _method_of(texts, annotations=()):
@@ -387,6 +409,15 @@ class TestCues:
             "R4": ("all", "least"), "R5": ("except",),
         }
 
+    def test_readme_table_lists_the_bundled_rules_and_cues(self):
+        readme = (Path(testlens.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Lint rules\n", 1)[1].split("\n## ", 1)[0]
+        lines = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("|")]
+        header, _, *rows = [[cell.strip() for cell in line] for line in lines]
+        assert header[:3] == ["Rule", "Name trigger", "Cues"]
+        assert [(rule, tuple(re.findall(r"`([^`]*)`", cues)))
+                for rule, _, cues, _ in rows] == [(r.id, r.cues) for r in RULES]
+
     @settings(max_examples=500, deadline=None)
     @given(_names)
     def test_a_rule_fires_only_on_a_name_holding_one_of_its_cues(self, name):
@@ -405,9 +436,9 @@ class TestCues:
         with one suffix of the stemmer's rule tables, and the two words
         with two: whatever stems to "fail" or "except" holds it."""
         suffixes = {"", "s", "es", "sses", "ies", "ed", "eed", "ing", "y", "e"}
-        for table in (rename._STEP2, rename._STEP3):
-            suffixes.update(*(pair for rules in table.values() for pair in rules))
-        suffixes.update(*rename._STEP4.values())
+        for rules in (rename._STEP2, rename._STEP3):
+            suffixes.update(*rules)
+        suffixes.update(rename._STEP4)
         letters = "abcdefghijklmnopqrstuvwxyz"
         for word in ("fail", "except"):
             variants = {word[:i] + c + word[j:] for i in range(len(word) + 1)

@@ -133,6 +133,17 @@ class TestStem:
     def test_idempotent(self, word):
         assert stem(stem(word)) == stem(word)
 
+    @pytest.mark.parametrize("table", ["_STEP2", "_STEP3", "_STEP4"])
+    def test_first_matching_suffix_is_the_longest(self, table):
+        """No suffix of a step comes after a shorter suffix that it ends
+        with, so the first rule a word matches has the longest suffix, as
+        in the classic table: `ization` before `ation`, and `ement` before
+        `ment` before `ent`."""
+        suffixes = [r if isinstance(r, str) else r[0] for r in getattr(rename, table)]
+        for j, later in enumerate(suffixes):
+            for earlier in suffixes[:j]:
+                assert not later.endswith(earlier), (earlier, later)
+
 
 def edit_distance(a: str, b: str) -> int:
     """Reference Levenshtein distance (unit costs), full table."""
