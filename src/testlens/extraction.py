@@ -1,49 +1,109 @@
 """Tolerant extraction of test methods from Java-style source text.
 
-One ``re.findall`` cuts the source into chunks of a token and the
-whitespace before it, which give two parallel columns, token texts and
-end offsets (comments dropped; literals and text blocks kept as single
-tokens); a token's start is its end minus its length. One
-``str.translate`` of the tokens' first characters gives the file's
-shape: ``w`` per word, ``0`` per number, ``"`` per literal and ASCII
-punctuation as itself. One stack pass over the braces that one regex
-finds in the shape pairs them; a parenthesis is paired only when a
-signature or an annotation asks for its partner. One regex over the
-shape finds each word followed by '(' after a word, '>' or ']', where a
-return type can end. A signature heuristic reads each backward: the
-return type to its first token, then type parameters, modifiers and
-annotations; a constructor has no return type, so it is never a method.
-Each method found keeps its brace-balanced body as a view of the file's
-texts column, so that bodies nested in bodies copy nothing. No compiler
-front-end is involved, so non-compiling snapshots still scan, in time
-linear in the token count.
+One ``re.findall`` cuts the source, from its first token on, into
+chunks of a token and the whitespace after it. One ``str.translate`` of
+the chunks' first characters gives the file's shape: ``w`` per word,
+``0`` per number, ``"`` per literal and ASCII punctuation as itself; a
+'/' whose chunk goes on with '/' or '*' is a comment, dropped from every
+column. A token starts at the running sum of the chunk lengths. The
+columns of token texts and end offsets are built from the chunks only
+when something reads them, such as a method's body. One stack pass over
+the braces that one regex finds in the shape pairs them; a parenthesis
+is paired only when a signature or an annotation asks for its partner.
+One regex over the shape finds each word followed by '(' after a word,
+'>' or ']', where a return type can end. A signature heuristic reads
+each backward: the return type to its first token, then type
+parameters, modifiers and annotations; a constructor has no return
+type, so it is never a method. Each method found keeps its
+brace-balanced body as a view of the file's token stream, so that
+bodies nested in bodies copy nothing. No compiler front-end is
+involved, so non-compiling snapshots still scan, in time linear in the
+token count.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from itertools import accumulate, compress, count
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import NamedTuple
 
 
-class TokenStream(NamedTuple):
+class TokenStream:
     """Tokens as two parallel columns: token ``i`` has text ``texts[i]``
     and ends at source offset ``ends[i]``, so it starts at ``ends[i] -
-    len(texts[i])``. ``len`` counts the tokens, not the columns."""
+    len(texts[i])``. ``len`` counts the tokens, not the columns. It reads
+    back, compares and hashes by its columns and unpacks as ``texts,
+    ends``; it is not a named tuple.
 
-    texts: tuple[str, ...]
-    ends: tuple[int, ...]
+    A stream that ``tokenize`` gives holds the chunks, the shape and each
+    token's start. It builds the texts column on its first read and then
+    releases the chunks; it builds the ends column from the starts on its
+    first read."""
 
-    def __len__(self) -> int:
-        return len(self.texts)
+    __slots__ = ("_chunks", "_shape", "_starts", "_texts", "_ends")
+
+    def __init__(self, texts: tuple[str, ...], ends: tuple[int, ...]):
+        self._chunks = self._shape = self._starts = None
+        self._texts, self._ends = texts, ends
+
+    @classmethod
+    def _of_chunks(cls, chunks: list[str], shape: str, starts: list[int]) -> TokenStream:
+        stream = cls.__new__(cls)
+        stream._chunks, stream._shape, stream._starts = chunks, shape, starts
+        stream._texts = stream._ends = None
+        return stream
+
+    @property
+    def texts(self) -> tuple[str, ...]:
+        texts, chunks = self._texts, self._chunks
+        if texts is None and chunks is not None:
+            texts = tuple(map(str.rstrip, chunks))
+            if texts and texts[-1][0] in "\"'":
+                # a literal left open at the end keeps its trailing whitespace
+                texts = (*texts[:-1], _LITERAL_RE.match(chunks[-1])[0])
+            self._texts = texts
+            self._chunks = None
+        return self._texts
+
+    @property
+    def ends(self) -> tuple[int, ...]:
+        ends, starts = self._ends, self._starts
+        if ends is None and starts is not None:
+            self._ends = tuple(map(add, starts, map(len, self.texts)))
+        return self._ends
 
     @property
     def tokens(self) -> tuple[str, ...]:
         """Alias of ``texts`` for the benchmark tracer; drop it once the tracer counts ``len(stream)``."""
         return self.texts
+
+    def _scan_columns(self) -> tuple[Sequence[str], str, list[int]]:
+        """What ``extract_methods`` reads of a stream ``tokenize`` gave: per
+        token a text that ``rstrip`` makes the token's, the shape, and the
+        starts. The texts column stands in for the chunks once a caller,
+        such as a tracer counting ``tokens``, has built it."""
+        chunks = self._chunks
+        return self.texts if chunks is None else chunks, self._shape, self._starts
+
+    def __len__(self) -> int:
+        chunks = self._chunks
+        return len(self.texts if chunks is None else chunks)
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter((self.texts, self.ends))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TokenStream):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"TokenStream(texts={self.texts!r}, ends={self.ends!r})"
 
 
 class SourceFile(NamedTuple):
@@ -53,22 +113,27 @@ class SourceFile(NamedTuple):
 
 class BodyTexts(Sequence):
     """The texts ``texts[start:stop]`` of a body's tokens, kept as its
-    file's texts column and the two indexes, so that a body that holds
-    nested declarations copies nothing. It reads, compares and hashes as
-    that tuple; a slice of it is a tuple."""
+    file's texts column, or the stream that builds it, and the two
+    indexes, so that a body that holds nested declarations copies
+    nothing. Its first read takes the stream's texts column, which every
+    body of the file shares. It reads, compares and hashes as that
+    tuple; a slice of it is a tuple."""
 
     __slots__ = ("_texts", "_start", "_stop")
 
-    def __init__(self, texts: tuple[str, ...], start: int, stop: int):
+    def __init__(self, texts: tuple[str, ...] | TokenStream, start: int, stop: int):
         self._texts, self._start, self._stop = texts, start, stop
 
     def __len__(self) -> int:
         return self._stop - self._start
 
     def __getitem__(self, i: int | slice) -> str | tuple[str, ...]:
+        texts = self._texts
+        if type(texts) is TokenStream:
+            texts = self._texts = texts.texts
         if isinstance(i, slice) or not -len(self) <= i < len(self):
-            return self._texts[self._start:self._stop][i]  # a tuple, or IndexError
-        return self._texts[self._start + i % len(self)]
+            return texts[self._start:self._stop][i]  # a tuple, or IndexError
+        return texts[self._start + i % len(self)]
 
     def __iter__(self) -> Iterator[str]:
         return iter(self[:])
@@ -102,22 +167,25 @@ class PartialParseError(Exception):
         self.methods = methods
 
 
-# Each match is one chunk: a token and the whitespace before it, or last
-# the trailing whitespace. The ``\s+\Z`` branch takes that in one match;
-# without it ``\s*`` would retry the trailing run from each of its
-# characters, in time quadratic in its length. Comments are tokens,
-# dropped after the match. Unterminated comments, text blocks and literals
-# run to the end of the text. WORD stands for the word branch; it comes
-# first because most tokens are words, and the branches before ``\S``
-# start with disjoint characters, so their order changes no match.
+# text blocks, then string and character literals; one left open runs to
+# the end of the text
+_LITERALS = r"""\"\"\"(?:[^"\\]|\\.|"(?!\"\"))*(?:\"\"\"|\\?\Z)
+    | "[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z) | '[^'\\]*(?:\\.[^'\\]*)*(?:'|\\?\Z)"""
+# Each match is one chunk: a token and the whitespace after it. ``findall``
+# starts at the first token, so the greedy ``\s*`` of the chunk before it
+# takes each whitespace run once. Comments are tokens, dropped after the
+# match. Unterminated comments run to the end of the text. WORD stands for
+# the word branch; it comes first because most tokens are words, then the
+# commonest punctuation. The branches before ``\S`` start with disjoint
+# characters, so their order changes no match.
 _TOKEN_PATTERN = r"""
-    \s*(?: WORD
+    (?: WORD | [(){};.,=<>\[\]@]
     | //[^\r\n]* | /\*(?:.*?\*/|.*)
-    | \"\"\"(?:[^"\\]|\\.|"(?!\"\"))*(?:\"\"\"|\\?\Z)
-    | "[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z) | '[^'\\]*(?:\\.[^'\\]*)*(?:'|\\?\Z)
+    | LITERALS
     | \d[\w.]*
     | \S
-    ) | \s+\Z"""
+    ) \s*""".replace("LITERALS", _LITERALS)
+_LITERAL_RE = re.compile(_LITERALS, re.DOTALL | re.VERBOSE)
 
 
 def _compile_tokens(word: str) -> re.Pattern:
@@ -126,8 +194,6 @@ def _compile_tokens(word: str) -> re.Pattern:
 
 _TOKEN_RE = _compile_tokens("[A-Za-z_$][A-Za-z0-9_$]*")
 _ASCII_RUNS = re.compile(r"[\x00-\x7f]+")
-# overlapping, so that `/* a *//* b */` yields both starts
-_COMMENT_START = re.compile(r"/(?=[/*])")
 
 
 def _token_re(text: str) -> re.Pattern:
@@ -169,9 +235,9 @@ _SHAPE = _Shape({
 })
 
 
-def _shape(texts: tuple[str, ...]) -> str:
-    """One shape character per token, by ``_SHAPE``."""
-    return "".join(map(itemgetter(0), texts)).translate(_SHAPE)
+def _shape(tokens: Sequence[str]) -> str:
+    """One shape character per token or chunk, by ``_SHAPE``."""
+    return "".join(map(itemgetter(0), tokens)).translate(_SHAPE)
 
 
 _MODIFIERS = frozenset({
@@ -201,29 +267,31 @@ def tokenize(text: str) -> TokenStream:
     """Lex Java-ish source. Comments are dropped; string and character
     literals and text blocks are single tokens.
 
-    One ``re.findall`` returns each token with the whitespace before it,
-    so a token is its chunk with that whitespace stripped (``\\s`` and
-    ``str.isspace`` agree on every character) and ends at the running sum
-    of the chunk lengths; a last chunk of whitespace alone is dropped.
-    Comments are tokens too; a '//' or '/*' that starts a token is found
-    by bisection and dropped from both columns. No Python code runs per
-    token.
+    One ``re.findall`` from the first token returns each token with the
+    whitespace after it, a chunk; a token starts at the running sum of
+    the chunk lengths. The chunks' first characters give the shape, and a
+    '/' whose chunk goes on with '/' or '*' starts a comment (a '/' that
+    is no comment is followed by whitespace or nothing), which is
+    dropped from the chunks, starts and shape. No Python code runs per
+    token. The stream builds the texts and ends columns on first read: a
+    token's text is its chunk with the whitespace stripped (``\\s`` and
+    ``str.isspace`` agree on every character), but for a literal left
+    open at the end, which runs over that whitespace.
     """
-    chunks = _token_re(text).findall(text)
-    if chunks and chunks[-1].isspace():
-        chunks.pop()
-    texts, ends = tuple(map(str.lstrip, chunks)), tuple(accumulate(map(len, chunks)))
-    comments = []
-    for match in _COMMENT_START.finditer(text):
-        i = bisect_right(ends, match.start())  # the token that holds the '/'
-        if ends[i] - len(texts[i]) == match.start():
-            comments.append(i)
-    if not comments:
-        return TokenStream(texts, ends)
-    keep = [True] * len(texts)
-    for i in comments:
-        keep[i] = False
-    return TokenStream(tuple(compress(texts, keep)), tuple(compress(ends, keep)))
+    lead = len(text) - len(text.lstrip())
+    chunks = _token_re(text).findall(text, lead)
+    starts = [*accumulate(map(len, chunks), initial=lead)]
+    starts.pop()  # the end of the text
+    shape = _shape(chunks)
+    comments = [match.start() for match in re.finditer("/", shape)
+                if chunks[match.start()].startswith(("//", "/*"))]
+    if comments:
+        keep = [True] * len(chunks)
+        for i in comments:
+            keep[i] = False
+        chunks, starts = [*compress(chunks, keep)], [*compress(starts, keep)]
+        shape = "".join(compress(shape, keep))
+    return TokenStream._of_chunks(chunks, shape, starts)
 
 
 def _stack_pairs(shape: str, kind: str) -> tuple[list[int], dict[int, int], list[int]]:
@@ -329,7 +397,7 @@ def _type_open(shape: str, brackets: _Brackets, i: int) -> int | None:
     return None
 
 
-def _return_type_start(texts: tuple[str, ...], shape: str, brackets: _Brackets, i: int) -> int | None:
+def _return_type_start(chunks: Sequence[str], shape: str, brackets: _Brackets, i: int) -> int | None:
     """Index of the first token of the return type ending at the word,
     '>' or ']' at ``i``, or None: back over its ``[]`` and ``<…>`` groups
     and the annotations right before a '[' (`Map<K, V> @A [][]`) to the
@@ -345,30 +413,28 @@ def _return_type_start(texts: tuple[str, ...], shape: str, brackets: _Brackets, 
             while (at := _annotation_start(shape, brackets, i - 1)):
                 i = at
         i -= 1
-    if shape[i] != "w" or texts[i] in _NOT_RETURN_TYPES:
+    if shape[i] != "w" or chunks[i].rstrip() in _NOT_RETURN_TYPES:
         return None
     while i >= 2 and shape[i - 2 : i] == "w.":
         i -= 2
     return None if i >= 1 and shape[i - 1] == "@" else i  # an annotation's name
 
 
-def _collect_annotations(s: TokenStream, shape: str, brackets: _Brackets, before: int,
-                         text: str) -> tuple[tuple[str, ...], int]:
+def _collect_annotations(chunks: Sequence[str], starts: list[int], shape: str, brackets: _Brackets,
+                         before: int, text: str) -> tuple[tuple[str, ...], int]:
     """Annotation texts preceding token index ``before``, across modifiers
     and a type-parameter list (`@Test public <T> void`), and the index of
     the first token so crossed, where the declaration starts. Each
-    annotation runs from its one-character '@' to the end of its last
-    token."""
-    texts, ends = s
+    annotation runs from its '@' to the end of its last token."""
     annotations: list[str] = []
     i = before
     while i >= 0:
-        if texts[i] in _MODIFIERS:
+        if chunks[i].rstrip() in _MODIFIERS:
             i -= 1
         elif shape[i] == ">" and (start := _type_open(shape, brackets, i)) is not None:
             i = start - 1
         elif shape[i] in "w)" and (at := _annotation_start(shape, brackets, i)) is not None:
-            annotations.append(text[ends[at] - 1 : ends[i]])
+            annotations.append(text[starts[at] : starts[i] + len(chunks[i].rstrip())])
             i = at - 1
         else:
             break
@@ -376,13 +442,13 @@ def _collect_annotations(s: TokenStream, shape: str, brackets: _Brackets, before
     return tuple(annotations), i + 1
 
 
-def _body_open(texts: tuple[str, ...], shape: str, i: int) -> int | None:
+def _body_open(chunks: Sequence[str], shape: str, i: int) -> int | None:
     """Index of the '{' at ``i``, or after the array dimensions
     (`int legacy()[] {`, JLS 8.4) and the throws clause that start at ``i``."""
     n = len(shape)
     while shape.startswith("[]", i):
         i += 2
-    if i < n and texts[i] == "throws":
+    if i < n and chunks[i].rstrip() == "throws":
         i += 1
         while i < n and shape[i] in ",.w":
             i += 1
@@ -398,39 +464,40 @@ def extract_methods(src: SourceFile) -> list[TestMethod]:
     that body, or when any other '{' never closes, with every method found.
     Runs in time linear in the token count.
     """
-    s = tokenize(src.text)
-    texts, ends = s
-    shape = _shape(texts)
+    text = src.text
+    s = tokenize(text)
+    # every text read here is a word's or punctuation's: its chunk stripped
+    chunks, shape, starts = s._scan_columns()
     brackets = _Brackets(shape)
     methods: list[TestMethod] = []
     # the first token of each method's declaration, by the index of its name
-    starts: dict[int, int] = {}
+    declarations: dict[int, int] = {}
     # the index in ``methods`` of each method, by the index of its body's '{'
     body_of: dict[int, int] = {}
     where = "at end of input"
     for match in _SIGNATURE_RE.finditer(shape):
         i = match.start()
-        if (name := texts[i]) in _NOT_METHOD_NAMES:
+        if (name := chunks[i].rstrip()) in _NOT_METHOD_NAMES:
             continue
-        type_start = _return_type_start(texts, shape, brackets, i - 1)
+        type_start = _return_type_start(chunks, shape, brackets, i - 1)
         if type_start is None or (close := brackets.close_paren(i + 1)) is None:
             continue
-        brace = _body_open(texts, shape, close + 1)
+        brace = _body_open(chunks, shape, close + 1)
         if brace is None:
             continue
         body_close = brackets.brace.get(brace)
         if body_close is None:
             where = f"after method {name!r}"
             break
-        annotations, start = _collect_annotations(s, shape, brackets, type_start - 1, src.text)
-        starts[i] = start
+        annotations, declarations[i] = _collect_annotations(chunks, starts, shape, brackets,
+                                                            type_start - 1, text)
         body_of[brace] = len(methods)
         # by position: keywords cost about a microsecond more per method
-        methods.append(TestMethod(name, annotations, BodyTexts(texts, brace + 1, body_close),
-                                  (ends[i] - len(name), ends[i]),
-                                  (ends[brace] - 1, ends[body_close])))
+        methods.append(TestMethod(name, annotations, BodyTexts(s, brace + 1, body_close),
+                                  (starts[i], starts[i] + len(name)),
+                                  (starts[brace], starts[body_close] + 1)))
     if brackets.open_braces:
-        _end_runaway_bodies(s, shape, brackets, methods, starts, body_of, src.text)
+        _end_runaway_bodies(s, brackets, methods, declarations, body_of, text)
         raise PartialParseError(
             f"{src.path}: unbalanced braces {where}; recovered {len(methods)} method(s)", methods)
     return methods
@@ -441,9 +508,8 @@ def extract_methods(src: SourceFile) -> list[TestMethod]:
 _MEMBER_MODIFIERS = frozenset({"public", "protected", "private", "static"})
 
 
-def _end_runaway_bodies(s: TokenStream, shape: str, brackets: _Brackets,
-                        methods: list[TestMethod], starts: dict[int, int],
-                        body_of: dict[int, int], text: str) -> None:
+def _end_runaway_bodies(s: TokenStream, brackets: _Brackets, methods: list[TestMethod],
+                        declarations: dict[int, int], body_of: dict[int, int], text: str) -> None:
     """End each body in ``methods`` that holds a declaration directly in
     it, one whose name or member modifier has the body's '{' as the
     innermost '{' open, just before the first such declaration: a method,
@@ -452,10 +518,10 @@ def _end_runaway_bodies(s: TokenStream, shape: str, brackets: _Brackets,
     misses its own '}' takes the one meant for what holds it, and so runs
     over the members declared after it; a method of a class declared in
     a body, anonymous or local, is not one of them."""
-    texts, ends = s
+    chunks, shape, starts = s._scan_columns()
+    modifiers = compress(count(), map(_MEMBER_MODIFIERS.__contains__, map(str.rstrip, chunks)))
     stack: list[int] = []
-    for i in sorted({*starts, *compress(count(), map(_MEMBER_MODIFIERS.__contains__, texts)),
-                     *brackets.braces}):
+    for i in sorted({*declarations, *modifiers, *brackets.braces}):
         if shape[i] == "{":
             stack.append(i)
         elif shape[i] == "}":
@@ -463,10 +529,11 @@ def _end_runaway_bodies(s: TokenStream, shape: str, brackets: _Brackets,
                 stack.pop()
         elif stack and (outer := body_of.pop(brace := stack[-1], None)) is not None:
             m = methods[outer]
-            start = starts[i] if i in starts else _collect_annotations(s, shape, brackets, i, text)[1]
-            end = max(start, brace + 1)
-            methods[outer] = m._replace(body=BodyTexts(texts, brace + 1, end),
-                                        body_span=(m.body_span[0], ends[end - 1]))
+            start = declarations[i] if i in declarations else _collect_annotations(
+                chunks, starts, shape, brackets, i, text)[1]
+            last = max(start, brace + 1) - 1
+            methods[outer] = m._replace(body=BodyTexts(s, brace + 1, last + 1), body_span=(
+                m.body_span[0], starts[last] + len(chunks[last].rstrip())))
 
 
 def recover_methods(src: SourceFile) -> tuple[list[TestMethod], PartialParseError | None]:

@@ -3,6 +3,7 @@ import pytest
 from testlens.extraction import (
     PartialParseError,
     SourceFile,
+    TokenStream,
     extract_methods,
     has_junit_import,
     is_test_method,
@@ -92,6 +93,15 @@ class TestTokenize:
         assert stream.texts == (r'"a\"b"', "x")
         assert kinds(stream) == (TokenKind.STRING, TokenKind.WORD)
 
+    @pytest.mark.parametrize("text, literal", [
+        ('x = "ab  ', '"ab  '), ("c = '\\ \n", "'\\ \n"), ('s = """\n  a \t', '"""\n  a \t'),
+        ('x = "ab"  ', '"ab"'),
+    ], ids=["string", "char", "text-block", "closed"])
+    def test_literal_left_open_at_the_end_keeps_its_trailing_whitespace(self, text, literal):
+        # every other token's text is its chunk with the whitespace after it stripped
+        stream = tokenize(text)
+        assert stream.texts[-1] == literal and stream.ends[-1] == text.index(literal) + len(literal)
+
     def test_spans_strictly_increasing(self):
         stream = tokenize(SIMPLE)
         assert len(stream) == len(stream.texts) == len(stream.ends)
@@ -119,7 +129,7 @@ class TestTokenize:
 
     def test_kinds_and_starts_are_derived_from_texts_and_ends(self):
         stream = tokenize("é = 'c' + 1;")
-        assert stream._fields == ("texts", "ends")
+        assert tuple(stream) == (stream.texts, stream.ends)
         assert kinds(stream) == (TokenKind.WORD, TokenKind.PUNCTUATION, TokenKind.STRING,
                                  TokenKind.PUNCTUATION, TokenKind.NUMBER, TokenKind.PUNCTUATION)
         assert starts(stream) == (0, 2, 4, 8, 10, 11)
@@ -330,6 +340,18 @@ class TestExtractMethods:
         assert m.name == "testGrößeAfterClear" and m.annotations == ("@Test",)
         assert text[slice(*m.name_span)] == m.name
         assert m.body == ("größe", "(", ")", ";")
+
+    def test_texts_column_is_built_on_the_first_body_read(self):
+        first, second = extract_methods(SourceFile("ParserTest.java", SIMPLE + TRICKY_STRING))
+        stream = first.body._texts
+        assert type(stream) is TokenStream and second.body._texts is stream
+        assert stream._texts is None and stream._chunks is not None
+        first.body[:]
+        texts = stream._texts
+        assert texts is not None and stream._chunks is None
+        assert first.body._texts is texts and second.body._texts is stream
+        second.body[:]
+        assert stream._texts is texts and second.body._texts is texts
 
     def test_body_is_the_tokens_within_body_span(self):
         methods = extract_methods(SourceFile("ParserTest.java", SIMPLE))

@@ -140,16 +140,17 @@ def rows(text: str) -> tuple[Row, ...]:
     return tuple(zip(kinds(stream), stream.texts, starts(stream), stream.ends))
 
 
-# the token regex with the word branch after the comment branches: the
-# order of the branches must change no match
+# the token regex with the word branch after the comment branches and no
+# punctuation branch before ``\S``: the order of the branches must change
+# no match
 _REFERENCE_TOKEN_RE = re.compile(r"""
-    \s*(?: //[^\r\n]* | /\*(?:.*?\*/|.*)
+    (?: //[^\r\n]* | /\*(?:.*?\*/|.*)
     | [A-Za-z_$][A-Za-z0-9_$]*
     | \"\"\"(?:[^"\\]|\\.|"(?!\"\"))*(?:\"\"\"|\\?\Z)
     | "[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z) | '[^'\\]*(?:\\.[^'\\]*)*(?:'|\\?\Z)
     | \d[\w.]*
     | \S
-    ) | \s+\Z""", re.DOTALL | re.VERBOSE)
+    ) \s*""", re.DOTALL | re.VERBOSE)
 
 
 # characters that open or close every lexical state, plus non-ASCII
@@ -597,11 +598,13 @@ def _junit_import(text: str) -> bool:
 _PLAIN_FILE = "import org.junit.Test;\n\nclass T {\n" + (
     '    @Test public void testParse() { assertEquals(1, parse("a")); }\n' * 8000)
 
-# a run of whitespace that a `\s*` before each token rescans from each of
-# its characters, a run of blank lines that a `^\s*` import regex rescans
-# from each line start, and one long line of imports that a backward
-# search for the line's start rescans from each import
+# a run of whitespace that a `\s*` before or after each token rescans from
+# each of its characters, a run of blank lines that a `^\s*` import regex
+# rescans from each line start, and one long line of imports that a
+# backward search for the line's start rescans from each import
 _WHITESPACE_AND_IMPORT_SHAPES = {
+    "leading-newlines": (tokenize, "\n" * 100_000 + "x"),
+    "interior-spaces": (tokenize, "x" + " " * 100_000 + "y"),
     "trailing-spaces": (tokenize, "x" + " " * 100_000),
     "trailing-tabs": (tokenize, "x" + "\t" * 100_000),
     "trailing-newlines": (tokenize, "x" + "\n" * 100_000),
